@@ -83,6 +83,15 @@ def _load_family(path):
                          reason=str(exc)) from exc
 
 
+def _load_potential(path, family):
+    data = _load_json(path, "potential")
+    try:
+        return potential_from_dict(family, data)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError("malformed potential file", path=path,
+                         reason=str(exc)) from exc
+
+
 def _budget(args):
     return Budget(max_enum_bits=args.max_enum_bits,
                   max_enum_nodes=args.max_enum_nodes,
@@ -252,7 +261,7 @@ def _cmd_pressure(args):
     budget = _budget(args)
     factor = _LOG_FACTORS[args.log_base]
     if args.potential:
-        pot = potential_from_dict(family, _load_json(args.potential, "potential"))
+        pot = _load_potential(args.potential, family)
     else:
         pot = Potential(Shape.zero(family.rank), 0.0, {})
     est = pressure_estimate(family, pot, args.k, p, args.n_max,

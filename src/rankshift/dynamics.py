@@ -18,7 +18,12 @@ from .errors import (
     ShapeMismatchError,
     ZeroDirectionError,
 )
-from .matrices import log_word_count, require_valid, word_count
+from .matrices import (
+    log_word_count,
+    log_word_count_series,
+    require_valid,
+    word_count,
+)
 from .shapes import Shape
 from .words import check_enum_budget, enumerate_words, restrict_prefix, restrict_tail
 
@@ -124,17 +129,18 @@ def bowen_entropy_estimate(family, k, p, n_max, budget=None):
     sequence[n-1] = log(count at n) / n for n = 1..n_max, and diffs holds
     the successive log increments, whose last entry is the estimate (the
     increments converge faster than the averages).
+
+    One pass yields every stage: the exact stages share a single running
+    power product (log_word_count_series), one matrix product per stage,
+    so the number of matrix products is linear in n_max.
     """
     require_valid(family)
     _check_scale(k, p)
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
-    budget = budget or DEFAULT_BUDGET
-    logs = []
-    for n in range(1, n_max + 1):
-        shape = Shape.cube(k, family.rank) + p.scaled(n)
-        value, _ = log_word_count(family, shape, budget)
-        logs.append(value)
+    series = log_word_count_series(family, Shape.cube(k, family.rank), p,
+                                   n_max, budget)
+    logs = [value for value, _ in series]
     sequence = tuple(logs[n - 1] / n for n in range(1, n_max + 1))
     diffs = tuple(logs[n] - logs[n - 1] for n in range(1, n_max))
     return EntropyEstimate(k, p, sequence, diffs)

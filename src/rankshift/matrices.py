@@ -357,6 +357,34 @@ def log_word_count(family, l, budget=None):
     return prod_log + math.log(total), False
 
 
+def log_word_count_series(family, base, step, n_max, budget=None):
+    """log_word_count of the shapes base + n*step for n = 1..n_max, as a
+    list of (value, exact) pairs equal to the per-stage calls.
+
+    Stages under the digit guard carry one exact product, P_n = P_{n-1} *
+    M^step, so the whole exact run costs one matrix product per stage; the
+    counts are the same integers, hence the same logs.  M^step is built
+    only when the first stage is exact.  Stages over the guard take
+    log_word_count's float route, one by one.
+    """
+    require_valid(family)
+    budget = budget or DEFAULT_BUDGET
+    out = []
+    prod = step_power = None
+    for n in range(1, n_max + 1):
+        shape = base + step.scaled(n)
+        if _digits_estimate(family, shape) > budget.max_exact_digits:
+            out.append(log_word_count(family, shape, budget))
+            continue
+        if prod is None:
+            prod = matrix_power_product(family, shape, budget)
+            step_power = matrix_power_product(family, step, budget)
+        else:
+            prod = matrix_mul(prod, step_power)
+        out.append((math.log(matrix_entry_sum(prod)), True))
+    return out
+
+
 def spectral_radius(m):
     """Spectral radius of a square nonnegative matrix (integer or float
     entries; exact big integers welcome).
@@ -417,12 +445,20 @@ def family_to_dict(family):
     }
 
 
+def _entry(x):
+    """A matrix entry as loaded: an exact integer, never a bool, float or
+    string, so that validation sees what the file says."""
+    if type(x) is not int:
+        raise ValueError(f"matrix entry {x!r} is not an integer")
+    return x
+
+
 def family_from_dict(data):
     try:
         rank = int(data["rank"])
         alphabet = Alphabet(tuple(data["alphabet"]))
         matrices = tuple(
-            tuple(tuple(int(x) for x in row) for row in m)
+            tuple(tuple(_entry(x) for x in row) for row in m)
             for m in data["matrices"]
         )
     except (KeyError, TypeError, ValueError) as exc:

@@ -10,11 +10,13 @@ chain over cube-k words: a word of shape k*e + n*p is the same thing as a
 compatible chain of its n+1 shifted cube restrictions, consecutive ones
 being joined by a unique word of shape p + k*e, so the stage sum is a
 matrix power of the 0-1 transition structure with a diagonal weight.  The
-routes agree exactly and the transfer route stays cheap at large n.
+routes agree exactly and the transfer route stays cheap at large n: one run
+of the chain yields the log sums of every stage 0..n, so a whole pressure
+series costs n_max chain steps, linear in n_max.
 """
 
 from dataclasses import dataclass
-from math import exp, fsum, log
+from math import exp, fsum, isfinite, log
 
 from .budget import DEFAULT as DEFAULT_BUDGET
 from .errors import (
@@ -74,6 +76,13 @@ def potential_to_dict(potential):
     }
 
 
+def _finite(x):
+    value = float(x)
+    if not isfinite(value):
+        raise ValueError(f"potential value {x!r} is not finite")
+    return value
+
+
 def potential_from_dict(family, data):
     window = Shape(tuple(data["window"]))
     table = {}
@@ -81,8 +90,8 @@ def potential_from_dict(family, data):
         spec = entry["word"]
         labels = spec["labels"] if isinstance(spec, dict) else spec
         word = make_word(family, window, tuple(labels))
-        table[word] = float(entry["value"])
-    return Potential(window, float(data.get("default", 0.0)), table)
+        table[word] = _finite(entry["value"])
+    return Potential(window, _finite(data.get("default", 0.0)), table)
 
 
 def log_sum_exp(values):
@@ -144,7 +153,7 @@ def partition_function_log(family, potential, k, p, n, method="transfer",
     if method != "transfer":
         raise ValueError(f"unknown method {method!r}")
     states, in_edges, weight_logs = _transfer_parts(family, potential, k, p, budget)
-    return _chain_log_sum(in_edges, weight_logs, n)
+    return _chain_log_sums(in_edges, weight_logs, n)[-1]
 
 
 def _transfer_parts(family, potential, k, p, budget):
@@ -161,11 +170,13 @@ def _transfer_parts(family, potential, k, p, budget):
     return states, in_edges, weight_logs
 
 
-def _chain_log_sum(in_edges, weight_logs, n):
+def _chain_log_sums(in_edges, weight_logs, n):
+    """log partition sums of stages 0..n, from one run of the chain."""
     top = max(weight_logs)
     dvals = [exp(x - top) for x in weight_logs]
     v = dvals[:]
     acc = top
+    logs = [acc + log(fsum(v))]
     for _ in range(n):
         w = [fsum(v[row] for row in rows) * dvals[col]
              for col, rows in enumerate(in_edges)]
@@ -174,7 +185,8 @@ def _chain_log_sum(in_edges, weight_logs, n):
             raise ArithmeticError("transfer chain has no admissible continuation")
         v = [x / peak for x in w]
         acc += top + log(peak)
-    return acc + log(fsum(v))
+        logs.append(acc + log(fsum(v)))
+    return logs
 
 
 # -- Estimates and the vertex oracle -------------------------------------------
@@ -212,8 +224,7 @@ def pressure_estimate(family, potential, k, p, n_max, method="transfer",
     if method == "transfer":
         _check_stage(family, potential, k, p)
         _, in_edges, weight_logs = _transfer_parts(family, potential, k, p, budget)
-        logs = [_chain_log_sum(in_edges, weight_logs, n)
-                for n in range(1, n_max + 1)]
+        logs = _chain_log_sums(in_edges, weight_logs, n_max)[1:]
     else:
         logs = [partition_function_log(family, potential, k, p, n, method, budget)
                 for n in range(1, n_max + 1)]

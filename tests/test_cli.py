@@ -115,6 +115,26 @@ def test_missing_family_file_is_parse_error():
     assert json.loads(proc.stdout)["error"] == "ParseError"
 
 
+def test_inexact_family_entries_are_parse_errors(tmp_path):
+    path = tmp_path / "inexact.json"
+    path.write_text(json.dumps(
+        {"rank": 1, "alphabet": ["0", "1"], "matrices": [[[1.7, True], [1, 0]]]}))
+    proc = run_cli("validate", "-f", str(path), expect=1)
+    assert json.loads(proc.stdout)["error"] == "ParseError"
+
+
+def test_non_finite_potential_is_parse_error(g1_path, tmp_path):
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps({
+        "window": [0], "default": math.nan,
+        "entries": [{"word": {"shape": [0], "labels": [1]}, "value": 0.5}],
+    }))
+    assert "NaN" in path.read_text()
+    proc = run_cli("pressure", "-f", g1_path, "--p", "1", "--n-max", "5",
+                   "--potential", str(path), "--oracle", expect=1)
+    assert json.loads(proc.stdout)["error"] == "ParseError"
+
+
 # -- Display options ---------------------------------------------------------------
 
 def test_log_base_two_rescales(g1_path):

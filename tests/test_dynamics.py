@@ -6,6 +6,8 @@ Core claims:
     - separated_count agrees between the closed-form count and the greedy
       bruteforce over every small grid we can afford
     - the Bowen sequence for the golden mean is the Fibonacci log ratios
+    - the one-pass Bowen series is bit-identical to per-stage
+      log_word_count calls, across the exact-to-float switch
     - the lattice-action probe decays like 1/n^rank
 """
 
@@ -15,6 +17,7 @@ from fractions import Fraction
 import pytest
 from pytest import approx
 
+from rankshift.budget import Budget
 from rankshift.errors import (
     RankOneError,
     ScaleTooFineError,
@@ -29,6 +32,7 @@ from rankshift.dynamics import (
     separation_threshold,
     shift_truncation,
 )
+from rankshift.matrices import log_word_count, log_word_count_series
 from rankshift.shapes import Shape
 from rankshift.words import enumerate_words, make_word, restrict_prefix
 
@@ -138,6 +142,24 @@ def test_bowen_json_shape(g2):
     assert data["step"] == [1]
     assert len(data["sequence"]) == 3 and len(data["diffs"]) == 2
     assert data["estimate"] == approx(math.log(2))
+
+
+@pytest.mark.parametrize("digits", [1, 8, 12])
+def test_bowen_series_bit_identical_to_per_stage(g1, g3, digits):
+    # max_exact_digits=1 puts every stage on the float route (M^p itself is
+    # over the guard there); 8 and 12 switch routes inside the series
+    budget = Budget(max_exact_digits=digits)
+    for fam, p, n_max in ((g1, Shape.of(1), 40), (g3, Shape.of(1, 1), 12)):
+        cube = Shape.cube(1, fam.rank)
+        stages = [log_word_count(fam, cube + p.scaled(n), budget)
+                  for n in range(1, n_max + 1)]
+        assert log_word_count_series(fam, cube, p, n_max, budget) == stages
+        routes = {exact for _, exact in stages}
+        assert routes == ({False} if digits == 1 else {True, False})
+        logs = [value for value, _ in stages]
+        est = bowen_entropy_estimate(fam, 1, p, n_max, budget)
+        assert est.sequence == tuple(logs[n - 1] / n for n in range(1, n_max + 1))
+        assert est.diffs == tuple(logs[n] - logs[n - 1] for n in range(1, n_max))
 
 
 def test_bowen_needs_two_terms(g1):

@@ -242,3 +242,17 @@ def test_family_round_trip(g3):
     data = family_to_dict(g3)
     assert family_from_dict(data) == g3
     assert canonical_family_json(g3) == canonical_family_json(family_from_dict(data))
+
+
+@pytest.mark.parametrize("entry", [1.0, 1.7, True, False, "1", None])
+def test_family_from_dict_rejects_inexact_entries(entry):
+    data = {"rank": 1, "alphabet": ["0", "1"], "matrices": [[[entry, 1], [1, 0]]]}
+    with pytest.raises(ValueError):
+        family_from_dict(data)
+
+
+def test_family_from_dict_keeps_non_binary_integers():
+    # integers load as they are, so validation can name them
+    data = {"rank": 1, "alphabet": ["0", "1"], "matrices": [[[2, 1], [1, 0]]]}
+    report = validate_family(family_from_dict(data))
+    assert report.violations[0].code == "NonBinaryEntry"

@@ -9,6 +9,9 @@ Core claims:
       weighted characteristic polynomial
     - pressure shifts by exactly c under f -> f + c, already at finite n
     - tensor lifts add pressures
+    - the one-pass transfer series is bit-identical to stage-by-stage
+      partition sums
+    - potential files with non-finite values are rejected
 """
 
 import math
@@ -21,6 +24,7 @@ from rankshift.errors import (
     WindowTooWideError,
     ZeroDirectionError,
 )
+from rankshift.families import tensor_product
 from rankshift.matrices import log_word_count
 from rankshift.pressure import (
     Potential,
@@ -197,6 +201,53 @@ def test_tensor_lift_adds_pressure(g1, g3):
     double = pressure_oracle_vertex(g3, lifted, Shape.of(1, 1))
     single = pressure_oracle_vertex(g1, G1_VALUES, Shape.of(1))
     assert double == approx(2 * single, abs=1e-12)
+
+
+def _window_potential(fam):
+    # width-1 window; values cycle through seven levels over the window words
+    window = Shape.cube(1, fam.rank)
+    words = enumerate_words(fam, window)
+    return Potential(window, 0.0,
+                     {w: 0.1 * (i % 7) - 0.3 for i, w in enumerate(words)})
+
+
+def test_transfer_series_bit_identical_to_stages(g1, g3):
+    t3 = tensor_product(g3, g1)
+    cases = [
+        (g1, vertex_potential(g1, G1_VALUES)),
+        (g1, _window_potential(g1)),
+        (g3, vertex_potential(g3, {"1.1": 0.2, "0.1": -0.4})),
+        (g3, _window_potential(g3)),
+        (t3, vertex_potential(t3, {"1.1.1": 0.3, "0.0.1": -0.2})),
+        (t3, _window_potential(t3)),
+    ]
+    n_max = 8
+    for fam, pot in cases:
+        p = Shape.cube(1, fam.rank)
+        est = pressure_estimate(fam, pot, 1, p, n_max)
+        logs = [partition_function_log(fam, pot, 1, p, n)
+                for n in range(1, n_max + 1)]
+        assert est.sequence == tuple(logs[n - 1] / n for n in range(1, n_max + 1))
+        assert est.diffs == tuple(logs[n] - logs[n - 1] for n in range(1, n_max))
+
+
+def test_transfer_chain_dead_end_raises(g1):
+    # letter 0 weighs exp(-1e6) = 0.0 against letter 1, and 1 -> 1 is forbidden
+    pot = vertex_potential(g1, {"0": -1e6})
+    with pytest.raises(ArithmeticError):
+        pressure_estimate(g1, pot, 1, Shape.of(1), 3)
+    with pytest.raises(ArithmeticError):
+        partition_function_log(g1, pot, 1, Shape.of(1), 1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_potential_from_dict_rejects_non_finite(g1, bad):
+    data = {"window": [0], "default": 0.0,
+            "entries": [{"word": [1], "value": 0.5}]}
+    with pytest.raises(ValueError):
+        potential_from_dict(g1, dict(data, default=bad))
+    with pytest.raises(ValueError):
+        potential_from_dict(g1, dict(data, entries=[{"word": [1], "value": bad}]))
 
 
 def test_pressure_json_and_guards(g1):
