@@ -8,6 +8,7 @@ from .matrices import (
     MatrixFamily,
     entropy_exact,
     load_family,
+    log_spectral_radius,
     matrix_power_product,
     save_family,
     spectral_radius,
@@ -55,7 +56,8 @@ __all__ = [
     "build_shift_patterns", "check_cylinder_separation",
     "check_partial_isometry", "compose", "count_oracle_check",
     "entropy_exact", "enumerate_extensions", "enumerate_words",
-    "exhaustive_search", "families", "gap", "load_family", "make_word",
+    "exhaustive_search", "families", "gap", "load_family",
+    "log_spectral_radius", "make_word",
     "matrix_power_product", "metric", "partition_function_log",
     "pressure_estimate", "pressure_oracle_vertex", "random_search",
     "restrict_prefix", "restrict_tail", "save_family", "separated_count",

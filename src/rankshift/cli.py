@@ -14,11 +14,12 @@ import csv
 import io
 import json
 import sys
-from math import log
+from math import isfinite, log
 
 from . import dynamics, gapsearch, patterns, pressure
 from .budget import Budget, DEFAULT as DEFAULT_BUDGET
 from .errors import DomainError, ParseError
+from .jsonout import dumps, round12
 from .matrices import (
     entropy_exact,
     family_from_dict,
@@ -45,16 +46,6 @@ from .words import (
 _LOG_FACTORS = {"e": 1.0, "2": log(2.0), "10": log(10.0)}
 
 
-def _round12(obj):
-    if isinstance(obj, float):
-        return float(f"{obj:.12g}")
-    if isinstance(obj, dict):
-        return {k: _round12(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round12(v) for v in obj]
-    return obj
-
-
 def _scale(obj, factor):
     if factor == 1.0:
         return obj
@@ -63,6 +54,13 @@ def _scale(obj, factor):
     if isinstance(obj, (list, tuple)):
         return [_scale(v, factor) for v in obj]
     return obj
+
+
+def _finite_float(text):
+    value = float(text)
+    if not isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
 
 
 def _load_json(path, kind):
@@ -108,13 +106,12 @@ def _config(args):
 
 
 def _emit_json(payload, out):
-    text = json.dumps(_round12(payload), indent=2) + "\n"
-    _write(text, out)
+    _write(dumps(payload), out)
 
 
 def _emit_csv(config, header, rows, out):
     buf = io.StringIO()
-    buf.write("# config: " + json.dumps(_round12(config), sort_keys=True) + "\n")
+    buf.write("# config: " + json.dumps(round12(config), sort_keys=True) + "\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
@@ -365,7 +362,7 @@ def build_parser():
     common.add_argument("--log-base", choices=("e", "2", "10"), default="e",
                         help="display base for logarithmic quantities")
     common.add_argument("--threads", type=int, default=None)
-    common.add_argument("--max-enum-bits", type=float,
+    common.add_argument("--max-enum-bits", type=_finite_float,
                         default=DEFAULT_BUDGET.max_enum_bits)
     common.add_argument("--max-enum-nodes", type=int,
                         default=DEFAULT_BUDGET.max_enum_nodes)
@@ -422,7 +419,7 @@ def build_parser():
     sp.add_argument("--exhaustive", action="store_true")
     sp.add_argument("--size", type=int, default=2)
     sp.add_argument("--rank", type=int, default=2)
-    sp.add_argument("--density", type=float, default=0.25)
+    sp.add_argument("--density", type=_finite_float, default=0.25)
     sp.add_argument("--trials", type=int, default=0)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--canonicalize", action="store_true")
@@ -437,7 +434,7 @@ def main(argv=None):
     try:
         return args.func(args)
     except DomainError as exc:
-        sys.stdout.write(json.dumps(_round12(exc.to_json()), indent=2) + "\n")
+        sys.stdout.write(dumps(exc.to_json()))
         return 1
     except ValueError as exc:
         sys.stderr.write(f"usage error: {exc}\n")

@@ -75,3 +75,14 @@ class ShapeTooSmallError(DomainError):
 
 class ParseError(DomainError):
     code = "ParseError"
+
+
+class NonFiniteResultError(DomainError):
+    code = "NonFiniteResult"
+
+
+class TransferChainDeadEndError(DomainError, ArithmeticError):
+    """No admissible continuation: every weight of a transfer-chain stage
+    underflowed to zero.  Also an ArithmeticError, as the chain's failure
+    always was."""
+    code = "TransferChainDeadEnd"

@@ -15,7 +15,6 @@ import hashlib
 import itertools
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import fsum, log
 
@@ -160,6 +159,8 @@ def exhaustive_search(alphabet_size, rank=2, canonicalize=False, budget=None,
         return _record(family, {"source": "exhaustive"}, budget)
 
     if threads and threads > 1:
+        # imported here, as in patterns: only threaded runs load it
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(run, survivors))
     return [run(f) for f in survivors]

@@ -387,17 +387,27 @@ def log_word_count_series(family, base, step, n_max, budget=None):
 
 def spectral_radius(m):
     """Spectral radius of a square nonnegative matrix (integer or float
-    entries; exact big integers welcome).
+    entries; exact big integers welcome): exp of log_spectral_radius, so
+    math.inf once the radius leaves float range and 0.0 for a nilpotent
+    matrix."""
+    acc = log_spectral_radius(m)
+    return math.exp(acc) if acc < 700 else math.inf
 
-    Computed as lim ||m^(2^s)||^(1/2^s) by repeated squaring with
+
+def log_spectral_radius(m):
+    """Natural log of the spectral radius of a square nonnegative matrix;
+    -inf for a nilpotent matrix.  Never overflows: the radius itself is
+    never formed.
+
+    Computed as lim log ||m^(2^s)|| / 2^s by repeated squaring with
     log-domain renormalization, max-row-sum norm.  No irreducibility is
     assumed: reducible, periodic and nilpotent matrices all behave.  The
     full schedule of 64 squarings always runs: the estimates decrease to
     the radius but can stall for a step (||M^4|| = ||M^2||^2 happens for
     honest primitive matrices), so a successive-difference stop would
     return early and wrong.  At s = 64 the subdominant and polynomial
-    parts contribute less than machine epsilon, leaving the result within
-    1e-10 of the true radius for inputs of moderate size.
+    parts contribute less than machine epsilon, leaving the radius within
+    1e-10 of its true value for inputs of moderate size.
     """
     dim = len(m)
     if dim == 0 or any(len(row) != dim for row in m):
@@ -407,7 +417,7 @@ def spectral_radius(m):
 
     norm0 = max(sum(row) for row in m)
     if norm0 == 0:
-        return 0.0
+        return -math.inf
     # big-int / big-int division is correctly rounded, so this scaling is
     # safe even when entries far exceed float range
     cur = [[x / norm0 for x in row] for row in m]
@@ -418,21 +428,29 @@ def spectral_radius(m):
                for row in cur]
         mu = max(math.fsum(row) for row in nxt)
         if mu == 0.0:
-            return 0.0
+            return -math.inf
         cur = [[x / mu for x in row] for row in nxt]
         acc += math.log(mu) / (1 << s)
-    return math.exp(acc) if acc < 700 else math.inf
+    return acc
 
 
 def entropy_exact(family, p):
     """log of the spectral radius of M^p: the entropy of the direction-p
-    shift on the validated family."""
+    shift on the validated family.  Taken in the log domain, so it stays
+    finite for any p whose exact power product fits the budget; while the
+    radius fits a float the value is the log of that float, rounded as it
+    always was."""
     require_valid(family)
     if p.rank != family.rank:
         raise ValueError(f"shape rank {p.rank} != family rank {family.rank}")
     if p.is_zero:
         raise ZeroDirectionError("direction vector must be nonzero")
-    return math.log(spectral_radius(matrix_power_product(family, p)))
+    log_radius = log_spectral_radius(matrix_power_product(family, p))
+    if log_radius < 700:
+        # log of the float radius: differs from log_radius in the last
+        # bits, which reach the printed digits of the tiny abs_error
+        return math.log(math.exp(log_radius))
+    return log_radius
 
 
 # -- Serialization ------------------------------------------------------------

@@ -20,7 +20,6 @@ the decomposition.
 """
 
 from dataclasses import dataclass
-from concurrent.futures import ThreadPoolExecutor
 
 from .budget import DEFAULT as DEFAULT_BUDGET
 from .errors import ShapeTooSmallError, WindowTooWideError
@@ -64,37 +63,95 @@ def check_partial_isometry(pattern):
     return True
 
 
-def build_shift_patterns(family, u, w, p, m, budget=None):
+class SweepTables:
+    """Word tables shared by the pattern builds of one sweep.
+
+    What a build enumerates, composes and budget-checks depends on the
+    family, shapes, endpoint letters and words, not on the generator pair
+    itself, so a sweep over many pairs needs each entry once: words by
+    (shape, origin), compositions by factor pair, the split extensions of
+    a base word by (base, extension shape, compression shape), and the
+    enumeration budget by (shape, budget).  A table serves one sweep over
+    one family; nothing outlives it.  Threads of one sweep may race on an
+    entry: each computes the same value, so the loser's write is harmless
+    and no lock is needed.
+    """
+
+    def __init__(self, family):
+        self.family = family
+        self._words = {}
+        self._composed = {}
+        self._splits = {}
+        self._budgeted = set()
+
+    def check_budget(self, shape, budget):
+        if (shape, budget) not in self._budgeted:
+            check_enum_budget(self.family, shape, budget)
+            self._budgeted.add((shape, budget))
+
+    def words(self, shape, origin=None):
+        key = (shape, origin)
+        found = self._words.get(key)
+        if found is None:
+            found = self._words[key] = tuple(
+                enumerate_words(self.family, shape, origin=origin))
+        return found
+
+    def compose(self, u, v):
+        key = (u, v)
+        found = self._composed.get(key)
+        if found is None:
+            found = self._composed[key] = compose(self.family, u, v)
+        return found
+
+    def split_extensions(self, base, shape, m):
+        """(kappa, lambda, column) for every extension of base to shape:
+        the tail past base, the tail past m and the prefix of shape m."""
+        key = (base, shape, m)
+        found = self._splits.get(key)
+        if found is None:
+            found = self._splits[key] = tuple(
+                (restrict_tail(ext, base.shape), restrict_tail(ext, m),
+                 restrict_prefix(ext, m))
+                for ext in enumerate_extensions(self.family, base, shape))
+        return found
+
+
+def build_shift_patterns(family, u, w, p, m, budget=None, tables=None):
     """Map (kappa, lambda) -> PatternMatrix for generators u, w, shift step
-    p and compression shape m.  Needs m >= p + sup(sigma(u), sigma(w))."""
+    p and compression shape m.  Needs m >= p + sup(sigma(u), sigma(w)).
+    ``tables`` shares word tables across the builds of one sweep."""
     require_valid(family)
     budget = budget or DEFAULT_BUDGET
+    if tables is None:
+        tables = SweepTables(family)
+    elif tables.family != family:
+        raise ValueError("sweep tables belong to a different family")
     n = u.shape.sup(w.shape)
     if not p + n <= m:
         raise ShapeTooSmallError(
             "compression shape must dominate step plus generator shapes",
             m=list(m.coords), needed=list((p + n).coords))
     ext_shape = m + (n - u.shape)
-    check_enum_budget(family, ext_shape, budget)
+    tables.check_budget(ext_shape, budget)
 
-    index = tuple(enumerate_words(family, m))
+    index = tables.words(m)
     grid = {}
-    for kappa in enumerate_words(family, n - w.shape):
-        for lam in enumerate_words(family, n - u.shape):
+    for kappa in tables.words(n - w.shape):
+        for lam in tables.words(n - u.shape):
             grid[(kappa, lam)] = set()
 
     if u.origin == w.origin and u.terminal == w.terminal:
-        gamma_shape = m - p - u.shape
-        for nu in enumerate_words(family, p, origin=None):
+        gammas = tables.words(m - p - u.shape, origin=u.terminal)
+        for nu in tables.words(p):
             if nu.terminal != u.origin:
                 continue
-            for gamma in enumerate_words(family, gamma_shape, origin=u.terminal):
-                row = compose(family, compose(family, nu, u), gamma)
-                base = compose(family, compose(family, nu, w), gamma)
-                for ext in enumerate_extensions(family, base, ext_shape):
-                    kappa = restrict_tail(ext, base.shape)
-                    lam = restrict_tail(ext, m)
-                    col = restrict_prefix(ext, m)
+            nu_u = tables.compose(nu, u)
+            nu_w = tables.compose(nu, w)
+            for gamma in gammas:
+                row = tables.compose(nu_u, gamma)
+                base = tables.compose(nu_w, gamma)
+                for kappa, lam, col in tables.split_extensions(base, ext_shape, m):
                     grid[(kappa, lam)].add((row, col))
 
     return {key: PatternMatrix(index, frozenset(cells))
@@ -154,12 +211,12 @@ def _failure_witness(u, p, kappa, lam, pattern):
     return None
 
 
-def examine_pair(family, u, w, p, m=None, budget=None):
+def examine_pair(family, u, w, p, m=None, budget=None, tables=None):
     """Build all patterns for one generator pair and check each one."""
     n = u.shape.sup(w.shape)
     if m is None:
         m = p + n
-    patterns = build_shift_patterns(family, u, w, p, m, budget)
+    patterns = build_shift_patterns(family, u, w, p, m, budget, tables)
     stats = []
     witnesses = []
     for (kappa, lam) in sorted(patterns, key=lambda kl: (kl[0].labels, kl[1].labels)):
@@ -179,18 +236,23 @@ def examine_pair(family, u, w, p, m=None, budget=None):
 def verify_partial_isometries(family, p, max_gen_shape, m=None, budget=None,
                               threads=None):
     """Run examine_pair over every generator pair (u, w) with shapes
-    dominated by max_gen_shape.  Returns the reports in grid order."""
+    dominated by max_gen_shape.  Returns the reports in grid order.  The
+    pairs share one set of word tables, built for this call only."""
     require_valid(family)
     budget = budget or DEFAULT_BUDGET
+    tables = SweepTables(family)
     gens = []
     for pt in max_gen_shape.box():
-        gens.extend(enumerate_words(family, Shape(pt)))
+        gens.extend(tables.words(Shape(pt)))
     pairs = [(u, w) for u in gens for w in gens]
 
     def run(pair):
-        return examine_pair(family, pair[0], pair[1], p, m, budget)
+        return examine_pair(family, pair[0], pair[1], p, m, budget, tables)
 
     if threads and threads > 1:
+        # imported here: concurrent.futures loads logging and threading,
+        # about 0.6 MiB that runs without threads never need
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(run, pairs))
     return [run(pair) for pair in pairs]

@@ -21,6 +21,7 @@ from math import exp, fsum, isfinite, log
 from .budget import DEFAULT as DEFAULT_BUDGET
 from .errors import (
     ShapeMismatchError,
+    TransferChainDeadEndError,
     WindowTooWideError,
     ZeroDirectionError,
 )
@@ -177,12 +178,13 @@ def _chain_log_sums(in_edges, weight_logs, n):
     v = dvals[:]
     acc = top
     logs = [acc + log(fsum(v))]
-    for _ in range(n):
+    for stage in range(1, n + 1):
         w = [fsum(v[row] for row in rows) * dvals[col]
              for col, rows in enumerate(in_edges)]
         peak = max(w)
         if peak == 0.0:
-            raise ArithmeticError("transfer chain has no admissible continuation")
+            raise TransferChainDeadEndError(
+                "transfer chain has no admissible continuation", stage=stage)
         v = [x / peak for x in w]
         acc += top + log(peak)
         logs.append(acc + log(fsum(v)))

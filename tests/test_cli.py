@@ -135,6 +135,59 @@ def test_non_finite_potential_is_parse_error(g1_path, tmp_path):
     assert json.loads(proc.stdout)["error"] == "ParseError"
 
 
+def _potential_file(tmp_path, default, entries=()):
+    path = tmp_path / "pot.json"
+    path.write_text(json.dumps({
+        "window": [0], "default": default,
+        "entries": [{"word": {"shape": [0], "labels": [label]}, "value": v}
+                    for label, v in entries],
+    }))
+    return str(path)
+
+
+def test_non_finite_result_is_coded_error(g1_path, tmp_path):
+    # finite potential values whose Birkhoff sums overflow to inf
+    pot = _potential_file(tmp_path, 1e308)
+    out = tmp_path / "out.json"
+    proc = run_cli("pressure", "-f", g1_path, "--p", "1", "--n-max", "3",
+                   "--potential", pot, "--out", str(out), expect=1)
+    payload = json.loads(proc.stdout)
+    assert payload["error"] == "NonFiniteResult"
+    assert payload["details"] == {"path": ["sequence", 0], "value": "inf"}
+    assert not out.exists()
+
+
+def test_exact_entropy_beyond_float_range_stays_finite(g1_path):
+    data = run_json("entropy", "-f", g1_path, "--p", "1500", "--mode", "exact")
+    assert data["exact"] == approx(1500 * math.log((1 + math.sqrt(5)) / 2),
+                                   rel=1e-11)
+
+
+def test_transfer_chain_dead_end_exits_one(g1_path, tmp_path):
+    # letter 0 weighs exp(-1000) = 0.0 against letter 1, and 1 -> 1 is
+    # forbidden, so the chain has nowhere to go after one step
+    pot = _potential_file(tmp_path, -1000.0, [(1, 0.0)])
+    proc = run_cli("pressure", "-f", g1_path, "--p", "1", "--potential", pot,
+                   expect=1)
+    payload = json.loads(proc.stdout)
+    assert payload["error"] == "TransferChainDeadEnd"
+    assert payload["details"] == {"stage": 1}
+    assert proc.stderr == ""
+
+
+@pytest.mark.parametrize("option", [["--max-enum-bits", "inf"],
+                                    ["--max-enum-bits", "nan"]])
+def test_non_finite_budget_is_usage_error(g1_path, option):
+    proc = run_cli("entropy", "-f", g1_path, "--p", "1", *option, expect=2)
+    assert "not a finite number" in proc.stderr
+
+
+def test_non_finite_density_is_usage_error():
+    proc = run_cli("search-gap", "-f", "/dev/null", "--trials", "5",
+                   "--density", "nan", expect=2)
+    assert "not a finite number" in proc.stderr
+
+
 # -- Display options ---------------------------------------------------------------
 
 def test_log_base_two_rescales(g1_path):

@@ -1,0 +1,68 @@
+"""JSON text of results.
+
+Core claims:
+    - dumps gives the bytes of json.dumps(round12(x), indent=2) plus a
+      newline for any payload of nested dicts, lists and tuples over
+      strings, bools, None, ints of any size and finite floats
+    - a NaN or infinite float anywhere is a coded NonFiniteResult error
+      that names where it sits
+"""
+
+import json
+import math
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from rankshift.jsonout import dumps, round12
+from rankshift.errors import DomainError, NonFiniteResultError
+
+AWKWARD_TEXT = ['"', "\\", "a\"b\\c", "\n\t\r\x00\x1f\x7f", "é", "日本語",
+                "\U0001f600", " ", ""]
+
+texts = st.text() | st.sampled_from(AWKWARD_TEXT)
+leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-10**40, max_value=10**40)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([0.0, -0.0, 1e-300, 5e-324, 1.7976931348623157e308,
+                       0.1 + 0.2, 123456789012.5, 1e16])
+    | texts
+)
+payloads = st.recursive(
+    leaves,
+    lambda children: (st.lists(children, max_size=5)
+                      | st.lists(children, max_size=5).map(tuple)
+                      | st.dictionaries(texts, children, max_size=5)),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(payloads)
+def test_emitter_matches_json_dumps(payload):
+    assert dumps(payload) == json.dumps(round12(payload), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("payload", [{}, [], (), {"a": {}}, [[], {}, ()],
+                                     {"x": [1, (2, 3.0)], "y": None}])
+def test_emitter_empty_and_small_containers(payload):
+    assert dumps(payload) == json.dumps(round12(payload), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_float_is_coded_error(bad):
+    payload = {"config": {"k": 1}, "sequence": [0.5, (1.0, bad)]}
+    with pytest.raises(NonFiniteResultError) as info:
+        dumps(payload)
+    assert isinstance(info.value, DomainError)
+    data = info.value.to_json()
+    assert data["error"] == "NonFiniteResult"
+    assert data["details"] == {"path": ["sequence", 1, 1], "value": repr(bad)}
+
+
+def test_non_string_key_is_refused():
+    with pytest.raises(TypeError):
+        dumps({1: "one"})

@@ -6,7 +6,8 @@ Core claims:
     - matrix_power_product is exact and factor-order independent
     - spectral_radius matches bisection roots of the characteristic
       polynomials for golden and plastic matrices and is exact on trivia
-    - entropy_exact reproduces log phi / log 2 / additive tensor values
+    - entropy_exact reproduces log phi / log 2 / additive tensor values,
+      and stays finite when the radius of M^p leaves float range
     - the counting inequalities w_l <= w_{l+m} <= |B| w_l w_m hold
 """
 
@@ -25,6 +26,7 @@ from rankshift.matrices import (
     entropy_exact,
     family_from_dict,
     family_to_dict,
+    log_spectral_radius,
     log_word_count,
     matrix_power_product,
     require_valid,
@@ -190,6 +192,25 @@ def test_spectral_radius_power_consistency(g1):
         from rankshift.matrices import matrix_power
         assert spectral_radius(matrix_power(g1.matrices[0], k)) == \
             approx(r ** k, rel=1e-8)
+
+
+def test_log_spectral_radius_is_the_log_of_the_radius():
+    for m in (((1, 1), (1, 0)), ((0, 0, 1), (1, 0, 0), (1, 1, 0)),
+              ((1, 1), (0, 1)), ((2, 0), (0, 3))):
+        assert spectral_radius(m) == math.exp(log_spectral_radius(m))
+    assert log_spectral_radius(((1, 1), (1, 0))) == approx(math.log(PHI),
+                                                           abs=1e-12)
+    assert log_spectral_radius(((0, 1), (0, 0))) == -math.inf
+
+
+def test_entropy_exact_beyond_float_range(g1):
+    # phi^1500 is about 1e313: the radius overflows, its log does not
+    power = matrix_power_product(g1, Shape.of(1500))
+    assert spectral_radius(power) == math.inf
+    assert entropy_exact(g1, Shape.of(1500)) == approx(1500 * math.log(PHI),
+                                                       rel=1e-12)
+    assert entropy_exact(g1, Shape.of(1000)) == approx(1000 * math.log(PHI),
+                                                       rel=1e-12)
 
 
 def test_spectral_radius_rejects_bad_input():

@@ -7,14 +7,20 @@ Core claims:
     - rows decompose as prefix.u.tail, and the padded columns make the
       per-kappa row sets and per-lambda column sets pairwise disjoint
     - fabricated double cells are caught and reported with a usable witness
+    - a sweep's shared word tables change no report, and none outlives
+      the sweep
 """
+
+import sys
 
 import pytest
 
+from rankshift import families, words
 from rankshift.errors import ShapeTooSmallError, WindowTooWideError
 from rankshift.matrices import word_count
 from rankshift.patterns import (
     PatternMatrix,
+    SweepTables,
     _failure_witness,
     build_shift_patterns,
     check_cylinder_separation,
@@ -194,6 +200,63 @@ def test_verify_sweep_golden(g1):
     reports = verify_partial_isometries(g1, Shape.of(1), Shape.of(1))
     assert len(reports) == 25  # 2 letters + 3 edges
     assert all(r.all_partial_isometries for r in reports)
+
+
+def _unshared_sweep(family, p, max_gen_shape, m=None):
+    gens = [w for pt in max_gen_shape.box()
+            for w in enumerate_words(family, Shape(pt))]
+    return [examine_pair(family, u, w, p, m).to_json()
+            for u in gens for w in gens]
+
+
+@pytest.mark.parametrize("case", ["g1", "g2", "g2-m3", "g3", "t3"])
+def test_shared_tables_change_no_report(g1, g2, g3, case):
+    t3 = families.tensor_product(g3, g1)
+    family, p, max_gen, m = {
+        "g1": (g1, Shape.of(1), Shape.of(1), None),
+        "g2": (g2, Shape.of(1), Shape.of(1), None),
+        "g2-m3": (g2, Shape.of(1), Shape.of(1), Shape.of(3)),
+        "g3": (g3, Shape.of(1, 1), Shape.of(1, 0), None),
+        "t3": (t3, Shape.of(1, 0, 1), Shape.of(0, 0, 0), None),
+    }[case]
+    shared = verify_partial_isometries(family, p, max_gen, m=m)
+    assert [r.to_json() for r in shared] == _unshared_sweep(family, p, max_gen, m)
+
+
+def test_no_table_outlives_a_sweep(g3, monkeypatch):
+    runs = []
+    original = words._dfs_words
+
+    def counting(*args):
+        runs.append(args[1])
+        return original(*args)
+
+    monkeypatch.setattr(words, "_dfs_words", counting)
+    verify_partial_isometries(g3, Shape.of(1, 1), Shape.of(1, 0))
+    first = len(runs)
+    verify_partial_isometries(g3, Shape.of(1, 1), Shape.of(1, 0))
+    assert first > 0
+    assert len(runs) == 2 * first
+
+
+def test_threads_racing_on_shared_tables_agree(g3):
+    plain = [r.to_json() for r in
+             verify_partial_isometries(g3, Shape.of(1, 1), Shape.of(1, 0))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = verify_partial_isometries(g3, Shape.of(1, 1),
+                                             Shape.of(1, 0), threads=4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert [r.to_json() for r in threaded] == plain
+
+
+def test_tables_refuse_another_family(g1, g2):
+    u = _letter(g2, "0")
+    with pytest.raises(ValueError):
+        build_shift_patterns(g2, u, u, Shape.of(1), Shape.of(2),
+                             tables=SweepTables(g1))
 
 
 # -- Cylinder separation ---------------------------------------------------------

@@ -12,6 +12,7 @@ Core claims:
     - the one-pass transfer series is bit-identical to stage-by-stage
       partition sums
     - potential files with non-finite values are rejected
+    - a transfer chain with no admissible continuation is a coded error
 """
 
 import math
@@ -20,7 +21,9 @@ import pytest
 from pytest import approx
 
 from rankshift.errors import (
+    DomainError,
     ShapeMismatchError,
+    TransferChainDeadEndError,
     WindowTooWideError,
     ZeroDirectionError,
 )
@@ -238,6 +241,14 @@ def test_transfer_chain_dead_end_raises(g1):
         pressure_estimate(g1, pot, 1, Shape.of(1), 3)
     with pytest.raises(ArithmeticError):
         partition_function_log(g1, pot, 1, Shape.of(1), 1)
+
+
+def test_transfer_chain_dead_end_is_coded(g1):
+    pot = vertex_potential(g1, {"0": -1e6})
+    with pytest.raises(TransferChainDeadEndError) as info:
+        pressure_estimate(g1, pot, 1, Shape.of(1), 3)
+    assert isinstance(info.value, DomainError)
+    assert info.value.to_json()["details"] == {"stage": 1}
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
