@@ -19,7 +19,7 @@ from math import isfinite, log
 from . import dynamics, gapsearch, patterns, pressure
 from .budget import Budget, DEFAULT as DEFAULT_BUDGET
 from .errors import DomainError, ParseError
-from .jsonout import dumps, round12
+from .jsonout import dumps, dumps_line
 from .matrices import (
     entropy_exact,
     family_from_dict,
@@ -39,6 +39,7 @@ from .words import (
     check_enum_budget,
     count_oracle_check,
     enumerate_words,
+    letter_index,
     word_to_dict,
 )
 
@@ -111,7 +112,7 @@ def _emit_json(payload, out):
 
 def _emit_csv(config, header, rows, out):
     buf = io.StringIO()
-    buf.write("# config: " + json.dumps(round12(config), sort_keys=True) + "\n")
+    buf.write("# config: " + dumps_line(config) + "\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
@@ -178,8 +179,7 @@ def _origin_count(family, shape, origin, budget):
     power = matrix_power_product(family, shape, budget)
     if origin is None:
         return sum(sum(row) for row in power)
-    idx = family.alphabet.index(origin) if isinstance(origin, str) else origin
-    return sum(power[idx])
+    return sum(power[letter_index(family, origin)])
 
 
 def _cmd_count_check(args):

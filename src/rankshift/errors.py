@@ -86,3 +86,7 @@ class TransferChainDeadEndError(DomainError, ArithmeticError):
     underflowed to zero.  Also an ArithmeticError, as the chain's failure
     always was."""
     code = "TransferChainDeadEnd"
+
+
+class UnknownLetterError(DomainError):
+    code = "UnknownLetter"

@@ -8,6 +8,7 @@ the rounded copy first.  A NaN or infinite float is refused with a coded
 error instead of printing as invalid JSON.
 """
 
+import json
 from json.encoder import encode_basestring_ascii
 from math import isfinite
 
@@ -30,6 +31,16 @@ def dumps(payload):
     be strings.  A NaN or infinite float raises NonFiniteResultError, whose
     ``path`` locates it."""
     return _encode(payload, "\n") + "\n"
+
+
+def dumps_line(payload):
+    """One-line JSON text of round12(payload), keys sorted.  A NaN or
+    infinite float raises NonFiniteResultError."""
+    try:
+        return json.dumps(round12(payload), sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NonFiniteResultError("result holds a non-finite number",
+                                   reason=str(exc)) from exc
 
 
 def _encode(obj, newline):

@@ -66,8 +66,12 @@ def matrix_entry_sum(m):
     return sum(sum(row) for row in m)
 
 
-def _max_row_sum(m):
-    return max(sum(row) for row in m)
+def mask_bits(mask):
+    """Indices of the set bits of a row bitmask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 # -- Alphabet and family ------------------------------------------------------
@@ -141,6 +145,20 @@ class MatrixFamily:
     def validation(self):
         return validate_family(self)
 
+    @cached_property
+    def masks(self):
+        """Row bitmasks (succ, pred): bit b of succ[j][a] and bit a of
+        pred[j][b] are set when M_j(a, b) = 1.  Meaningful once the
+        structure stage of validation has passed (square 0-1 matrices)."""
+        succ = tuple(
+            tuple(sum(x << b for b, x in enumerate(row)) for row in m)
+            for m in self.matrices)
+        pred = tuple(
+            tuple(sum(row[b] << a for a, row in enumerate(m))
+                  for b in range(len(m)))
+            for m in self.matrices)
+        return succ, pred
+
     @property
     def is_valid(self):
         return self.validation.ok
@@ -159,16 +177,6 @@ def require_valid(family):
 
 
 # -- Validation ---------------------------------------------------------------
-
-def _square_fill_candidates(m_s, m_t, p0, p2):
-    """Letters q with m_t(p0, q) = 1 and m_s(q, p2) = 1.
-
-    Completes the square on a known path p0 -(s)-> p1 -(t)-> p2: the missing
-    corner sits at p0 + e_t.  With commuting 0-1 products there is exactly
-    one candidate.
-    """
-    return [q for q in range(len(m_t)) if m_t[p0][q] and m_s[q][p2]]
-
 
 def validate_family(family):
     """Run all validity checks, in stages; later stages presuppose earlier
@@ -199,34 +207,35 @@ def validate_family(family):
                 ("i", i), ("row", a), ("col", b), ("value", m[a][b]))))
     if violations:
         return ValidationReport(tuple(violations))
+    succ, pred = family.masks
 
     # C0 / NS: nonzero matrices, no all-zero rows
-    for i, m in enumerate(family.matrices, start=1):
-        if all(all(x == 0 for x in row) for row in m):
+    for i, rows in enumerate(succ, start=1):
+        if not any(rows):
             violations.append(Violation("ZeroMatrix", (("i", i),)))
             continue
-        for a, row in enumerate(m):
-            if all(x == 0 for x in row):
+        for a, row in enumerate(rows):
+            if not row:
                 violations.append(Violation("NoSources", (("i", i), ("row", a))))
     if violations:
         return ValidationReport(tuple(violations))
 
     # C1 / C2: commutation with 0-1 products; one witness per pair, first
-    # offending cell in row-major order
+    # offending cell in row-major order.  (M_i M_j)(a, b) counts the letters
+    # in both succ_i(a) and pred_j(b).
     for i in range(family.rank):
         for j in range(i + 1, family.rank):
-            p = matrix_mul(family.matrices[i], family.matrices[j])
-            q = matrix_mul(family.matrices[j], family.matrices[i])
             cell = next(
-                ((a, b) for a in range(dim) for b in range(dim)
-                 if p[a][b] != q[a][b] or p[a][b] > 1),
+                ((a, b, p) for a in range(dim) for b in range(dim)
+                 for p in ((succ[i][a] & pred[j][b]).bit_count(),)
+                 if p > 1 or p != (succ[j][a] & pred[i][b]).bit_count()),
                 None,
             )
             if cell is not None:
-                a, b = cell
+                a, b, p = cell
                 violations.append(Violation("UniqueFactorizationViolation", (
                     ("i", i + 1), ("j", j + 1), ("row", a), ("col", b),
-                    ("count", p[a][b]))))
+                    ("count", p))))
     if violations:
         return ValidationReport(tuple(violations))
 
@@ -239,39 +248,33 @@ def validate_family(family):
                 for k in range(family.rank):
                     if len({i, j, k}) < 3:
                         continue
-                    v = _check_cubes(family, i, j, k)
+                    v = _check_cubes(succ, pred, i, j, k)
                     if v is not None:
                         violations.append(v)
     return ValidationReport(tuple(violations))
 
 
-def _check_cubes(family, i, j, k):
+def _check_cubes(succ, pred, i, j, k):
     """First cube-consistency violation for the ordered triple (i, j, k)."""
-    mi, mj, mk = (family.matrices[t] for t in (i, j, k))
-    dim = len(mi)
 
-    def fill(m_s, m_t, p0, p2):
-        cand = _square_fill_candidates(m_s, m_t, p0, p2)
-        if len(cand) != 1:  # unreachable once C1/C2 passed
+    def fill(s, t, p0, p2):
+        # the missing corner p0 + e_t of the square on the path
+        # p0 -(s)-> p1 -(t)-> p2: exactly one letter once C1/C2 passed
+        cand = succ[t][p0] & pred[s][p2]
+        if not cand or cand & (cand - 1):  # unreachable once C1/C2 passed
             raise AssertionError("square filling not unique after C1/C2")
-        return cand[0]
+        return cand.bit_length() - 1
 
-    for a in range(dim):
-        for b in range(dim):
-            if not mi[a][b]:
-                continue
-            for c in range(dim):
-                if not mj[b][c]:
-                    continue
-                for d in range(dim):
-                    if not mk[c][d]:
-                        continue
-                    x = fill(mi, mj, a, c)        # corner e_j
-                    z_a = fill(mi, mk, x, d)      # corner e_j + e_k
-                    w_a = fill(mj, mk, a, z_a)    # corner e_k, first order
-                    y = fill(mj, mk, b, d)        # corner e_i + e_k
-                    w_b = fill(mi, mk, a, y)      # corner e_k, second order
-                    z_b = fill(mi, mj, w_b, d)    # corner e_j + e_k again
+    for a, row in enumerate(succ[i]):
+        for b in mask_bits(row):
+            for c in mask_bits(succ[j][b]):
+                for d in mask_bits(succ[k][c]):
+                    x = fill(i, j, a, c)          # corner e_j
+                    z_a = fill(i, k, x, d)        # corner e_j + e_k
+                    w_a = fill(j, k, a, z_a)      # corner e_k, first order
+                    y = fill(j, k, b, d)          # corner e_i + e_k
+                    w_b = fill(i, k, a, y)        # corner e_k, second order
+                    z_b = fill(i, j, w_b, d)      # corner e_j + e_k again
                     if (w_a, z_a) != (w_b, z_b):
                         return Violation("CubeInconsistency", (
                             ("i", i + 1), ("j", j + 1), ("k", k + 1),
@@ -288,10 +291,9 @@ def _digits_estimate(family, l):
     return l.total * math.log10(max(len(family.alphabet), 2)) + 1
 
 
-def matrix_power_product(family, l, budget=None):
-    """M_1^{l_1} ... M_r^{l_r}, exact.  Order does not matter for a valid
-    family; the ascending-direction order used here is the canonical one.
-    """
+def _check_exact(family, l, budget):
+    """The guards of the exact routes: a valid family, a shape of its rank
+    and entries within the digit budget."""
     require_valid(family)
     budget = budget or DEFAULT_BUDGET
     if l.rank != family.rank:
@@ -301,6 +303,13 @@ def matrix_power_product(family, l, budget=None):
         raise BudgetExceededError(
             "exact power product too large",
             estimated_digits=est, max_exact_digits=budget.max_exact_digits)
+
+
+def matrix_power_product(family, l, budget=None):
+    """M_1^{l_1} ... M_r^{l_r}, exact.  Order does not matter for a valid
+    family; the ascending-direction order used here is the canonical one.
+    """
+    _check_exact(family, l, budget)
     out = matrix_identity(len(family.alphabet))
     for m, e in zip(family.matrices, l.coords):
         if e:
@@ -309,8 +318,15 @@ def matrix_power_product(family, l, budget=None):
 
 
 def word_count(family, l, budget=None):
-    """Number of words of shape l: <e, M^l e>, exact."""
-    return matrix_entry_sum(matrix_power_product(family, l, budget))
+    """Number of words of shape l: <e, M^l e>, exact.  The all-ones vector
+    takes one unit step at a time, v <- M_j v, over the successor lists."""
+    _check_exact(family, l, budget)
+    v = [1] * len(family.alphabet)
+    for rows, e in zip(family.masks[0], l.coords):
+        lists = [tuple(mask_bits(row)) for row in rows] if e else ()
+        for _ in range(e):
+            v = [sum(v[b] for b in succ) for succ in lists]
+    return sum(v)
 
 
 def log_word_count(family, l, budget=None):

@@ -25,12 +25,18 @@ from .errors import (
     WindowTooWideError,
     ZeroDirectionError,
 )
-from .matrices import matrix_power_product, require_valid, spectral_radius
+from .matrices import (
+    log_spectral_radius,
+    matrix_power_product,
+    require_valid,
+    spectral_radius,
+)
 from .shapes import Shape
 from .words import (
     Word,
     check_enum_budget,
     enumerate_words,
+    letter_index,
     make_word,
     restrict_prefix,
     restrict_tail,
@@ -59,8 +65,7 @@ def vertex_potential(family, values, default=0.0):
     window = Shape.zero(family.rank)
     table = {}
     for key, val in values.items():
-        idx = family.alphabet.index(key) if isinstance(key, str) else int(key)
-        table[Word(window, (idx,))] = float(val)
+        table[Word(window, (letter_index(family, key),))] = float(val)
     return Potential(window, float(default), table)
 
 
@@ -115,10 +120,30 @@ def birkhoff_sum_on_cylinder(family, potential, word, step, n):
             "word shape minus n steps must be a cube",
             shape=list(word.shape.coords), step=list(step.coords), n=n)
     _check_stage(family, potential, base.min_coord, step)
-    return fsum(
-        potential.value(restrict_tail(word, step.scaled(l)))
-        for l in range(n + 1)
-    )
+    sites = _window_sites(word.shape, potential.window, step, n)
+    return _birkhoff_sum(word.labels, sites, _labels_table(potential),
+                         potential.default)
+
+
+def _window_sites(shape, window, step, n):
+    """Flat label indices, in the row-major order of a word of the given
+    shape, of the window box placed at each offset 0, p, .., n*p."""
+    return [
+        tuple(shape.index_of(tuple(o + x for o, x in zip(offset, pt)))
+              for pt in window.box())
+        for offset in (step.scaled(l).coords for l in range(n + 1))
+    ]
+
+
+def _labels_table(potential):
+    """The potential's table keyed by window labels."""
+    return {w.labels: v for w, v in potential.table.items()
+            if w.shape == potential.window}
+
+
+def _birkhoff_sum(labels, sites, table, default):
+    return fsum(table.get(tuple(labels[i] for i in site), default)
+                for site in sites)
 
 
 def _check_stage(family, potential, k, step):
@@ -147,8 +172,10 @@ def partition_function_log(family, potential, k, p, n, method="transfer",
     if method == "enumerate":
         shape = Shape.cube(k, family.rank) + p.scaled(n)
         check_enum_budget(family, shape, budget)
+        sites = _window_sites(shape, potential.window, p, n)
+        table = _labels_table(potential)
         return log_sum_exp(
-            birkhoff_sum_on_cylinder(family, potential, w, p, n)
+            _birkhoff_sum(w.labels, sites, table, potential.default)
             for w in enumerate_words(family, shape)
         )
     if method != "transfer":
@@ -237,19 +264,24 @@ def pressure_estimate(family, potential, k, p, n_max, method="transfer",
 
 def pressure_oracle_vertex(family, values, p, budget=None):
     """Independent check for vertex potentials: log spectral radius of the
-    letter-weighted step matrix diag(exp g) * M^p."""
+    letter-weighted step matrix diag(exp g) * M^p.  A top value beyond
+    +-700 is factored out first, so exp neither overflows nor underflows
+    every weight."""
     require_valid(family)
     if p.is_zero:
         raise ZeroDirectionError("step direction must be nonzero")
     budget = budget or DEFAULT_BUDGET
     step_matrix = matrix_power_product(family, p, budget)
-    gvals = {}
-    for key, val in values.items():
-        idx = family.alphabet.index(key) if isinstance(key, str) else int(key)
-        gvals[idx] = float(val)
     dim = len(family.alphabet)
+    g = [0.0] * dim
+    for key, val in values.items():
+        g[letter_index(family, key)] = float(val)
+    top = max(g)
+    shift = top if abs(top) > 700 else 0.0
     weighted = tuple(
-        tuple(exp(gvals.get(a, 0.0)) * step_matrix[a][b] for b in range(dim))
+        tuple(exp(g[a] - shift) * step_matrix[a][b] for b in range(dim))
         for a in range(dim)
     )
+    if shift:
+        return shift + log_spectral_radius(weighted)
     return log(spectral_radius(weighted))

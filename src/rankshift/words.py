@@ -23,8 +23,9 @@ from .errors import (
     OriginMismatchError,
     ShapeMismatchError,
     ShapeNotDominatedError,
+    UnknownLetterError,
 )
-from .matrices import require_valid, word_count
+from .matrices import mask_bits, require_valid, word_count
 from .shapes import Shape
 
 
@@ -80,13 +81,27 @@ def make_word(family, shape, labels):
 
 def _first_bad_edge(family, word):
     m = word.shape
+    succ = family.masks[0]
     for point in m.box():
         for j in range(m.rank):
             if point[j] < m[j]:
                 nxt = point[:j] + (point[j] + 1,) + point[j + 1:]
-                if not family.matrices[j][word.label_at(point)][word.label_at(nxt)]:
+                if not succ[j][word.label_at(point)] >> word.label_at(nxt) & 1:
                     return point, j
     return None
+
+
+def letter_index(family, letter):
+    """Index of a letter given by name or by index; UnknownLetterError when
+    the alphabet has no such letter."""
+    letters = family.alphabet.letters
+    if isinstance(letter, str):
+        if letter in letters:
+            return letters.index(letter)
+    elif type(letter) is int and 0 <= letter < len(letters):
+        return letter
+    raise UnknownLetterError("no such letter in the alphabet",
+                             letter=str(letter), alphabet=list(letters))
 
 
 # -- Budget guard -------------------------------------------------------------
@@ -110,42 +125,40 @@ def check_enum_budget(family, shape, budget=None):
 # -- Enumeration --------------------------------------------------------------
 
 def _dfs_words(family, m, fixed):
-    """Backtracking enumeration; ``fixed`` maps box indices to forced letters."""
-    mats = family.matrices
-    dim = len(family.alphabet)
-    points = list(m.box())
+    """Backtracking enumeration; ``fixed`` maps box indices to forced letters.
+
+    The candidates at a point are the AND of its predecessors' successor
+    masks (and the forced letter's bit), tried low bit first.
+    """
+    succ = family.masks[0]
+    n = m.volume
+    allowed = [(1 << len(family.alphabet)) - 1] * n
+    for t, letter in fixed.items():
+        allowed[t] &= 1 << letter
     preds = []
-    for pt in points:
-        pl = []
-        for j in range(m.rank):
-            if pt[j]:
-                prev = pt[:j] + (pt[j] - 1,) + pt[j + 1:]
-                pl.append((j, m.index_of(prev)))
-        preds.append(pl)
-    n = len(points)
+    for pt in m.box():
+        preds.append(tuple(
+            (succ[j], m.index_of(pt[:j] + (pt[j] - 1,) + pt[j + 1:]))
+            for j in range(m.rank) if pt[j]))
     labels = [0] * n
-
-    def candidates(t):
-        forced = fixed.get(t)
-        pool = (forced,) if forced is not None else range(dim)
-        out = []
-        for letter in pool:
-            if all(mats[j][labels[pidx]][letter] for j, pidx in preds[t]):
-                out.append(letter)
-        return out
-
-    stack = [iter(candidates(0))]
-    while stack:
-        t = len(stack) - 1
-        letter = next(stack[-1], None)
-        if letter is None:
-            stack.pop()
+    left = [allowed[0]] + [0] * (n - 1)  # untried candidates per point
+    t = 0
+    while t >= 0:
+        mask = left[t]
+        if not mask:
+            t -= 1
             continue
-        labels[t] = letter
+        low = mask & -mask
+        left[t] = mask ^ low
+        labels[t] = low.bit_length() - 1
         if t + 1 == n:
             yield Word(m, tuple(labels))
-        else:
-            stack.append(iter(candidates(t + 1)))
+            continue
+        t += 1
+        mask = allowed[t]
+        for rows, pidx in preds[t]:
+            mask &= rows[labels[pidx]]
+        left[t] = mask
 
 
 def enumerate_words(family, m, origin=None):
@@ -154,11 +167,7 @@ def enumerate_words(family, m, origin=None):
     require_valid(family)
     if m.rank != family.rank:
         raise ShapeMismatchError("shape rank does not match family rank")
-    fixed = {}
-    if origin is not None:
-        if isinstance(origin, str):
-            origin = family.alphabet.index(origin)
-        fixed[0] = int(origin)
+    fixed = {} if origin is None else {0: letter_index(family, origin)}
     return _dfs_words(family, m, fixed)
 
 
@@ -217,7 +226,6 @@ def compose(family, u, v):
             "terminal letter of u differs from origin letter of v",
             terminal=u.terminal, origin=v.origin)
     total = u.shape + v.shape
-    mats = family.matrices
     rank = total.rank
 
     known = {}
@@ -232,7 +240,7 @@ def compose(family, u, v):
         progress = False
         still = []
         for q in pending:
-            letter = _try_fill(mats, rank, total, known, q)
+            letter = _try_fill(family.masks, rank, total, known, q)
             if letter is None:
                 still.append(q)
             else:
@@ -253,9 +261,10 @@ def compose(family, u, v):
     return result
 
 
-def _try_fill(mats, rank, total, known, q):
+def _try_fill(masks, rank, total, known, q):
     """Fill q from a unit square whose other three corners are known and
     form a path: base = q - e_j, base + e_i, q + e_i."""
+    succ, pred = masks
     for j in range(rank):
         if not q[j]:
             continue
@@ -269,18 +278,15 @@ def _try_fill(mats, rank, total, known, q):
             top = q[:i] + (q[i] + 1,) + q[i + 1:]
             if mid not in known or top not in known:
                 continue
-            cand = [
-                d for d in range(len(mats[0]))
-                if mats[j][known[base]][d] and mats[i][d][known[top]]
-            ]
-            if len(cand) > 1:
-                raise NonUniqueFillingError(
-                    "square completion not unique",
-                    point=list(q), candidates=cand)
+            cand = succ[j][known[base]] & pred[i][known[top]]
             if not cand:
                 raise NoFillingError(
                     "square completion has no solution", point=list(q))
-            return cand[0]
+            if cand & (cand - 1):
+                raise NonUniqueFillingError(
+                    "square completion not unique",
+                    point=list(q), candidates=list(mask_bits(cand)))
+            return cand.bit_length() - 1
     return None
 
 

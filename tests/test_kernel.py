@@ -1,0 +1,361 @@
+"""The successor-mask kernel of the 0-1 layer, against dense references.
+
+Core claims, over letter-permuted tensor products of g1/g2/g4 and
+random-search survivors at alphabet size 3:
+    - validate_family gives the reports (codes and witnesses) of a dense
+      reference built from exact matrix products and list scans, also on
+      arbitrary, mostly invalid, 0-1 families
+    - word_count equals the entry sum of the exact power product
+    - enumeration yields word_count words, in lexicographic label order
+    - the index Birkhoff sum equals the restrict_tail formula, word by word
+    - the enumerate and transfer partition sums agree within 1e-12
+plus the coded errors around the kernel: unknown letters, the
+non-unique square filling's candidates, the oracle above exp's range and
+a non-finite CSV config line.
+"""
+
+import json
+import math
+import subprocess
+import sys
+from itertools import product
+from math import fsum
+from pathlib import Path
+
+import pytest
+from hypothesis import (
+    HealthCheck, assume, example, given, settings, strategies as st)
+from pytest import approx
+
+from rankshift import families
+from rankshift.errors import (
+    NonFiniteResultError,
+    NonUniqueFillingError,
+    UnknownLetterError,
+)
+from rankshift.gapsearch import random_search
+from rankshift.jsonout import round12
+from rankshift.matrices import (
+    Alphabet,
+    MatrixFamily,
+    Violation,
+    matrix_entry_sum,
+    matrix_mul,
+    matrix_power_product,
+    validate_family,
+    word_count,
+)
+from rankshift.pressure import (
+    Potential,
+    birkhoff_sum_on_cylinder,
+    partition_function_log,
+    pressure_oracle_vertex,
+    vertex_potential,
+)
+from rankshift.shapes import Shape
+from rankshift.words import _try_fill, enumerate_words, restrict_tail
+
+FAMILIES = Path(__file__).resolve().parent.parent / "families"
+
+
+# -- Dense reference validation -------------------------------------------------
+
+def _dense_validate(family):
+    """Validation by exact matrix products and list scans: the stages,
+    codes and witnesses of validate_family, computed without bitmasks."""
+    violations = []
+    dim = len(family.alphabet)
+    if family.rank < 1 or len(family.matrices) != family.rank:
+        violations.append(Violation("ShapeMismatch", (
+            ("rank", family.rank), ("matrices", len(family.matrices)))))
+    for i, m in enumerate(family.matrices, start=1):
+        if len(m) != dim or any(len(row) != dim for row in m):
+            violations.append(Violation("ShapeMismatch", (
+                ("i", i), ("rows", len(m)), ("dim", dim))))
+            continue
+        bad = next(((a, b) for a in range(dim) for b in range(dim)
+                    if not isinstance(m[a][b], int) or m[a][b] not in (0, 1)),
+                   None)
+        if bad is not None:
+            a, b = bad
+            violations.append(Violation("NonBinaryEntry", (
+                ("i", i), ("row", a), ("col", b), ("value", m[a][b]))))
+    if violations:
+        return tuple(violations)
+    for i, m in enumerate(family.matrices, start=1):
+        if all(all(x == 0 for x in row) for row in m):
+            violations.append(Violation("ZeroMatrix", (("i", i),)))
+            continue
+        for a, row in enumerate(m):
+            if all(x == 0 for x in row):
+                violations.append(Violation("NoSources", (("i", i), ("row", a))))
+    if violations:
+        return tuple(violations)
+    for i in range(family.rank):
+        for j in range(i + 1, family.rank):
+            p = matrix_mul(family.matrices[i], family.matrices[j])
+            q = matrix_mul(family.matrices[j], family.matrices[i])
+            cell = next(((a, b) for a in range(dim) for b in range(dim)
+                         if p[a][b] != q[a][b] or p[a][b] > 1), None)
+            if cell is not None:
+                a, b = cell
+                violations.append(Violation("UniqueFactorizationViolation", (
+                    ("i", i + 1), ("j", j + 1), ("row", a), ("col", b),
+                    ("count", p[a][b]))))
+    if violations:
+        return tuple(violations)
+    if family.rank >= 3:
+        for i, j, k in product(range(family.rank), repeat=3):
+            if len({i, j, k}) == 3:
+                v = _dense_cubes(family, i, j, k)
+                if v is not None:
+                    violations.append(v)
+    return tuple(violations)
+
+
+def _dense_cubes(family, i, j, k):
+    mi, mj, mk = (family.matrices[t] for t in (i, j, k))
+    dim = len(mi)
+
+    def fill(m_s, m_t, p0, p2):
+        cand = [q for q in range(dim) if m_t[p0][q] and m_s[q][p2]]
+        assert len(cand) == 1
+        return cand[0]
+
+    for a, b, c, d in product(range(dim), repeat=4):
+        if not (mi[a][b] and mj[b][c] and mk[c][d]):
+            continue
+        x = fill(mi, mj, a, c)
+        z_a = fill(mi, mk, x, d)
+        w_a = fill(mj, mk, a, z_a)
+        y = fill(mj, mk, b, d)
+        w_b = fill(mi, mk, a, y)
+        z_b = fill(mi, mj, w_b, d)
+        if (w_a, z_a) != (w_b, z_b):
+            return Violation("CubeInconsistency", (
+                ("i", i + 1), ("j", j + 1), ("k", k + 1),
+                ("chain", [a, b, c, d]),
+                ("first_order", [x, z_a, w_a]),
+                ("second_order", [y, w_b, z_b])))
+    return None
+
+
+# -- Generated families ---------------------------------------------------------
+
+BASES = (families.golden_mean(), families.full_shift(), families.identity_family())
+SURVIVORS = tuple(rec.family for rec in random_search(3, 0.3, 600, seed=5))
+
+
+def _permuted(family, perm):
+    """Simultaneous relabelling: new letter i is old letter perm[i]."""
+    return MatrixFamily(
+        family.rank,
+        Alphabet(tuple(family.alphabet[p] for p in perm)),
+        tuple(tuple(tuple(m[a][b] for b in perm) for a in perm)
+              for m in family.matrices))
+
+
+@st.composite
+def valid_families(draw):
+    if draw(st.booleans()):
+        family = draw(st.sampled_from(SURVIVORS))
+    else:
+        left, right = draw(st.lists(st.sampled_from(BASES), min_size=2,
+                                    max_size=2))
+        family = families.tensor_product(left, right)
+    perm = draw(st.permutations(range(family.dim)))
+    return _permuted(family, perm)
+
+
+@st.composite
+def any_families(draw):
+    """Arbitrary small families with entries mostly 0 or 1: nearly all
+    fail some stage of validation."""
+    rank = draw(st.integers(1, 3))
+    dim = draw(st.integers(1, 3))
+    entry = st.sampled_from((0, 1, 1, 1, 2)) if draw(st.booleans()) \
+        else st.sampled_from((0, 1))
+    mats = tuple(
+        tuple(tuple(draw(entry) for _ in range(dim)) for _ in range(dim))
+        for _ in range(rank))
+    return MatrixFamily(rank, Alphabet(tuple(str(a) for a in range(dim))), mats)
+
+
+def _shapes(family, top):
+    return st.tuples(*[st.integers(0, top)] * family.rank).map(Shape)
+
+
+PROPERTY = settings(max_examples=40, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+# -- Properties -----------------------------------------------------------------
+
+# Offends C1/C2 at cells (1, 2) and (2, 1): the witness is the first
+# offending cell in row-major order.
+TWO_CELLS = MatrixFamily(2, Alphabet(("0", "1", "2")), (
+    ((0, 0, 1), (0, 0, 1), (0, 1, 0)), ((0, 0, 1), (0, 1, 1), (0, 1, 0))))
+
+
+@settings(PROPERTY, max_examples=200)
+@given(st.one_of(any_families(), valid_families()))
+@example(TWO_CELLS)
+def test_validation_matches_dense_reference(family):
+    assert validate_family(family).violations == _dense_validate(family)
+
+
+def test_generated_pool_is_valid():
+    assert len(SURVIVORS) > 20
+    assert all(f.is_valid for f in SURVIVORS)
+
+
+@PROPERTY
+@given(st.data())
+def test_word_count_is_power_product_entry_sum(data):
+    family = data.draw(valid_families())
+    shape = data.draw(_shapes(family, 3))
+    assert word_count(family, shape) == \
+        matrix_entry_sum(matrix_power_product(family, shape))
+
+
+@PROPERTY
+@given(st.data())
+def test_enumeration_count_is_word_count(data):
+    family = data.draw(valid_families())
+    shape = data.draw(_shapes(family, 3 if family.rank < 3 else 1))
+    labels = [w.labels for w in enumerate_words(family, shape)]
+    assert len(labels) == word_count(family, shape)
+    assert labels == sorted(set(labels))
+
+
+def _random_potential(data, family, k):
+    window = data.draw(_shapes(family, k))
+    words = list(enumerate_words(family, window))
+    chosen = data.draw(st.lists(st.sampled_from(words), max_size=6))
+    values = st.floats(-3, 3, allow_nan=False)
+    table = {w: data.draw(values) for w in chosen}
+    return Potential(window, data.draw(values), table)
+
+
+def _stage(data, family, n_top):
+    """Cube radius, step and stage index of a stage with few words."""
+    k = data.draw(st.integers(1, 2))
+    step = Shape(data.draw(st.tuples(*[st.integers(0, k)] * family.rank)
+                           .filter(any)))
+    n = data.draw(st.integers(0, n_top))
+    assume(word_count(family, Shape.cube(k, family.rank) + step.scaled(n))
+           <= 400)
+    return k, step, n
+
+
+@PROPERTY
+@given(st.data())
+def test_index_birkhoff_sum_is_restrict_tail_formula(data):
+    family = data.draw(valid_families().filter(lambda f: f.rank <= 2))
+    k, step, n = _stage(data, family, 2)
+    potential = _random_potential(data, family, k)
+    shape = Shape.cube(k, family.rank) + step.scaled(n)
+    for word in enumerate_words(family, shape):
+        expected = fsum(potential.value(restrict_tail(word, step.scaled(l)))
+                        for l in range(n + 1))
+        assert birkhoff_sum_on_cylinder(family, potential, word, step, n) \
+            == expected
+
+
+@PROPERTY
+@given(st.data())
+def test_enumerate_partition_sum_matches_transfer(data):
+    family = data.draw(valid_families().filter(lambda f: f.rank <= 2))
+    k, step, n = _stage(data, family, 3)
+    potential = _random_potential(data, family, k)
+    enum = partition_function_log(family, potential, k, step, n, "enumerate")
+    transfer = partition_function_log(family, potential, k, step, n)
+    assert abs(enum - transfer) <= 1e-12
+
+
+def test_table_entries_off_the_window_are_ignored(g3):
+    # a key of shape (0, 1) has as many labels as the window (1, 0) but
+    # never matches it, in either summation route
+    stray = next(enumerate_words(g3, Shape.of(0, 1)))
+    potential = Potential(Shape.of(1, 0), 0.25, {stray: 9.0})
+    step = Shape.of(1, 1)
+    for word in enumerate_words(g3, Shape.of(2, 2)):
+        assert birkhoff_sum_on_cylinder(g3, potential, word, step, 1) == 0.5
+    assert partition_function_log(g3, potential, 1, step, 1, "enumerate") \
+        == approx(0.5 + math.log(word_count(g3, Shape.of(2, 2))), abs=1e-12)
+
+
+# -- Coded errors around the kernel ------------------------------------------------
+
+@pytest.mark.parametrize("letter", [5, -1, 2, "7", 1.0, True])
+def test_unknown_letter_is_coded(g1, letter):
+    with pytest.raises(UnknownLetterError) as info:
+        enumerate_words(g1, Shape.of(0), origin=letter)
+    assert info.value.code == "UnknownLetter"
+    assert info.value.details["alphabet"] == ["0", "1"]
+    with pytest.raises(UnknownLetterError):
+        vertex_potential(g1, {letter: 0.5})
+    with pytest.raises(UnknownLetterError):
+        pressure_oracle_vertex(g1, {letter: 0.5}, Shape.of(1))
+
+
+def test_unknown_origin_cli_exit_1():
+    proc = subprocess.run(
+        [sys.executable, "-m", "rankshift", "words", "-f",
+         str(FAMILIES / "g1.json"), "--shape", "2", "--origin", "7"],
+        capture_output=True, text=True)
+    assert proc.returncode == 1 and proc.stderr == ""
+    payload = json.loads(proc.stdout)
+    assert payload["error"] == "UnknownLetter"
+    assert payload["details"]["letter"] == "7"
+
+
+def test_non_unique_filling_lists_candidates_ascending():
+    # the full shift twice over fails C1, so its squares fill two ways
+    ones = ((1, 1), (1, 1))
+    family = MatrixFamily(2, Alphabet(("0", "1")), (ones, ones))
+    known = {(0, 0): 0, (1, 0): 1, (1, 1): 0}
+    with pytest.raises(NonUniqueFillingError) as info:
+        _try_fill(family.masks, 2, Shape.of(1, 1), known, (0, 1))
+    assert info.value.details == {"point": [0, 1], "candidates": [0, 1]}
+
+
+def test_masks_are_rows_and_columns(g3):
+    succ, pred = g3.masks
+    for j, m in enumerate(g3.matrices):
+        for a, b in product(range(g3.dim), repeat=2):
+            assert (succ[j][a] >> b & 1) == (pred[j][b] >> a & 1) == m[a][b]
+
+
+def test_oracle_above_exp_range(g1):
+    phi = (1 + math.sqrt(5)) / 2
+    value = pressure_oracle_vertex(g1, {0: 800.0, 1: 800.0}, Shape.of(1))
+    assert value == approx(800 + math.log(phi), abs=1e-9)
+    low = pressure_oracle_vertex(g1, {0: -800.0, 1: -800.0}, Shape.of(1))
+    assert low == approx(-800 + math.log(phi), abs=1e-9)
+
+
+def test_oracle_above_exp_range_cli(tmp_path):
+    pot = tmp_path / "pot.json"
+    pot.write_text(json.dumps({"window": [0], "default": 800.0,
+                               "entries": []}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "rankshift", "pressure", "-f",
+         str(FAMILIES / "g1.json"), "--p", "1", "--potential", str(pot),
+         "--oracle"], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    payload = json.loads(proc.stdout)
+    phi = (1 + math.sqrt(5)) / 2
+    assert payload["oracle"] == approx(800 + math.log(phi), abs=1e-9)
+
+
+def test_csv_config_line_refuses_non_finite(capsys):
+    from rankshift.cli import _emit_csv
+    config = {"command": "x", "density": 0.1 + 0.2, "nested": [1.5, 2]}
+    _emit_csv(config, ["a"], [[1]], None)
+    line = capsys.readouterr().out.splitlines()[0]
+    assert line == "# config: " + json.dumps(round12(config), sort_keys=True)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(NonFiniteResultError):
+            _emit_csv({"command": "x", "density": bad}, ["a"], [[1]], None)
+    assert capsys.readouterr().out == ""
