@@ -23,7 +23,7 @@ from .jsonout import dumps, dumps_line
 from .matrices import (
     entropy_exact,
     family_from_dict,
-    matrix_power_product,
+    origin_counts,
     validate_family,
 )
 from .pressure import (
@@ -68,7 +68,7 @@ def _load_json(path, kind):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise ParseError(f"cannot read {kind} file", path=path,
                          reason=str(exc)) from exc
 
@@ -128,8 +128,11 @@ def _write(text, out):
 
 
 def _word_str(word):
-    shape = ",".join(str(c) for c in word.shape.coords)
-    labels = ".".join(str(x) for x in word.labels)
+    """shape:labels of a Word or of its word_to_dict form."""
+    if not isinstance(word, dict):
+        word = word_to_dict(word)
+    shape = ",".join(str(c) for c in word["shape"])
+    labels = ".".join(str(x) for x in word["labels"])
     return f"{shape}:{labels}"
 
 
@@ -176,10 +179,10 @@ def _cmd_words(args):
 
 
 def _origin_count(family, shape, origin, budget):
-    power = matrix_power_product(family, shape, budget)
+    counts = origin_counts(family, shape, budget)
     if origin is None:
-        return sum(sum(row) for row in power)
-    return sum(power[letter_index(family, origin)])
+        return sum(counts)
+    return counts[letter_index(family, origin)]
 
 
 def _cmd_count_check(args):
@@ -296,7 +299,7 @@ def _cmd_lemma_check(args):
     max_gen = Shape.parse(args.max_shape)
     m = Shape.parse(args.m) if args.m else None
     reports = patterns.verify_partial_isometries(
-        family, p, max_gen, m=m, budget=_budget(args), threads=args.threads)
+        family, p, max_gen, m=m, budget=_budget(args))
     failures = sum(len(r.witnesses) for r in reports)
     if args.format == "csv":
         rows = []
@@ -304,10 +307,7 @@ def _cmd_lemma_check(args):
             for stat in rep.stats:
                 rows.append([
                     _word_str(rep.u), _word_str(rep.w),
-                    f"{','.join(str(c) for c in stat['kappa']['shape'])}:"
-                    f"{'.'.join(str(x) for x in stat['kappa']['labels'])}",
-                    f"{','.join(str(c) for c in stat['lambda']['shape'])}:"
-                    f"{'.'.join(str(x) for x in stat['lambda']['labels'])}",
+                    _word_str(stat["kappa"]), _word_str(stat["lambda"]),
                     stat["cells"], stat["partial_isometry"],
                 ])
         _emit_csv(_config(args),
@@ -329,7 +329,7 @@ def _cmd_search_gap(args):
     if args.exhaustive:
         records = gapsearch.exhaustive_search(
             args.size, rank=args.rank, canonicalize=args.canonicalize,
-            budget=budget, threads=args.threads)
+            budget=budget)
         attempts = None
     else:
         records = gapsearch.random_search(
@@ -355,13 +355,12 @@ def _cmd_search_gap(args):
 
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("-f", "--family", required=True,
-                        help="family JSON file")
+    common.add_argument("-f", "--family",
+                        help="family JSON file (search-gap ignores it)")
     common.add_argument("--out", default=None, help="output path (default stdout)")
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--log-base", choices=("e", "2", "10"), default="e",
                         help="display base for logarithmic quantities")
-    common.add_argument("--threads", type=int, default=None)
     common.add_argument("--max-enum-bits", type=_finite_float,
                         default=DEFAULT_BUDGET.max_enum_bits)
     common.add_argument("--max-enum-nodes", type=int,
@@ -431,6 +430,8 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.family is None and args.command != "search-gap":
+        parser.error("the following arguments are required: -f/--family")
     try:
         return args.func(args)
     except DomainError as exc:

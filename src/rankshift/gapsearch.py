@@ -14,7 +14,6 @@ from the CSV line alone.
 import hashlib
 import itertools
 import random
-import time
 from dataclasses import dataclass
 from math import fsum, log
 
@@ -85,12 +84,9 @@ class GapRecord:
     radii: tuple
     prod_radius: float
     value: float
-    runtime: float
     provenance: tuple
 
     def to_json(self):
-        # runtime deliberately left out: output files must be byte-identical
-        # across reruns of the same config
         return {
             "fingerprint": self.fingerprint,
             "family": family_to_dict(self.family),
@@ -102,11 +98,9 @@ class GapRecord:
 
 
 def _record(family, provenance, budget):
-    start = time.perf_counter()
     radii, prod_radius, value = gap_parts(family, None, budget)
-    runtime = time.perf_counter() - start
     return GapRecord(family_fingerprint(family), family, radii, prod_radius,
-                     value, runtime, tuple(provenance.items()))
+                     value, tuple(provenance.items()))
 
 
 def _digit_alphabet(size):
@@ -121,8 +115,7 @@ def _nonzero_rows(size):
     return rows
 
 
-def exhaustive_search(alphabet_size, rank=2, canonicalize=False, budget=None,
-                      threads=None):
+def exhaustive_search(alphabet_size, rank=2, canonicalize=False, budget=None):
     """Every ordered rank-tuple of 0-1 matrices over the alphabet, filtered
     by validity, one GapRecord per survivor.
 
@@ -154,16 +147,7 @@ def exhaustive_search(alphabet_size, rank=2, canonicalize=False, budget=None,
                 continue
             seen.add(fp)
         survivors.append(family)
-
-    def run(family):
-        return _record(family, {"source": "exhaustive"}, budget)
-
-    if threads and threads > 1:
-        # imported here, as in patterns: only threaded runs load it
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run, survivors))
-    return [run(f) for f in survivors]
+    return [_record(f, {"source": "exhaustive"}, budget) for f in survivors]
 
 
 def random_search(alphabet_size, density, trials, seed, rank=2, controls=(),

@@ -317,16 +317,29 @@ def matrix_power_product(family, l, budget=None):
     return out
 
 
-def word_count(family, l, budget=None):
-    """Number of words of shape l: <e, M^l e>, exact.  The all-ones vector
-    takes one unit step at a time, v <- M_j v, over the successor lists."""
+def origin_counts(family, l, budget=None):
+    """M^l e, exact: entry a counts the words of shape l with origin
+    letter a.  The all-ones vector takes one unit step at a time,
+    v <- M_j v, over the successor lists."""
     _check_exact(family, l, budget)
     v = [1] * len(family.alphabet)
     for rows, e in zip(family.masks[0], l.coords):
         lists = [tuple(mask_bits(row)) for row in rows] if e else ()
         for _ in range(e):
             v = [sum(v[b] for b in succ) for succ in lists]
-    return sum(v)
+    return v
+
+
+def word_count(family, l, budget=None):
+    """Number of words of shape l: <e, M^l e>, exact."""
+    return sum(origin_counts(family, l, budget))
+
+
+def _float_mul(a, b):
+    """Product of two float matrices, each entry an fsum."""
+    bt = list(zip(*b))
+    return [[math.fsum(x * y for x, y in zip(row, col)) for col in bt]
+            for row in a]
 
 
 def log_word_count(family, l, budget=None):
@@ -353,21 +366,16 @@ def log_word_count(family, l, budget=None):
             raise ZeroDivisionError("zero product in log fallback")
         return [[x / top for x in row] for row in m], math.log(top)
 
-    def fmul(a, b):
-        bt = list(zip(*b))
-        return [[math.fsum(x * y for x, y in zip(row, col)) for col in bt]
-                for row in a]
-
     for m, e in zip(family.matrices, l.coords):
         base = [[float(x) for x in row] for row in m]
         base_log = 0.0
         while e:
             if e & 1:
-                prod, mu = renorm(fmul(prod, base))
+                prod, mu = renorm(_float_mul(prod, base))
                 prod_log += base_log + mu
             e >>= 1
             if e:
-                base, mu = renorm(fmul(base, base))
+                base, mu = renorm(_float_mul(base, base))
                 base_log = 2.0 * base_log + mu
     total = math.fsum(math.fsum(row) for row in prod)
     return prod_log + math.log(total), False
@@ -439,9 +447,7 @@ def log_spectral_radius(m):
     cur = [[x / norm0 for x in row] for row in m]
     acc = math.log(norm0)
     for s in range(1, 65):
-        cur_t = list(zip(*cur))
-        nxt = [[math.fsum(x * y for x, y in zip(row, col)) for col in cur_t]
-               for row in cur]
+        nxt = _float_mul(cur, cur)
         mu = max(math.fsum(row) for row in nxt)
         if mu == 0.0:
             return -math.inf
@@ -479,20 +485,21 @@ def family_to_dict(family):
     }
 
 
-def _entry(x):
-    """A matrix entry as loaded: an exact integer, never a bool, float or
-    string, so that validation sees what the file says."""
+def _exact_int(x, what):
+    """The rank or a matrix entry as loaded: an exact integer, never a
+    bool, float or string, so that validation sees what the file says."""
     if type(x) is not int:
-        raise ValueError(f"matrix entry {x!r} is not an integer")
+        raise ValueError(f"{what} {x!r} is not an integer")
     return x
 
 
 def family_from_dict(data):
     try:
-        rank = int(data["rank"])
+        rank = _exact_int(data["rank"], "rank")
         alphabet = Alphabet(tuple(data["alphabet"]))
         matrices = tuple(
-            tuple(tuple(_entry(x) for x in row) for row in m)
+            tuple(tuple(_exact_int(x, "matrix entry") for x in row)
+                  for row in m)
             for m in data["matrices"]
         )
     except (KeyError, TypeError, ValueError) as exc:

@@ -72,9 +72,7 @@ class SweepTables:
     (shape, origin), compositions by factor pair, the split extensions of
     a base word by (base, extension shape, compression shape), and the
     enumeration budget by (shape, budget).  A table serves one sweep over
-    one family; nothing outlives it.  Threads of one sweep may race on an
-    entry: each computes the same value, so the loser's write is harmless
-    and no lock is needed.
+    one family; nothing outlives it.
     """
 
     def __init__(self, family):
@@ -233,8 +231,7 @@ def examine_pair(family, u, w, p, m=None, budget=None, tables=None):
     return PatternFamilyReport(u, w, p, m, n, tuple(stats), tuple(witnesses))
 
 
-def verify_partial_isometries(family, p, max_gen_shape, m=None, budget=None,
-                              threads=None):
+def verify_partial_isometries(family, p, max_gen_shape, m=None, budget=None):
     """Run examine_pair over every generator pair (u, w) with shapes
     dominated by max_gen_shape.  Returns the reports in grid order.  The
     pairs share one set of word tables, built for this call only."""
@@ -244,18 +241,8 @@ def verify_partial_isometries(family, p, max_gen_shape, m=None, budget=None,
     gens = []
     for pt in max_gen_shape.box():
         gens.extend(tables.words(Shape(pt)))
-    pairs = [(u, w) for u in gens for w in gens]
-
-    def run(pair):
-        return examine_pair(family, pair[0], pair[1], p, m, budget, tables)
-
-    if threads and threads > 1:
-        # imported here: concurrent.futures loads logging and threading,
-        # about 0.6 MiB that runs without threads never need
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run, pairs))
-    return [run(pair) for pair in pairs]
+    return [examine_pair(family, u, w, p, m, budget, tables)
+            for u in gens for w in gens]
 
 
 # -- Cylinder separation for window potentials ----------------------------------

@@ -16,7 +16,8 @@ series costs n_max chain steps, linear in n_max.
 """
 
 from dataclasses import dataclass
-from math import exp, fsum, isfinite, log
+from math import exp, fsum, log
+from sys import float_info
 
 from .budget import DEFAULT as DEFAULT_BUDGET
 from .errors import (
@@ -83,10 +84,11 @@ def potential_to_dict(potential):
 
 
 def _finite(x):
-    value = float(x)
-    if not isfinite(value):
-        raise ValueError(f"potential value {x!r} is not finite")
-    return value
+    """A potential value as loaded: an int or float within float range,
+    never a bool, a string, an infinity or NaN."""
+    if type(x) not in (int, float) or not abs(x) <= float_info.max:
+        raise ValueError(f"potential value {x!r} is not a finite number")
+    return float(x)
 
 
 def potential_from_dict(family, data):
@@ -180,7 +182,7 @@ def partition_function_log(family, potential, k, p, n, method="transfer",
         )
     if method != "transfer":
         raise ValueError(f"unknown method {method!r}")
-    states, in_edges, weight_logs = _transfer_parts(family, potential, k, p, budget)
+    in_edges, weight_logs = _transfer_parts(family, potential, k, p, budget)
     return _chain_log_sums(in_edges, weight_logs, n)[-1]
 
 
@@ -195,7 +197,7 @@ def _transfer_parts(family, potential, k, p, budget):
         col = index[restrict_tail(x, p)]
         in_edges[col].append(row)
     weight_logs = [potential.value(s) for s in states]
-    return states, in_edges, weight_logs
+    return in_edges, weight_logs
 
 
 def _chain_log_sums(in_edges, weight_logs, n):
@@ -252,7 +254,7 @@ def pressure_estimate(family, potential, k, p, n_max, method="transfer",
     budget = budget or DEFAULT_BUDGET
     if method == "transfer":
         _check_stage(family, potential, k, p)
-        _, in_edges, weight_logs = _transfer_parts(family, potential, k, p, budget)
+        in_edges, weight_logs = _transfer_parts(family, potential, k, p, budget)
         logs = _chain_log_sums(in_edges, weight_logs, n_max)[1:]
     else:
         logs = [partition_function_log(family, potential, k, p, n, method, budget)

@@ -62,8 +62,11 @@ def word_from_dict(family, data):
 
 
 def make_word(family, shape, labels):
-    """Validated constructor: checks label range and every box edge."""
-    labels = tuple(int(x) for x in labels)
+    """Validated constructor: checks that labels are exact integers in
+    range and every box edge."""
+    labels = tuple(labels)
+    if any(type(x) is not int for x in labels):
+        raise ValueError("letter labels must be integers")
     if len(labels) != shape.volume:
         raise ShapeMismatchError(
             "label count does not match box volume",

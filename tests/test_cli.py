@@ -17,6 +17,9 @@ from pathlib import Path
 import pytest
 from pytest import approx
 
+from rankshift.matrices import load_family, matrix_power_product
+from rankshift.shapes import Shape
+
 REPO = Path(__file__).resolve().parent.parent
 FAMILIES = REPO / "families"
 
@@ -84,6 +87,19 @@ def test_search_gap_example(tmp_path):
     assert len(lines) == 24  # config + header + 22 records
 
 
+def test_search_gap_needs_no_family():
+    argv = ("search-gap", "--exhaustive", "--size", "2", "--format", "csv")
+    bare = run_cli(*argv).stdout.splitlines()
+    ignored = run_cli(*argv, "-f", "/dev/null").stdout.splitlines()
+    assert len(bare) == 24
+    assert bare[1:] == ignored[1:]
+
+
+def test_other_commands_still_need_a_family():
+    proc = run_cli("validate", expect=2)
+    assert "-f/--family" in proc.stderr
+
+
 # -- Exit codes --------------------------------------------------------------------
 
 def test_validate_reports_invalid_but_exits_zero(bad_family):
@@ -115,6 +131,20 @@ def test_missing_family_file_is_parse_error():
     assert json.loads(proc.stdout)["error"] == "ParseError"
 
 
+@pytest.mark.parametrize("content", [
+    pytest.param(b"\xff\xfe\x00garbage", id="not-utf8"),
+    # interpreters without the integer string limit parse such a rank
+    pytest.param(b'{"rank": ' + b"1" * 5000 + b"}", id="int-over-digit-limit",
+                 marks=pytest.mark.skipif(
+                     not hasattr(sys, "get_int_max_str_digits"),
+                     reason="no integer string conversion limit"))])
+def test_undecodable_family_file_is_parse_error(tmp_path, content):
+    path = tmp_path / "family.json"
+    path.write_bytes(content)
+    proc = run_cli("validate", "-f", str(path), expect=1)
+    assert json.loads(proc.stdout)["error"] == "ParseError"
+
+
 def test_inexact_family_entries_are_parse_errors(tmp_path):
     path = tmp_path / "inexact.json"
     path.write_text(json.dumps(
@@ -135,6 +165,15 @@ def test_non_finite_potential_is_parse_error(g1_path, tmp_path):
     assert json.loads(proc.stdout)["error"] == "ParseError"
 
 
+@pytest.mark.parametrize("rank", [1.7, True, "1"])
+def test_inexact_rank_is_parse_error(tmp_path, rank):
+    path = tmp_path / "rank.json"
+    path.write_text(json.dumps(
+        {"rank": rank, "alphabet": ["0", "1"], "matrices": [[[1, 1], [1, 0]]]}))
+    proc = run_cli("validate", "-f", str(path), expect=1)
+    assert json.loads(proc.stdout)["error"] == "ParseError"
+
+
 def _potential_file(tmp_path, default, entries=()):
     path = tmp_path / "pot.json"
     path.write_text(json.dumps({
@@ -143,6 +182,17 @@ def _potential_file(tmp_path, default, entries=()):
                     for label, v in entries],
     }))
     return str(path)
+
+
+@pytest.mark.parametrize("default, entries", [
+    (True, ()), (0.0, [(1, "0.5")]), (0.0, [(True, 0.5)]), (10 ** 400, ())],
+    ids=["bool-default", "str-value", "bool-label", "huge-int"])
+def test_non_numeric_potential_is_parse_error(g1_path, tmp_path, default,
+                                              entries):
+    pot = _potential_file(tmp_path, default, entries)
+    proc = run_cli("pressure", "-f", g1_path, "--p", "1", "--n-max", "5",
+                   "--potential", pot, expect=1)
+    assert json.loads(proc.stdout)["error"] == "ParseError"
 
 
 def test_non_finite_result_is_coded_error(g1_path, tmp_path):
@@ -205,6 +255,16 @@ def test_words_origin_and_limit(g1_path):
     assert [w["labels"] for w in data["words"]] == [[1, 0, 0], [1, 0, 1]]
     limited = run_json("words", "-f", g1_path, "--shape", "2", "--limit", "2")
     assert limited["total"] == "5" and limited["returned"] == 2
+
+
+def test_words_origin_total_is_power_product_row_sum():
+    g3_path = str(FAMILIES / "g3.json")
+    g3 = load_family(g3_path)
+    power = matrix_power_product(g3, Shape.of(2, 1))
+    for letter, row in zip(g3.alphabet.letters, power):
+        data = run_json("words", "-f", g3_path, "--shape", "2,1",
+                        "--origin", letter, "--limit", "0")
+        assert data["total"] == str(sum(row))
 
 
 def test_words_csv(g1_path):

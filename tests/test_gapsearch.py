@@ -105,12 +105,6 @@ def test_exhaustive_budget_guard():
         exhaustive_search(3, budget=Budget(max_enum_nodes=100))
 
 
-def test_exhaustive_threaded_agrees():
-    plain = exhaustive_search(2)
-    threaded = exhaustive_search(2, threads=2)
-    assert [r.to_json() for r in plain] == [r.to_json() for r in threaded]
-
-
 def test_canonicalize_dedups():
     full = exhaustive_search(2)
     reduced = exhaustive_search(2, canonicalize=True)

@@ -5,7 +5,8 @@ random-search survivors at alphabet size 3:
     - validate_family gives the reports (codes and witnesses) of a dense
       reference built from exact matrix products and list scans, also on
       arbitrary, mostly invalid, 0-1 families
-    - word_count equals the entry sum of the exact power product
+    - word_count equals the entry sum of the exact power product, and
+      origin_counts its row sums
     - enumeration yields word_count words, in lexicographic label order
     - the index Birkhoff sum equals the restrict_tail formula, word by word
     - the enumerate and transfer partition sums agree within 1e-12
@@ -42,6 +43,7 @@ from rankshift.matrices import (
     matrix_entry_sum,
     matrix_mul,
     matrix_power_product,
+    origin_counts,
     validate_family,
     word_count,
 )
@@ -214,8 +216,9 @@ def test_generated_pool_is_valid():
 def test_word_count_is_power_product_entry_sum(data):
     family = data.draw(valid_families())
     shape = data.draw(_shapes(family, 3))
-    assert word_count(family, shape) == \
-        matrix_entry_sum(matrix_power_product(family, shape))
+    power = matrix_power_product(family, shape)
+    assert word_count(family, shape) == matrix_entry_sum(power)
+    assert origin_counts(family, shape) == [sum(row) for row in power]
 
 
 @PROPERTY

@@ -272,6 +272,13 @@ def test_family_from_dict_rejects_inexact_entries(entry):
         family_from_dict(data)
 
 
+@pytest.mark.parametrize("rank", [1.0, 1.7, True, "1", None])
+def test_family_from_dict_rejects_inexact_rank(rank):
+    data = {"rank": rank, "alphabet": ["0", "1"], "matrices": [[[1, 1], [1, 0]]]}
+    with pytest.raises(ValueError):
+        family_from_dict(data)
+
+
 def test_family_from_dict_keeps_non_binary_integers():
     # integers load as they are, so validation can name them
     data = {"rank": 1, "alphabet": ["0", "1"], "matrices": [[[2, 1], [1, 0]]]}

@@ -11,7 +11,7 @@ Core claims:
     - tensor lifts add pressures
     - the one-pass transfer series is bit-identical to stage-by-stage
       partition sums
-    - potential files with non-finite values are rejected
+    - potential files with non-finite or non-numeric values are rejected
     - a transfer chain with no admissible continuation is a coded error
 """
 
@@ -253,6 +253,17 @@ def test_transfer_chain_dead_end_is_coded(g1):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_potential_from_dict_rejects_non_finite(g1, bad):
+    data = {"window": [0], "default": 0.0,
+            "entries": [{"word": [1], "value": 0.5}]}
+    with pytest.raises(ValueError):
+        potential_from_dict(g1, dict(data, default=bad))
+    with pytest.raises(ValueError):
+        potential_from_dict(g1, dict(data, entries=[{"word": [1], "value": bad}]))
+
+
+@pytest.mark.parametrize("bad", [True, False, "0.5", None, 10 ** 400],
+                         ids=["true", "false", "str", "none", "huge-int"])
+def test_potential_from_dict_rejects_non_numbers(g1, bad):
     data = {"window": [0], "default": 0.0,
             "entries": [{"word": [1], "value": 0.5}]}
     with pytest.raises(ValueError):

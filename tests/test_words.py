@@ -89,6 +89,12 @@ def test_make_word_rejects_garbage(g1):
         make_word(g1, Shape.of(1), (1, 1))  # forbidden edge
 
 
+@pytest.mark.parametrize("label", [True, 1.0, "1"])
+def test_make_word_rejects_inexact_labels(g1, label):
+    with pytest.raises(ValueError):
+        make_word(g1, Shape.of(1), (0, label))
+
+
 def test_word_accessors(g1, line_word):
     w = line_word(g1, 0, 1, 0)
     assert w.origin == 0 and w.terminal == 0
