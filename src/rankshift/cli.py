@@ -23,7 +23,6 @@ from .jsonout import dumps, dumps_line
 from .matrices import (
     entropy_exact,
     family_from_dict,
-    origin_counts,
     validate_family,
 )
 from .pressure import (
@@ -156,9 +155,11 @@ def _cmd_validate(args):
 def _cmd_words(args):
     family = _load_family(args.family)
     shape = Shape.parse(args.shape)
-    budget = _budget(args)
-    check_enum_budget(family, shape, budget)
-    total = _origin_count(family, shape, args.origin, budget)
+    counts = check_enum_budget(family, shape, _budget(args))
+    if args.origin is None:
+        total = sum(counts)
+    else:
+        total = counts[letter_index(family, args.origin)]
     listed = []
     for word in enumerate_words(family, shape, origin=args.origin):
         if args.limit is not None and len(listed) >= args.limit:
@@ -176,13 +177,6 @@ def _cmd_words(args):
             "words": [word_to_dict(w) for w in listed],
         }, args.out)
     return 0
-
-
-def _origin_count(family, shape, origin, budget):
-    counts = origin_counts(family, shape, budget)
-    if origin is None:
-        return sum(counts)
-    return counts[letter_index(family, origin)]
 
 
 def _cmd_count_check(args):
@@ -216,7 +210,7 @@ def _cmd_entropy(args):
         result["diffs"] = _scale(list(est.diffs), factor)
         result["estimate"] = _scale(estimate, factor)
     if args.mode in ("exact", "both"):
-        exact = entropy_exact(family, p)
+        exact = entropy_exact(family, p, budget)
         result["exact"] = _scale(exact, factor)
     if args.mode == "both":
         result["abs_error"] = _scale(abs(estimate - exact), factor)

@@ -130,9 +130,10 @@ def bowen_entropy_estimate(family, k, p, n_max, budget=None):
     the successive log increments, whose last entry is the estimate (the
     increments converge faster than the averages).
 
-    One pass yields every stage: the exact stages share a single running
-    power product (log_word_count_series), one matrix product per stage,
-    so the number of matrix products is linear in n_max.
+    One pass yields every stage: the exact stages carry one count vector
+    M^l e (log_word_count_series), stepped by p from stage to stage, so
+    the exact work is p.total vector steps per stage and no matrix
+    product is formed.
     """
     require_valid(family)
     _check_scale(k, p)

@@ -5,8 +5,10 @@ never exceeds the sum of the per-direction entropies:
 
     gap = sum_i log r(M_i^{p_i}) - log r(M_1^{p_1} ... M_r^{p_r}) >= 0
 
-Tensor families sit exactly at zero.  Whether any valid family sits
-strictly above zero is open; this module only gathers evidence.  Records
+Tensor families sit exactly at zero.  Positive gaps exist: the 4-letter
+family M_1 = diag(J_2, I_2), M_2 = diag(I_2, J_2), with J_2 the all-ones
+2x2 matrix, has radii 2 and 2 and product radius 2, a gap of log 2.  The
+sweeps gather such families and the distribution of gaps.  Records
 carry full matrices and provenance so any reported gap can be reproduced
 from the CSV line alone.
 """

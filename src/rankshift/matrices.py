@@ -62,10 +62,6 @@ def matrix_power(m, k):
     return result
 
 
-def matrix_entry_sum(m):
-    return sum(sum(row) for row in m)
-
-
 def mask_bits(mask):
     """Indices of the set bits of a row bitmask, ascending."""
     while mask:
@@ -317,17 +313,21 @@ def matrix_power_product(family, l, budget=None):
     return out
 
 
-def origin_counts(family, l, budget=None):
-    """M^l e, exact: entry a counts the words of shape l with origin
-    letter a.  The all-ones vector takes one unit step at a time,
-    v <- M_j v, over the successor lists."""
-    _check_exact(family, l, budget)
-    v = [1] * len(family.alphabet)
+def _step_vector(family, l, v):
+    """M^l v, exact: v takes one unit step at a time, v <- M_j v, over the
+    successor lists."""
     for rows, e in zip(family.masks[0], l.coords):
         lists = [tuple(mask_bits(row)) for row in rows] if e else ()
         for _ in range(e):
             v = [sum(v[b] for b in succ) for succ in lists]
     return v
+
+
+def origin_counts(family, l, budget=None):
+    """M^l e, exact: entry a counts the words of shape l with origin
+    letter a."""
+    _check_exact(family, l, budget)
+    return _step_vector(family, l, [1] * len(family.alphabet))
 
 
 def word_count(family, l, budget=None):
@@ -385,27 +385,26 @@ def log_word_count_series(family, base, step, n_max, budget=None):
     """log_word_count of the shapes base + n*step for n = 1..n_max, as a
     list of (value, exact) pairs equal to the per-stage calls.
 
-    Stages under the digit guard carry one exact product, P_n = P_{n-1} *
-    M^step, so the whole exact run costs one matrix product per stage; the
-    counts are the same integers, hence the same logs.  M^step is built
-    only when the first stage is exact.  Stages over the guard take
+    Stages under the digit guard carry one exact vector, v_n = M^step
+    v_{n-1} with v_1 = origin_counts of the first shape, so each exact
+    stage costs step.total unit steps of a vector; the counts are the same
+    integers, hence the same logs.  Stages over the guard take
     log_word_count's float route, one by one.
     """
     require_valid(family)
     budget = budget or DEFAULT_BUDGET
     out = []
-    prod = step_power = None
+    counts = None
     for n in range(1, n_max + 1):
         shape = base + step.scaled(n)
         if _digits_estimate(family, shape) > budget.max_exact_digits:
             out.append(log_word_count(family, shape, budget))
             continue
-        if prod is None:
-            prod = matrix_power_product(family, shape, budget)
-            step_power = matrix_power_product(family, step, budget)
+        if counts is None:
+            counts = origin_counts(family, shape, budget)
         else:
-            prod = matrix_mul(prod, step_power)
-        out.append((math.log(matrix_entry_sum(prod)), True))
+            counts = _step_vector(family, step, counts)
+        out.append((math.log(sum(counts)), True))
     return out
 
 
@@ -456,7 +455,7 @@ def log_spectral_radius(m):
     return acc
 
 
-def entropy_exact(family, p):
+def entropy_exact(family, p, budget=None):
     """log of the spectral radius of M^p: the entropy of the direction-p
     shift on the validated family.  Taken in the log domain, so it stays
     finite for any p whose exact power product fits the budget; while the
@@ -467,7 +466,7 @@ def entropy_exact(family, p):
         raise ValueError(f"shape rank {p.rank} != family rank {family.rank}")
     if p.is_zero:
         raise ZeroDirectionError("direction vector must be nonzero")
-    log_radius = log_spectral_radius(matrix_power_product(family, p))
+    log_radius = log_spectral_radius(matrix_power_product(family, p, budget))
     if log_radius < 700:
         # log of the float radius: differs from log_radius in the last
         # bits, which reach the printed digits of the tiny abs_error

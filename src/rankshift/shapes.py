@@ -17,7 +17,9 @@ class Shape:
     coords: tuple
 
     def __post_init__(self):
-        coords = tuple(int(c) for c in self.coords)
+        coords = tuple(self.coords)
+        if any(type(c) is not int for c in coords):
+            raise ValueError(f"shape coordinates must be integers: {coords!r}")
         if not coords:
             raise ValueError("rank must be at least 1")
         if any(c < 0 for c in coords):

@@ -25,7 +25,7 @@ from .errors import (
     ShapeNotDominatedError,
     UnknownLetterError,
 )
-from .matrices import mask_bits, require_valid, word_count
+from .matrices import mask_bits, origin_counts, require_valid
 from .shapes import Shape
 
 
@@ -111,18 +111,21 @@ def letter_index(family, letter):
 
 def check_enum_budget(family, shape, budget=None):
     """Refuse enumerations whose raw index space or predicted touched-point
-    count exceeds the budget."""
+    count exceeds the budget.  Returns M^shape e (origin_counts), whose sum
+    the touched-point estimate reads: the exact word count by origin."""
     budget = budget or DEFAULT_BUDGET
     bits = shape.volume * log2(max(len(family.alphabet), 2))
     if bits > budget.max_enum_bits:
         raise BudgetExceededError(
             "enumeration index space too large",
             estimated_bits=bits, max_enum_bits=budget.max_enum_bits)
-    nodes = word_count(family, shape, budget) * shape.volume
+    counts = origin_counts(family, shape, budget)
+    nodes = sum(counts) * shape.volume
     if nodes > budget.max_enum_nodes:
         raise BudgetExceededError(
             "enumeration would touch too many lattice points",
             estimated_nodes=nodes, max_enum_nodes=budget.max_enum_nodes)
+    return counts
 
 
 # -- Enumeration --------------------------------------------------------------
@@ -334,7 +337,7 @@ def count_oracle_check(family, max_shape, budget=None):
     rows = []
     for pt in max_shape.box():
         l = Shape(pt)
-        check_enum_budget(family, l, budget)
+        counted = sum(check_enum_budget(family, l, budget))
         enumerated = sum(1 for _ in enumerate_words(family, l))
-        rows.append(CountCheckRow(l, enumerated, word_count(family, l, budget)))
+        rows.append(CountCheckRow(l, enumerated, counted))
     return CountCheckReport(tuple(rows))

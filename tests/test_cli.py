@@ -195,6 +195,25 @@ def test_non_numeric_potential_is_parse_error(g1_path, tmp_path, default,
     assert json.loads(proc.stdout)["error"] == "ParseError"
 
 
+@pytest.mark.parametrize("window", [[True], [1.0], ["1"], [1.7]],
+                         ids=["bool", "float", "str", "fraction"])
+def test_inexact_window_is_parse_error(g1_path, tmp_path, window):
+    path = tmp_path / "pot.json"
+    path.write_text(json.dumps(
+        {"window": window, "default": 0.0, "entries": []}))
+    proc = run_cli("pressure", "-f", g1_path, "--p", "1", "--n-max", "5",
+                   "--potential", str(path), expect=1)
+    assert json.loads(proc.stdout)["error"] == "ParseError"
+
+
+def test_exact_entropy_respects_digit_budget(g1_path):
+    proc = run_cli("entropy", "-f", g1_path, "--p", "3000", "--mode", "exact",
+                   "--max-exact-digits", "5", expect=1)
+    payload = json.loads(proc.stdout)
+    assert payload["error"] == "BudgetExceeded"
+    assert payload["details"]["max_exact_digits"] == 5
+
+
 def test_non_finite_result_is_coded_error(g1_path, tmp_path):
     # finite potential values whose Birkhoff sums overflow to inf
     pot = _potential_file(tmp_path, 1e308)

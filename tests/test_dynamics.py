@@ -32,6 +32,7 @@ from rankshift.dynamics import (
     separation_threshold,
     shift_truncation,
 )
+from rankshift.families import tensor_product
 from rankshift.matrices import log_word_count, log_word_count_series
 from rankshift.shapes import Shape
 from rankshift.words import enumerate_words, make_word, restrict_prefix
@@ -149,15 +150,19 @@ def test_bowen_series_bit_identical_to_per_stage(g1, g3, digits):
     # max_exact_digits=1 puts every stage on the float route (M^p itself is
     # over the guard there); 8 and 12 switch routes inside the series
     budget = Budget(max_exact_digits=digits)
-    for fam, p, n_max in ((g1, Shape.of(1), 40), (g3, Shape.of(1, 1), 12)):
-        cube = Shape.cube(1, fam.rank)
+    t3 = tensor_product(g3, g1)
+    for fam, k, p, n_max in ((g1, 1, Shape.of(1), 40),
+                             (g3, 1, Shape.of(1, 1), 12),
+                             (g3, 2, Shape.of(2, 0), 12),
+                             (t3, 1, Shape.of(1, 1, 1), 6)):
+        cube = Shape.cube(k, fam.rank)
         stages = [log_word_count(fam, cube + p.scaled(n), budget)
                   for n in range(1, n_max + 1)]
         assert log_word_count_series(fam, cube, p, n_max, budget) == stages
         routes = {exact for _, exact in stages}
         assert routes == ({False} if digits == 1 else {True, False})
         logs = [value for value, _ in stages]
-        est = bowen_entropy_estimate(fam, 1, p, n_max, budget)
+        est = bowen_entropy_estimate(fam, k, p, n_max, budget)
         assert est.sequence == tuple(logs[n - 1] / n for n in range(1, n_max + 1))
         assert est.diffs == tuple(logs[n] - logs[n - 1] for n in range(1, n_max))
 

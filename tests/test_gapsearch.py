@@ -2,6 +2,7 @@
 
 Core claims:
     - tensor families sit exactly at gap zero, for any step
+    - the 4-letter block family diag(J_2, I_2), diag(I_2, J_2) has gap log 2
     - the exhaustive sweep over two letters finds the same 22 valid pairs
       as a prefilter-free brute force written here from scratch
     - every recorded gap over the small alphabets is zero to rounding,
@@ -63,6 +64,19 @@ def test_norm_stall_pair_has_no_gap():
     fam = MatrixFamily(2, Alphabet(("0", "1", "2")), (m, m))
     assert validate_family(fam).ok
     assert gap(fam) == approx(0.0, abs=1e-12)
+
+
+def test_block_family_has_gap_log_two():
+    # M_1 = diag(J_2, I_2), M_2 = diag(I_2, J_2) with J_2 all ones: each
+    # direction has radius 2, and so has M_1 M_2 = diag(J_2, J_2)
+    m1 = ((1, 1, 0, 0), (1, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    m2 = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 1), (0, 0, 1, 1))
+    fam = MatrixFamily(2, Alphabet(("0", "1", "2", "3")), (m1, m2))
+    assert validate_family(fam).ok
+    radii, prod_radius, value = gap_parts(fam)
+    assert radii == approx((2.0, 2.0), abs=1e-12)
+    assert prod_radius == approx(2.0, abs=1e-12)
+    assert value == approx(math.log(2), abs=1e-12)
 
 
 # -- Exhaustive sweep vs independent brute force -------------------------------

@@ -6,7 +6,8 @@ random-search survivors at alphabet size 3:
       reference built from exact matrix products and list scans, also on
       arbitrary, mostly invalid, 0-1 families
     - word_count equals the entry sum of the exact power product, and
-      origin_counts its row sums
+      origin_counts (also the value of check_enum_budget) its row sums
+    - a words run and each count-check shape compute M^l e once
     - enumeration yields word_count words, in lexicographic label order
     - the index Birkhoff sum equals the restrict_tail formula, word by word
     - the enumerate and transfer partition sums agree within 1e-12
@@ -29,6 +30,8 @@ from hypothesis import (
 from pytest import approx
 
 from rankshift import families
+from rankshift.budget import Budget
+from rankshift.cli import main
 from rankshift.errors import (
     NonFiniteResultError,
     NonUniqueFillingError,
@@ -40,7 +43,6 @@ from rankshift.matrices import (
     Alphabet,
     MatrixFamily,
     Violation,
-    matrix_entry_sum,
     matrix_mul,
     matrix_power_product,
     origin_counts,
@@ -55,7 +57,8 @@ from rankshift.pressure import (
     vertex_potential,
 )
 from rankshift.shapes import Shape
-from rankshift.words import _try_fill, enumerate_words, restrict_tail
+from rankshift.words import (
+    _try_fill, check_enum_budget, enumerate_words, restrict_tail)
 
 FAMILIES = Path(__file__).resolve().parent.parent / "families"
 
@@ -217,8 +220,43 @@ def test_word_count_is_power_product_entry_sum(data):
     family = data.draw(valid_families())
     shape = data.draw(_shapes(family, 3))
     power = matrix_power_product(family, shape)
-    assert word_count(family, shape) == matrix_entry_sum(power)
+    assert word_count(family, shape) == sum(sum(row) for row in power)
     assert origin_counts(family, shape) == [sum(row) for row in power]
+    unbounded = Budget(max_enum_bits=math.inf, max_enum_nodes=math.inf)
+    assert (check_enum_budget(family, shape, unbounded)
+            == origin_counts(family, shape))
+
+
+def _log_origin_counts(monkeypatch):
+    """Wrap origin_counts in every package module that binds it; the
+    returned list records the shape of each call."""
+    real = origin_counts
+    calls = []
+
+    def counted(family, l, budget=None):
+        calls.append(l.coords)
+        return real(family, l, budget)
+
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "rankshift"
+                and getattr(module, "origin_counts", None) is real):
+            monkeypatch.setattr(module, "origin_counts", counted)
+    return calls
+
+
+@pytest.mark.parametrize("argv, shapes", [
+    (["words", "--shape", "3,3", "--origin", "0.0", "--limit", "2"],
+     [(3, 3)]),
+    (["words", "--shape", "3,3", "--limit", "2", "--format", "csv"],
+     [(3, 3)]),
+    (["count-check", "--max-shape", "1,2"],
+     [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]),
+])
+def test_one_count_per_shape(monkeypatch, capsys, argv, shapes):
+    calls = _log_origin_counts(monkeypatch)
+    assert main([*argv, "-f", str(FAMILIES / "g3.json")]) == 0
+    assert calls == shapes
+    assert capsys.readouterr().out
 
 
 @PROPERTY

@@ -104,6 +104,10 @@ def test_exact_digit_budget():
     tight = Budget(max_exact_digits=10)
     with pytest.raises(BudgetExceededError):
         matrix_power_product(golden_mean(), Shape.of(200), tight)
+    with pytest.raises(BudgetExceededError):
+        entropy_exact(golden_mean(), Shape.of(3000), tight)
+    assert entropy_exact(golden_mean(), Shape.of(3), tight) == (
+        entropy_exact(golden_mean(), Shape.of(3)))
 
 
 def test_log_word_count_fallback_matches_exact(g1):

@@ -19,6 +19,9 @@ def test_rejects_bad_coords():
         Shape.of(-1)
     with pytest.raises(ValueError):
         Shape(())
+    for coord in (True, 1.0, "1", 1.7):
+        with pytest.raises(ValueError):
+            Shape((2, coord))
 
 
 def test_partial_order_and_arithmetic():

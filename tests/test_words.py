@@ -109,6 +109,13 @@ def test_word_dict_round_trip(g3):
     assert word_from_dict(g3, data) == w
 
 
+@pytest.mark.parametrize("coord", [True, 1.0, "1", 1.7])
+def test_word_from_dict_rejects_inexact_shape(g1, coord):
+    # loaded as shape (1,), these labels would make a valid word
+    with pytest.raises(ValueError):
+        word_from_dict(g1, {"shape": [coord], "labels": [0, 1]})
+
+
 # -- Restriction and composition ---------------------------------------------
 
 def test_restriction_shapes(g3):
