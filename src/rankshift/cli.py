@@ -1,7 +1,11 @@
 """Command line front end.
 
-Every subcommand loads its inputs, delegates to one module function, and
-serializes the result as JSON (default) or CSV.  Each output embeds the
+``main`` parses the arguments, loads the family once (``search-gap``
+reads none, and ignores a given ``-f``), runs one subcommand body and
+hands its result to ``_emit``.  A body ``_cmd_X(args, family)`` only
+computes: it returns ``(payload, header, rows)``, where ``payload`` is the
+JSON result, ``header`` the CSV column names and ``rows`` a lazy iterable
+of CSV rows, read only for ``--format csv``.  Each output embeds the
 resolved run configuration (everything except the output path), so a
 result file can be rerun to reproduce itself byte for byte: floats print
 at 12 significant digits and exact counts print as decimal strings.
@@ -12,26 +16,22 @@ Exit codes: 0 success, 1 domain error (JSON with the error code), 2 usage.
 import argparse
 import csv
 import io
+import itertools
 import json
 import sys
 from math import isfinite, log
 
-from . import dynamics, gapsearch, patterns, pressure
+from . import dynamics, gapsearch, patterns
 from .budget import Budget, DEFAULT as DEFAULT_BUDGET
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, WindowTooWideError
 from .jsonout import dumps, dumps_line
-from .matrices import (
-    entropy_exact,
-    family_from_dict,
-    validate_family,
-)
+from .matrices import entropy_exact, family_from_dict, validate_family
 from .pressure import (
     Potential,
     potential_from_dict,
     pressure_estimate,
     pressure_oracle_vertex,
 )
-from .errors import WindowTooWideError
 from .shapes import Shape
 from .words import (
     Word,
@@ -63,30 +63,31 @@ def _finite_float(text):
     return value
 
 
-def _load_json(path, kind):
+def _int_at_least(low):
+    def integer(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}: {text!r}")
+        return value
+    return integer
+
+
+_COUNT, _POSITIVE = _int_at_least(0), _int_at_least(1)
+
+
+def _load(path, kind, build):
+    """build(data) of the JSON file at path, read as UTF-8; anything that
+    cannot be read, decoded or built is a ParseError."""
     try:
-        with open(path) as fh:
-            return json.load(fh)
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
     except (OSError, ValueError) as exc:
         raise ParseError(f"cannot read {kind} file", path=path,
                          reason=str(exc)) from exc
-
-
-def _load_family(path):
-    data = _load_json(path, "family")
     try:
-        return family_from_dict(data)
+        return build(data)
     except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError("malformed family file", path=path,
-                         reason=str(exc)) from exc
-
-
-def _load_potential(path, family):
-    data = _load_json(path, "potential")
-    try:
-        return potential_from_dict(family, data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError("malformed potential file", path=path,
+        raise ParseError(f"malformed {kind} file", path=path,
                          reason=str(exc)) from exc
 
 
@@ -105,22 +106,21 @@ def _config(args):
     return cfg
 
 
-def _emit_json(payload, out):
-    _write(dumps(payload), out)
-
-
-def _emit_csv(config, header, rows, out):
-    buf = io.StringIO()
-    buf.write("# config: " + dumps_line(config) + "\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    _write(buf.getvalue(), out)
-
-
-def _write(text, out):
-    if out:
-        with open(out, "w") as fh:
+def _emit(args, payload, header, rows):
+    """Write {"config": ..., **payload} as JSON, or the config line, header
+    and rows as CSV, to --out or stdout.  The text is complete before
+    anything is written, so a refused result writes nothing."""
+    if args.format == "json":
+        text = dumps({"config": _config(args), **payload})
+    else:
+        buf = io.StringIO()
+        buf.write("# config: " + dumps_line(_config(args)) + "\n")
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        text = buf.getvalue()
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -135,127 +135,85 @@ def _word_str(word):
     return f"{shape}:{labels}"
 
 
+def _series_rows(result, last):
+    """CSV rows n, average, increment and result[last] of a series."""
+    diffs = result.get("diffs", [])
+    tail = f"{result[last]:.12g}" if last in result else ""
+    for i, a in enumerate(result.get("sequence", [])):
+        diff = f"{diffs[i - 1]:.12g}" if 0 < i <= len(diffs) else ""
+        yield [i + 1, f"{a:.12g}", diff, tail]
+
+
 # -- Subcommand bodies ----------------------------------------------------------
 
-def _cmd_validate(args):
-    family = _load_family(args.family)
-    report = validate_family(family)
-    payload = report.to_json()
-    if args.format == "csv":
-        rows = [["status", payload["status"], ""]]
-        for violation in payload.get("violations", ()):
-            rows.append(["violation", violation["code"],
-                         json.dumps(violation["witness"], sort_keys=True)])
-        _emit_csv(_config(args), ["kind", "value", "witness"], rows, args.out)
-    else:
-        _emit_json({"config": _config(args), **payload}, args.out)
-    return 0
+def _cmd_validate(args, family):
+    payload = validate_family(family).to_json()
+    rows = itertools.chain(
+        [["status", payload["status"], ""]],
+        (["violation", v["code"], json.dumps(v["witness"], sort_keys=True)]
+         for v in payload.get("violations", ())))
+    return payload, ["kind", "value", "witness"], rows
 
 
-def _cmd_words(args):
-    family = _load_family(args.family)
+def _cmd_words(args, family):
     shape = Shape.parse(args.shape)
     counts = check_enum_budget(family, shape, _budget(args))
     if args.origin is None:
         total = sum(counts)
     else:
         total = counts[letter_index(family, args.origin)]
-    listed = []
-    for word in enumerate_words(family, shape, origin=args.origin):
-        if args.limit is not None and len(listed) >= args.limit:
-            break
-        listed.append(word)
-    if args.format == "csv":
-        rows = [[i, _word_str(w)] for i, w in enumerate(listed)]
-        _emit_csv(_config(args), ["index", "word"], rows, args.out)
-    else:
-        _emit_json({
-            "config": _config(args),
-            "shape": list(shape.coords),
-            "total": str(total),
-            "returned": len(listed),
-            "words": [word_to_dict(w) for w in listed],
-        }, args.out)
-    return 0
+    listed = itertools.islice(enumerate_words(family, shape, origin=args.origin),
+                              args.limit)
+    words = [word_to_dict(w) for w in listed]
+    payload = {"shape": list(shape.coords), "total": str(total),
+               "returned": len(words), "words": words}
+    return payload, ["index", "word"], (
+        [i, _word_str(w)] for i, w in enumerate(words))
 
 
-def _cmd_count_check(args):
-    family = _load_family(args.family)
-    report = count_oracle_check(family, Shape.parse(args.max_shape),
-                                _budget(args))
-    payload = report.to_json()
-    if args.format == "csv":
-        rows = [[",".join(str(c) for c in r["shape"]), r["enumerated"],
-                 r["matrix_count"], r["equal"]] for r in payload["rows"]]
-        _emit_csv(_config(args), ["shape", "enumerated", "matrix_count", "equal"],
-                  rows, args.out)
-    else:
-        _emit_json({"config": _config(args), **payload}, args.out)
-    return 0
+def _cmd_count_check(args, family):
+    payload = count_oracle_check(family, Shape.parse(args.max_shape),
+                                 _budget(args)).to_json()
+    rows = ([",".join(str(c) for c in r["shape"]), r["enumerated"],
+             r["matrix_count"], r["equal"]] for r in payload["rows"])
+    return payload, ["shape", "enumerated", "matrix_count", "equal"], rows
 
 
-def _cmd_entropy(args):
-    family = _load_family(args.family)
+def _cmd_entropy(args, family):
     p = Shape.parse(args.p)
     budget = _budget(args)
     factor = _LOG_FACTORS[args.log_base]
     result = {}
-    estimate = None
-    exact = None
     if args.mode in ("bowen", "both"):
         est = dynamics.bowen_entropy_estimate(family, args.k, p, args.n_max,
                                               budget)
-        estimate = est.estimate
         result["sequence"] = _scale(list(est.sequence), factor)
         result["diffs"] = _scale(list(est.diffs), factor)
-        result["estimate"] = _scale(estimate, factor)
+        result["estimate"] = _scale(est.estimate, factor)
     if args.mode in ("exact", "both"):
         exact = entropy_exact(family, p, budget)
         result["exact"] = _scale(exact, factor)
     if args.mode == "both":
-        result["abs_error"] = _scale(abs(estimate - exact), factor)
-    if args.format == "csv":
-        rows = _series_rows(result)
-        _emit_csv(_config(args), ["n", "average", "increment", "exact"],
-                  rows, args.out)
-    else:
-        _emit_json({"config": _config(args), **result}, args.out)
-    return 0
+        result["abs_error"] = _scale(abs(est.estimate - exact), factor)
+    return (result, ["n", "average", "increment", "exact"],
+            _series_rows(result, "exact"))
 
 
-def _series_rows(result):
-    seq = result.get("sequence", [])
-    diffs = result.get("diffs", [])
-    exact = result.get("exact", "")
-    rows = []
-    for i, a in enumerate(seq):
-        diff = f"{diffs[i - 1]:.12g}" if 0 < i <= len(diffs) else ""
-        rows.append([i + 1, f"{a:.12g}", diff,
-                     f"{exact:.12g}" if exact != "" else ""])
-    return rows
-
-
-def _cmd_action_entropy(args):
-    family = _load_family(args.family)
-    factor = _LOG_FACTORS[args.log_base]
+def _cmd_action_entropy(args, family):
     value = dynamics.action_entropy_estimate(family, args.k, args.n,
                                              _budget(args))
-    result = {"k": args.k, "n": args.n, "value": _scale(value, factor)}
-    if args.format == "csv":
-        _emit_csv(_config(args), ["k", "n", "value"],
-                  [[args.k, args.n, f"{result['value']:.12g}"]], args.out)
-    else:
-        _emit_json({"config": _config(args), **result}, args.out)
-    return 0
+    value = _scale(value, _LOG_FACTORS[args.log_base])
+    return ({"k": args.k, "n": args.n, "value": value}, ["k", "n", "value"],
+            [[args.k, args.n, f"{value:.12g}"]])
 
 
-def _cmd_pressure(args):
-    family = _load_family(args.family)
+def _cmd_pressure(args, family):
     p = Shape.parse(args.p)
     budget = _budget(args)
     factor = _LOG_FACTORS[args.log_base]
     if args.potential:
-        pot = _load_potential(args.potential, family)
+        pot = _load(args.potential, "potential",
+                    lambda data: potential_from_dict(family, data))
     else:
         pot = Potential(Shape.zero(family.rank), 0.0, {})
     est = pressure_estimate(family, pot, args.k, p, args.n_max,
@@ -278,47 +236,31 @@ def _cmd_pressure(args):
         oracle = pressure_oracle_vertex(family, values, p, budget)
         result["oracle"] = _scale(oracle, factor)
         result["abs_error"] = _scale(abs(est.estimate - oracle), factor)
-    if args.format == "csv":
-        rows = _series_rows({**result, "exact": result.get("oracle", "")})
-        _emit_csv(_config(args), ["n", "average", "increment", "oracle"],
-                  rows, args.out)
-    else:
-        _emit_json({"config": _config(args), **result}, args.out)
-    return 0
+    return (result, ["n", "average", "increment", "oracle"],
+            _series_rows(result, "oracle"))
 
 
-def _cmd_lemma_check(args):
-    family = _load_family(args.family)
+def _cmd_lemma_check(args, family):
     p = Shape.parse(args.p)
     max_gen = Shape.parse(args.max_shape)
     m = Shape.parse(args.m) if args.m else None
     reports = patterns.verify_partial_isometries(
         family, p, max_gen, m=m, budget=_budget(args))
     failures = sum(len(r.witnesses) for r in reports)
-    if args.format == "csv":
-        rows = []
-        for rep in reports:
-            for stat in rep.stats:
-                rows.append([
-                    _word_str(rep.u), _word_str(rep.w),
-                    _word_str(stat["kappa"]), _word_str(stat["lambda"]),
-                    stat["cells"], stat["partial_isometry"],
-                ])
-        _emit_csv(_config(args),
-                  ["u", "w", "kappa", "lambda", "cells", "partial_isometry"],
-                  rows, args.out)
-    else:
-        _emit_json({
-            "config": _config(args),
-            "pairs": len(reports),
-            "failures": failures,
-            "all_partial_isometries": failures == 0,
-            "reports": [r.to_json() for r in reports],
-        }, args.out)
-    return 0
+    payload = {
+        "pairs": len(reports),
+        "failures": failures,
+        "all_partial_isometries": failures == 0,
+        "reports": [r.to_json() for r in reports],
+    }
+    rows = ([_word_str(rep.u), _word_str(rep.w), _word_str(stat["kappa"]),
+             _word_str(stat["lambda"]), stat["cells"], stat["partial_isometry"]]
+            for rep in reports for stat in rep.stats)
+    return (payload,
+            ["u", "w", "kappa", "lambda", "cells", "partial_isometry"], rows)
 
 
-def _cmd_search_gap(args):
+def _cmd_search_gap(args, family):
     budget = _budget(args)
     if args.exhaustive:
         records = gapsearch.exhaustive_search(
@@ -331,18 +273,10 @@ def _cmd_search_gap(args):
             budget=budget)
         attempts = args.trials
     records = gapsearch.sorted_records(records)
-    summary = gapsearch.summarize(records, attempts)
-    if args.format == "csv":
-        rows = [gapsearch.record_csv_row(r) for r in records]
-        _emit_csv(_config(args), gapsearch.record_csv_header(args.rank),
-                  rows, args.out)
-    else:
-        _emit_json({
-            "config": _config(args),
-            "summary": summary,
-            "records": [r.to_json() for r in records],
-        }, args.out)
-    return 0
+    payload = {"summary": gapsearch.summarize(records, attempts),
+               "records": [r.to_json() for r in records]}
+    return (payload, gapsearch.record_csv_header(args.rank),
+            map(gapsearch.record_csv_row, records))
 
 
 # -- Parser ----------------------------------------------------------------------
@@ -373,7 +307,7 @@ def build_parser():
     sp = sub.add_parser("words", parents=[common])
     sp.add_argument("--shape", required=True)
     sp.add_argument("--origin", default=None)
-    sp.add_argument("--limit", type=int, default=None)
+    sp.add_argument("--limit", type=_COUNT, default=None)
     sp.set_defaults(func=_cmd_words)
 
     sp = sub.add_parser("count-check", parents=[common])
@@ -382,19 +316,19 @@ def build_parser():
 
     sp = sub.add_parser("entropy", parents=[common])
     sp.add_argument("--p", required=True)
-    sp.add_argument("--k", type=int, default=1)
+    sp.add_argument("--k", type=_COUNT, default=1)
     sp.add_argument("--n-max", type=int, default=40)
     sp.add_argument("--mode", choices=("exact", "bowen", "both"), default="both")
     sp.set_defaults(func=_cmd_entropy)
 
     sp = sub.add_parser("action-entropy", parents=[common])
-    sp.add_argument("--k", type=int, default=1)
+    sp.add_argument("--k", type=_COUNT, default=1)
     sp.add_argument("--n", type=int, required=True)
     sp.set_defaults(func=_cmd_action_entropy)
 
     sp = sub.add_parser("pressure", parents=[common])
     sp.add_argument("--p", required=True)
-    sp.add_argument("--k", type=int, default=1)
+    sp.add_argument("--k", type=_COUNT, default=1)
     sp.add_argument("--n-max", type=int, default=40)
     sp.add_argument("--potential", default=None)
     sp.add_argument("--method", choices=("transfer", "enumerate"),
@@ -410,10 +344,10 @@ def build_parser():
 
     sp = sub.add_parser("search-gap", parents=[common])
     sp.add_argument("--exhaustive", action="store_true")
-    sp.add_argument("--size", type=int, default=2)
-    sp.add_argument("--rank", type=int, default=2)
+    sp.add_argument("--size", type=_POSITIVE, default=2)
+    sp.add_argument("--rank", type=_POSITIVE, default=2)
     sp.add_argument("--density", type=_finite_float, default=0.25)
-    sp.add_argument("--trials", type=int, default=0)
+    sp.add_argument("--trials", type=_COUNT, default=0)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--canonicalize", action="store_true")
     sp.set_defaults(func=_cmd_search_gap)
@@ -427,13 +361,16 @@ def main(argv=None):
     if args.family is None and args.command != "search-gap":
         parser.error("the following arguments are required: -f/--family")
     try:
-        return args.func(args)
+        family = (None if args.command == "search-gap"
+                  else _load(args.family, "family", family_from_dict))
+        _emit(args, *args.func(args, family))
     except DomainError as exc:
         sys.stdout.write(dumps(exc.to_json()))
         return 1
     except ValueError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 2
+    return 0
 
 
 if __name__ == "__main__":

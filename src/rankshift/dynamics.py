@@ -156,6 +156,8 @@ def action_entropy_estimate(family, k, n, budget=None):
             "action entropy scaling needs rank at least 2", rank=family.rank)
     if n < 1:
         raise ValueError("n must be positive")
+    if k < 0:
+        raise ValueError("k must be nonnegative")
     budget = budget or DEFAULT_BUDGET
     shape = Shape.cube(k + n, family.rank)
     value, _ = log_word_count(family, shape, budget)

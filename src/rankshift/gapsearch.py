@@ -152,25 +152,16 @@ def exhaustive_search(alphabet_size, rank=2, canonicalize=False, budget=None):
     return [_record(f, {"source": "exhaustive"}, budget) for f in survivors]
 
 
-def random_search(alphabet_size, density, trials, seed, rank=2, controls=(),
-                  budget=None):
+def random_search(alphabet_size, density, trials, seed, rank=2, budget=None):
     """Entry-wise Bernoulli(density) samples with zero rows repaired by one
     uniform 1, validity-filtered.  A single sequential generator drives
     everything, so a fixed seed fixes the record stream exactly.
-
-    ``controls`` holds known matrix tuples (tensor pairs in practice) that
-    are evaluated ahead of the random stream as positive controls.
     """
     if not 0 < density < 1:
         raise ValueError("density must be strictly between 0 and 1")
     budget = budget or DEFAULT_BUDGET
     alphabet = _digit_alphabet(alphabet_size)
     records = []
-    for idx, combo in enumerate(controls):
-        family = MatrixFamily(rank, alphabet, combo)
-        if family.is_valid:
-            records.append(_record(
-                family, {"source": "control", "index": idx}, budget))
     rng = random.Random(seed)
     for trial in range(trials):
         combo = tuple(
@@ -196,8 +187,7 @@ def _sample_matrix(rng, size, density):
 
 def sorted_records(records):
     def key(rec):
-        prov = dict(rec.provenance)
-        return rec.fingerprint, prov.get("trial", -1), prov.get("index", -1)
+        return rec.fingerprint, dict(rec.provenance).get("trial", -1)
     return sorted(records, key=key)
 
 

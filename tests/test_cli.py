@@ -6,10 +6,16 @@ Core claims:
     - --log-base only rescales the displayed logarithmic quantities
     - rerunning the embedded config of any result reproduces it byte
       for byte, JSON and CSV alike
+    - the JSON and CSV outputs of every subcommand carry the same config
+      and the same values
+    - input files are read as UTF-8 whatever the locale, and integer
+      options out of range are usage errors
 """
 
+import csv
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +23,8 @@ from pathlib import Path
 import pytest
 from pytest import approx
 
+from rankshift.cli import main
+from rankshift.jsonout import dumps_line
 from rankshift.matrices import load_family, matrix_power_product
 from rankshift.shapes import Shape
 
@@ -251,6 +259,35 @@ def test_non_finite_budget_is_usage_error(g1_path, option):
     assert "not a finite number" in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["words", "-f", "FAMILY", "--shape", "2", "--limit", "-1"],
+    ["search-gap", "--trials", "-5"],
+    ["action-entropy", "-f", "FAMILY", "--n", "2", "--k", "-1"],
+    ["search-gap", "--exhaustive", "--size", "0"],
+    ["search-gap", "--exhaustive", "--rank", "0"]],
+    ids=["limit", "trials", "k", "size", "rank"])
+def test_integer_option_out_of_range_is_usage_error(argv):
+    argv = [str(FAMILIES / "g3.json") if a == "FAMILY" else a for a in argv]
+    proc = run_cli(*argv, expect=2)
+    assert f"argument {argv[-2]}: must be at least" in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_family_file_is_read_as_utf8_under_any_locale(tmp_path):
+    path = tmp_path / "accented.json"
+    path.write_bytes(json.dumps(
+        {"rank": 1, "alphabet": ["\u00e9", "b"], "matrices": [[[1, 1], [1, 0]]]},
+        ensure_ascii=False).encode("utf-8"))
+    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    proc = subprocess.run(
+        [sys.executable, "-m", "rankshift", "validate", "-f", str(path)],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    data = json.loads(proc.stdout)
+    assert data["status"] == "valid"
+    assert load_family(path).alphabet.letters == ("\u00e9", "b")
+
+
 def test_non_finite_density_is_usage_error():
     proc = run_cli("search-gap", "-f", "/dev/null", "--trials", "5",
                    "--density", "nan", expect=2)
@@ -363,3 +400,75 @@ def test_embedded_config_reproduces_csv(tmp_path):
     config = json.loads(config_line[len("# config: "):])
     second = run_cli(*_argv_from_config(config))
     assert second.stdout == first.stdout
+
+
+# -- One emit path: JSON and CSV agree ----------------------------------------------
+
+def _g(n):
+    return str(FAMILIES / f"g{n}.json")
+
+
+def _word_str(word):
+    return (",".join(map(str, word["shape"])) + ":"
+            + ".".join(map(str, word["labels"])))
+
+
+def _series_rows(data, last):
+    seq, diffs = data.get("sequence", []), data.get("diffs", [])
+    tail = f"{data[last]:.12g}" if last in data else ""
+    return [[str(i + 1), f"{a:.12g}", f"{diffs[i - 1]:.12g}" if i else "", tail]
+            for i, a in enumerate(seq)]
+
+
+def _gap_row(rec):
+    mats = rec["family"]["matrices"]
+    return [rec["fingerprint"], str(len(rec["family"]["alphabet"])),
+            "|".join("".join(str(x) for row in m for x in row) for m in mats),
+            *(f"{r:.12g}" for r in rec["radii"]),
+            f"{rec['prod_radius']:.12g}", f"{rec['gap']:.12g}"]
+
+
+# argv -> the CSV rows each JSON result implies
+AGREEMENT_RUNS = [
+    (["validate", "-f", _g(1)], lambda d: [["status", d["status"], ""]]),
+    (["validate", "-f", _g(3)], lambda d: [["status", d["status"], ""]]),
+    (["words", "-f", _g(3), "--shape", "1,1", "--limit", "5"],
+     lambda d: [[str(i), _word_str(w)] for i, w in enumerate(d["words"])]),
+    (["words", "-f", _g(1), "--shape", "3", "--origin", "1"],
+     lambda d: [[str(i), _word_str(w)] for i, w in enumerate(d["words"])]),
+    (["count-check", "-f", _g(3), "--max-shape", "2,1"],
+     lambda d: [[",".join(map(str, r["shape"])), r["enumerated"],
+                 r["matrix_count"], str(r["equal"])] for r in d["rows"]]),
+    (["entropy", "-f", _g(1), "--p", "1", "--n-max", "8"],
+     lambda d: _series_rows(d, "exact")),
+    (["entropy", "-f", _g(3), "--p", "1,1", "--n-max", "5", "--mode", "bowen",
+      "--log-base", "2"], lambda d: _series_rows(d, "exact")),
+    (["entropy", "-f", _g(3), "--p", "2,1", "--mode", "exact"],
+     lambda d: _series_rows(d, "exact")),
+    (["action-entropy", "-f", _g(3), "--n", "2"],
+     lambda d: [[str(d["k"]), str(d["n"]), f"{d['value']:.12g}"]]),
+    (["pressure", "-f", _g(1), "--p", "1", "--n-max", "8", "--oracle"],
+     lambda d: _series_rows(d, "oracle")),
+    (["pressure", "-f", _g(3), "--p", "1,0", "--n-max", "4", "--method",
+      "enumerate"], lambda d: _series_rows(d, "oracle")),
+    (["lemma-check", "-f", _g(1), "--p", "1", "--max-shape", "1"],
+     lambda d: [[_word_str(r["u"]), _word_str(r["w"]), _word_str(s["kappa"]),
+                 _word_str(s["lambda"]), str(s["cells"]),
+                 str(s["partial_isometry"])]
+                for r in d["reports"] for s in r["patterns"]]),
+    (["search-gap", "--exhaustive", "--size", "2"],
+     lambda d: [_gap_row(r) for r in d["records"]]),
+]
+
+
+@pytest.mark.parametrize("argv, expected_rows", AGREEMENT_RUNS,
+                         ids=[" ".join(a[:1] + a[3:]) for a, _ in AGREEMENT_RUNS])
+def test_json_and_csv_agree(capsys, argv, expected_rows):
+    assert main([*argv, "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert main([*argv, "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    config = {**data.pop("config"), "format": "csv"}
+    assert lines[0] == "# config: " + dumps_line(config)
+    rows = list(csv.reader(lines[2:]))
+    assert rows == expected_rows(data)

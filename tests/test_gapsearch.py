@@ -159,13 +159,6 @@ def test_random_density_guard():
         random_search(2, 1.0, 5, seed=1)
 
 
-def test_controls_run_first(g3):
-    records = random_search(4, 0.3, 0, seed=1, controls=(g3.matrices,))
-    assert len(records) == 1
-    assert dict(records[0].provenance) == {"source": "control", "index": 0}
-    assert records[0].value == approx(0.0, abs=1e-12)
-
-
 # -- Output ------------------------------------------------------------------------
 
 def test_sorted_records_are_stable():

@@ -390,13 +390,19 @@ def test_oracle_above_exp_range_cli(tmp_path):
     assert payload["oracle"] == approx(800 + math.log(phi), abs=1e-9)
 
 
-def test_csv_config_line_refuses_non_finite(capsys):
-    from rankshift.cli import _emit_csv
-    config = {"command": "x", "density": 0.1 + 0.2, "nested": [1.5, 2]}
-    _emit_csv(config, ["a"], [[1]], None)
+def test_csv_config_line_refuses_non_finite(capsys, tmp_path):
+    from argparse import Namespace
+    from rankshift.cli import _emit
+    config = {"command": "x", "format": "csv", "density": 0.1 + 0.2,
+              "nested": [1.5, 2]}
+    _emit(Namespace(**config, out=None), {}, ["a"], [[1]])
     line = capsys.readouterr().out.splitlines()[0]
     assert line == "# config: " + json.dumps(round12(config), sort_keys=True)
+    out = tmp_path / "out.csv"
     for bad in (math.nan, math.inf, -math.inf):
-        with pytest.raises(NonFiniteResultError):
-            _emit_csv({"command": "x", "density": bad}, ["a"], [[1]], None)
+        for target in (None, str(out)):
+            with pytest.raises(NonFiniteResultError):
+                _emit(Namespace(command="x", format="csv", density=bad,
+                                out=target), {}, ["a"], [[1]])
     assert capsys.readouterr().out == ""
+    assert not out.exists()
