@@ -10,7 +10,6 @@ from .matrices import (
     load_family,
     log_spectral_radius,
     matrix_power_product,
-    save_family,
     spectral_radius,
     validate_family,
     word_count,
@@ -60,6 +59,6 @@ __all__ = [
     "log_spectral_radius", "make_word",
     "matrix_power_product", "metric", "partition_function_log",
     "pressure_estimate", "pressure_oracle_vertex", "random_search",
-    "restrict_prefix", "restrict_tail", "save_family", "separated_count",
+    "restrict_prefix", "restrict_tail", "separated_count",
     "spectral_radius", "validate_family", "vertex_potential", "word_count",
 ]

@@ -64,11 +64,15 @@ def _finite_float(text):
 
 
 def _int_at_least(low):
+    """An argparse type: -?[0-9]+ in ASCII (int() alone also reads 1_0,
+    ' +1' and the digits of other scripts), at least low."""
     def integer(text):
-        value = int(text)
-        if value < low:
+        digits = text.removeprefix("-")
+        if not (digits.isascii() and digits.isdigit()):
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        if int(text) < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}: {text!r}")
-        return value
+        return int(text)
     return integer
 
 
@@ -127,21 +131,28 @@ def _emit(args, payload, header, rows):
 
 
 def _word_str(word):
-    """shape:labels of a Word or of its word_to_dict form."""
-    if not isinstance(word, dict):
-        word = word_to_dict(word)
-    shape = ",".join(str(c) for c in word["shape"])
-    labels = ".".join(str(x) for x in word["labels"])
+    """shape:labels of a Word."""
+    shape = ",".join(str(c) for c in word.shape.coords)
+    labels = ".".join(str(x) for x in word.labels)
     return f"{shape}:{labels}"
 
 
+def _series(est, factor):
+    """The sequence, diffs and estimate keys of a Series, in display base."""
+    return {"sequence": _scale(list(est.sequence), factor),
+            "diffs": _scale(list(est.diffs), factor),
+            "estimate": _scale(est.estimate, factor)}
+
+
 def _series_rows(result, last):
-    """CSV rows n, average, increment and result[last] of a series."""
-    diffs = result.get("diffs", [])
+    """CSV rows n, average, increment and result[last] of a series; with no
+    series (exact entropy alone), one row of result[last]."""
     tail = f"{result[last]:.12g}" if last in result else ""
-    for i, a in enumerate(result.get("sequence", [])):
-        diff = f"{diffs[i - 1]:.12g}" if 0 < i <= len(diffs) else ""
-        yield [i + 1, f"{a:.12g}", diff, tail]
+    if "sequence" not in result:
+        return [["", "", "", tail]]
+    diffs = result["diffs"]
+    return ([i + 1, f"{a:.12g}", f"{diffs[i - 1]:.12g}" if i else "", tail]
+            for i, a in enumerate(result["sequence"]))
 
 
 # -- Subcommand bodies ----------------------------------------------------------
@@ -162,11 +173,10 @@ def _cmd_words(args, family):
         total = sum(counts)
     else:
         total = counts[letter_index(family, args.origin)]
-    listed = itertools.islice(enumerate_words(family, shape, origin=args.origin),
-                              args.limit)
-    words = [word_to_dict(w) for w in listed]
+    words = list(itertools.islice(
+        enumerate_words(family, shape, origin=args.origin), args.limit))
     payload = {"shape": list(shape.coords), "total": str(total),
-               "returned": len(words), "words": words}
+               "returned": len(words), "words": list(map(word_to_dict, words))}
     return payload, ["index", "word"], (
         [i, _word_str(w)] for i, w in enumerate(words))
 
@@ -187,9 +197,7 @@ def _cmd_entropy(args, family):
     if args.mode in ("bowen", "both"):
         est = dynamics.bowen_entropy_estimate(family, args.k, p, args.n_max,
                                               budget)
-        result["sequence"] = _scale(list(est.sequence), factor)
-        result["diffs"] = _scale(list(est.diffs), factor)
-        result["estimate"] = _scale(est.estimate, factor)
+        result.update(_series(est, factor))
     if args.mode in ("exact", "both"):
         exact = entropy_exact(family, p, budget)
         result["exact"] = _scale(exact, factor)
@@ -218,14 +226,8 @@ def _cmd_pressure(args, family):
         pot = Potential(Shape.zero(family.rank), 0.0, {})
     est = pressure_estimate(family, pot, args.k, p, args.n_max,
                             method=args.method, budget=budget)
-    result = {
-        "k": est.k,
-        "step": list(est.step.coords),
-        "method": est.method,
-        "sequence": _scale(list(est.sequence), factor),
-        "diffs": _scale(list(est.diffs), factor),
-        "estimate": _scale(est.estimate, factor),
-    }
+    result = {"k": args.k, "step": list(p.coords), "method": args.method,
+              **_series(est, factor)}
     if args.oracle:
         if not pot.window.is_zero:
             raise WindowTooWideError(
@@ -253,9 +255,9 @@ def _cmd_lemma_check(args, family):
         "all_partial_isometries": failures == 0,
         "reports": [r.to_json() for r in reports],
     }
-    rows = ([_word_str(rep.u), _word_str(rep.w), _word_str(stat["kappa"]),
-             _word_str(stat["lambda"]), stat["cells"], stat["partial_isometry"]]
-            for rep in reports for stat in rep.stats)
+    rows = ([_word_str(rep.u), _word_str(rep.w), _word_str(kappa),
+             _word_str(lam), cells, ok]
+            for rep in reports for kappa, lam, cells, ok in rep.stats)
     return (payload,
             ["u", "w", "kappa", "lambda", "cells", "partial_isometry"], rows)
 

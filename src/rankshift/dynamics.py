@@ -103,32 +103,27 @@ def separated_count(family, k, p, n, mode="formula", budget=None):
 # -- Entropy along a direction --------------------------------------------------
 
 @dataclass(frozen=True)
-class EntropyEstimate:
-    k: int
-    step: Shape
+class Series:
+    """A log-growth series: sequence[n-1] = logs[n-1] / n for n = 1..n_max,
+    and diffs the successive log increments, whose last entry is the
+    estimate (the increments converge faster than the averages).  The
+    Bowen entropy and the pressure estimates both return one."""
     sequence: tuple
     diffs: tuple
+
+    @classmethod
+    def of_logs(cls, logs):
+        return cls(tuple(x / n for n, x in enumerate(logs, 1)),
+                   tuple(b - a for a, b in zip(logs, logs[1:])))
 
     @property
     def estimate(self):
         return self.diffs[-1]
 
-    def to_json(self):
-        return {
-            "k": self.k,
-            "step": list(self.step.coords),
-            "sequence": list(self.sequence),
-            "diffs": list(self.diffs),
-            "estimate": self.estimate,
-        }
-
 
 def bowen_entropy_estimate(family, k, p, n_max, budget=None):
-    """Scaled log growth of separated sets along the p-shift.
-
-    sequence[n-1] = log(count at n) / n for n = 1..n_max, and diffs holds
-    the successive log increments, whose last entry is the estimate (the
-    increments converge faster than the averages).
+    """Scaled log growth of separated sets along the p-shift: the Series
+    of the log counts at n = 1..n_max.
 
     One pass yields every stage: the exact stages carry one count vector
     M^l e (log_word_count_series), stepped by p from stage to stage, so
@@ -141,10 +136,7 @@ def bowen_entropy_estimate(family, k, p, n_max, budget=None):
         raise ValueError("n_max must be at least 2")
     series = log_word_count_series(family, Shape.cube(k, family.rank), p,
                                    n_max, budget)
-    logs = [value for value, _ in series]
-    sequence = tuple(logs[n - 1] / n for n in range(1, n_max + 1))
-    diffs = tuple(logs[n] - logs[n - 1] for n in range(1, n_max))
-    return EntropyEstimate(k, p, sequence, diffs)
+    return Series.of_logs([value for value, _ in series])
 
 
 def action_entropy_estimate(family, k, n, budget=None):

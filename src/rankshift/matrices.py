@@ -511,12 +511,6 @@ def load_family(path):
         return family_from_dict(json.load(fh))
 
 
-def save_family(family, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(family_to_dict(family), fh, indent=2)
-        fh.write("\n")
-
-
 def canonical_family_json(family):
     """Canonical serialization used for fingerprints."""
     return json.dumps(family_to_dict(family), sort_keys=True,

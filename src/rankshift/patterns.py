@@ -50,17 +50,25 @@ class PatternMatrix:
         return {"dimension": len(self.index), "cells": [list(rc) for rc in placed]}
 
 
+def _first_collision(pattern):
+    """(first, second): the first cell, in label order, whose row or column
+    an earlier cell already holds, and that earlier cell.  A row already
+    seen wins over a column already seen.  None for a partial isometry."""
+    by_row = {}
+    by_col = {}
+    for cell in sorted(pattern.cells, key=lambda rc: (rc[0].labels, rc[1].labels)):
+        row, col = cell
+        first = by_row.get(row) or by_col.get(col)
+        if first is not None:
+            return first, cell
+        by_row[row] = by_col[col] = cell
+    return None
+
+
 def check_partial_isometry(pattern):
     """True when no row and no column holds two cells; for 0-1 matrices
     this is the partial isometry identity T T*T = T."""
-    rows = set()
-    cols = set()
-    for row, col in pattern.cells:
-        if row in rows or col in cols:
-            return False
-        rows.add(row)
-        cols.add(col)
-    return True
+    return _first_collision(pattern) is None
 
 
 class SweepTables:
@@ -160,6 +168,9 @@ def build_shift_patterns(family, u, w, p, m, budget=None, tables=None):
 
 @dataclass(frozen=True)
 class PatternFamilyReport:
+    """One generator pair's sweep: ``stats`` holds a (kappa, lambda, cells,
+    partial_isometry) tuple per pattern, ``witnesses`` one dict per
+    failure."""
     u: object
     w: object
     p: Shape
@@ -179,53 +190,42 @@ class PatternFamilyReport:
             "p": list(self.p.coords),
             "m": list(self.m.coords),
             "n": list(self.n.coords),
-            "patterns": [s for s in self.stats],
+            "patterns": [
+                {"kappa": word_to_dict(kappa), "lambda": word_to_dict(lam),
+                 "cells": cells, "partial_isometry": ok}
+                for kappa, lam, cells, ok in self.stats],
             "all_partial_isometries": self.all_partial_isometries,
-            "witnesses": [w for w in self.witnesses],
+            "witnesses": list(self.witnesses),
         }
 
 
 def _failure_witness(u, p, kappa, lam, pattern):
     """Two cells sharing a row or column, with the decomposition of the
     offending row recovered for the report."""
-    by_row = {}
-    by_col = {}
-    for cell in sorted(pattern.cells, key=lambda rc: (rc[0].labels, rc[1].labels)):
-        row, col = cell
-        for bucket, key in ((by_row, row), (by_col, col)):
-            if key in bucket:
-                first = bucket[key]
-                nu = restrict_prefix(row, p)
-                gamma = restrict_tail(row, p + u.shape)
-                return {
-                    "kappa": word_to_dict(kappa),
-                    "lambda": word_to_dict(lam),
-                    "nu": word_to_dict(nu),
-                    "gamma": word_to_dict(gamma),
-                    "first": [word_to_dict(first[0]), word_to_dict(first[1])],
-                    "second": [word_to_dict(row), word_to_dict(col)],
-                }
-            bucket[key] = cell
-    return None
+    first, (row, col) = _first_collision(pattern)
+    return {
+        "kappa": word_to_dict(kappa),
+        "lambda": word_to_dict(lam),
+        "nu": word_to_dict(restrict_prefix(row, p)),
+        "gamma": word_to_dict(restrict_tail(row, p + u.shape)),
+        "first": [word_to_dict(first[0]), word_to_dict(first[1])],
+        "second": [word_to_dict(row), word_to_dict(col)],
+    }
 
 
 def examine_pair(family, u, w, p, m=None, budget=None, tables=None):
-    """Build all patterns for one generator pair and check each one."""
+    """Build all patterns for one generator pair and check each one.  The
+    grid comes out of build_shift_patterns in (kappa, lambda) label order,
+    since words are enumerated in label order."""
     n = u.shape.sup(w.shape)
     if m is None:
         m = p + n
     patterns = build_shift_patterns(family, u, w, p, m, budget, tables)
     stats = []
     witnesses = []
-    for (kappa, lam) in sorted(patterns, key=lambda kl: (kl[0].labels, kl[1].labels)):
-        pattern = patterns[(kappa, lam)]
+    for (kappa, lam), pattern in patterns.items():
         ok = check_partial_isometry(pattern)
-        stats.append({
-            "kappa": word_to_dict(kappa),
-            "lambda": word_to_dict(lam),
-            "cells": len(pattern.cells),
-            "partial_isometry": ok,
-        })
+        stats.append((kappa, lam, len(pattern.cells), ok))
         if not ok:
             witnesses.append(_failure_witness(u, p, kappa, lam, pattern))
     return PatternFamilyReport(u, w, p, m, n, tuple(stats), tuple(witnesses))

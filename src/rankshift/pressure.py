@@ -20,6 +20,7 @@ from math import exp, fsum, log
 from sys import float_info
 
 from .budget import DEFAULT as DEFAULT_BUDGET
+from .dynamics import Series
 from .errors import (
     ShapeMismatchError,
     TransferChainDeadEndError,
@@ -41,6 +42,7 @@ from .words import (
     make_word,
     restrict_prefix,
     restrict_tail,
+    word_to_dict,
 )
 
 
@@ -76,9 +78,7 @@ def potential_to_dict(potential):
         "window": list(potential.window.coords),
         "default": potential.default,
         "entries": [
-            {"word": {"shape": list(word.shape.coords), "labels": list(word.labels)},
-             "value": val}
-            for word, val in entries
+            {"word": word_to_dict(word), "value": val} for word, val in entries
         ],
     }
 
@@ -222,33 +222,10 @@ def _chain_log_sums(in_edges, weight_logs, n):
 
 # -- Estimates and the vertex oracle -------------------------------------------
 
-@dataclass(frozen=True)
-class PressureEstimate:
-    k: int
-    step: Shape
-    method: str
-    sequence: tuple
-    diffs: tuple
-
-    @property
-    def estimate(self):
-        return self.diffs[-1]
-
-    def to_json(self):
-        return {
-            "k": self.k,
-            "step": list(self.step.coords),
-            "method": self.method,
-            "sequence": list(self.sequence),
-            "diffs": list(self.diffs),
-            "estimate": self.estimate,
-        }
-
-
 def pressure_estimate(family, potential, k, p, n_max, method="transfer",
                       budget=None):
-    """Scaled log partition sums and their increments; the last increment
-    is the pressure estimate."""
+    """The Series of the log partition sums at n = 1..n_max; its last
+    increment is the pressure estimate."""
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
     budget = budget or DEFAULT_BUDGET
@@ -259,9 +236,7 @@ def pressure_estimate(family, potential, k, p, n_max, method="transfer",
     else:
         logs = [partition_function_log(family, potential, k, p, n, method, budget)
                 for n in range(1, n_max + 1)]
-    sequence = tuple(logs[n - 1] / n for n in range(1, n_max + 1))
-    diffs = tuple(logs[n] - logs[n - 1] for n in range(1, n_max))
-    return PressureEstimate(k, p, method, sequence, diffs)
+    return Series.of_logs(logs)
 
 
 def pressure_oracle_vertex(family, values, p, budget=None):

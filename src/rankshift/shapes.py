@@ -46,8 +46,12 @@ class Shape:
 
     @classmethod
     def parse(cls, text):
-        """Parse '3' or '1,2' into a Shape."""
-        return cls(tuple(int(part) for part in str(text).split(",")))
+        """Parse '3' or '1,2' into a Shape.  Each coordinate is ASCII digits
+        only: no sign, space, underscore or other script's digits."""
+        parts = str(text).split(",")
+        if not all(part.isascii() and part.isdigit() for part in parts):
+            raise ValueError(f"shape coordinates must be ASCII digits: {text!r}")
+        return cls(tuple(int(part) for part in parts))
 
     @property
     def rank(self):

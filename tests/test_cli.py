@@ -9,7 +9,7 @@ Core claims:
     - the JSON and CSV outputs of every subcommand carry the same config
       and the same values
     - input files are read as UTF-8 whatever the locale, and integer
-      options out of range are usage errors
+      options out of range or not written in ASCII digits are usage errors
 """
 
 import csv
@@ -273,6 +273,23 @@ def test_integer_option_out_of_range_is_usage_error(argv):
     assert proc.stdout == ""
 
 
+LENIENT_INTEGERS = ["1_0", " +1", "\u0661"]
+
+
+@pytest.mark.parametrize("text", LENIENT_INTEGERS, ids=["underscore", "plus", "arabic"])
+def test_shape_option_takes_ascii_digits_only(capsys, g1_path, text):
+    assert main(["words", "-f", g1_path, "--shape", text]) == 2
+    assert "ASCII digits" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", LENIENT_INTEGERS, ids=["underscore", "plus", "arabic"])
+def test_integer_option_takes_ascii_digits_only(capsys, g1_path, text):
+    with pytest.raises(SystemExit) as info:
+        main(["words", "-f", g1_path, "--shape", "2", "--limit", text])
+    assert info.value.code == 2
+    assert "argument --limit: not an integer" in capsys.readouterr().err
+
+
 def test_family_file_is_read_as_utf8_under_any_locale(tmp_path):
     path = tmp_path / "accented.json"
     path.write_bytes(json.dumps(
@@ -414,8 +431,11 @@ def _word_str(word):
 
 
 def _series_rows(data, last):
-    seq, diffs = data.get("sequence", []), data.get("diffs", [])
+    # exact entropy alone has no series: one row carries the exact value
     tail = f"{data[last]:.12g}" if last in data else ""
+    if "sequence" not in data:
+        return [["", "", "", tail]]
+    seq, diffs = data["sequence"], data["diffs"]
     return [[str(i + 1), f"{a:.12g}", f"{diffs[i - 1]:.12g}" if i else "", tail]
             for i, a in enumerate(seq)]
 

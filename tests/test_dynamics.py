@@ -138,11 +138,9 @@ def test_bowen_converges_to_log_phi(g1):
 
 
 def test_bowen_json_shape(g2):
-    data = bowen_entropy_estimate(g2, 1, Shape.of(1), 3).to_json()
-    assert set(data) == {"k", "step", "sequence", "diffs", "estimate"}
-    assert data["step"] == [1]
-    assert len(data["sequence"]) == 3 and len(data["diffs"]) == 2
-    assert data["estimate"] == approx(math.log(2))
+    est = bowen_entropy_estimate(g2, 1, Shape.of(1), 3)
+    assert len(est.sequence) == 3 and len(est.diffs) == 2
+    assert est.estimate == approx(math.log(2))
 
 
 @pytest.mark.parametrize("digits", [1, 8, 12])

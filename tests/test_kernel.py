@@ -9,6 +9,8 @@ random-search survivors at alphabet size 3:
       origin_counts (also the value of check_enum_budget) its row sums
     - a words run and each count-check shape compute M^l e once
     - enumeration yields word_count words, in lexicographic label order
+    - split then compose is the identity on words, and compose then split
+      gives back the factors
     - the index Birkhoff sum equals the restrict_tail formula, word by word
     - the enumerate and transfer partition sums agree within 1e-12
 plus the coded errors around the kernel: unknown letters, the
@@ -20,7 +22,7 @@ import json
 import math
 import subprocess
 import sys
-from itertools import product
+from itertools import islice, product
 from math import fsum
 from pathlib import Path
 
@@ -58,7 +60,8 @@ from rankshift.pressure import (
 )
 from rankshift.shapes import Shape
 from rankshift.words import (
-    _try_fill, check_enum_budget, enumerate_words, restrict_tail)
+    _try_fill, check_enum_budget, compose, enumerate_words, restrict_prefix,
+    restrict_tail)
 
 FAMILIES = Path(__file__).resolve().parent.parent / "families"
 
@@ -267,6 +270,20 @@ def test_enumeration_count_is_word_count(data):
     labels = [w.labels for w in enumerate_words(family, shape)]
     assert len(labels) == word_count(family, shape)
     assert labels == sorted(set(labels))
+
+
+@PROPERTY
+@given(st.data())
+def test_split_and_compose_are_inverse(data):
+    family = data.draw(valid_families())
+    a, b = data.draw(_shapes(family, 1)), data.draw(_shapes(family, 1))
+    for w in islice(enumerate_words(family, a + b), 32):
+        assert compose(family, restrict_prefix(w, a), restrict_tail(w, a)) == w
+    for u in islice(enumerate_words(family, a), 8):
+        for v in islice(enumerate_words(family, b, origin=u.terminal), 8):
+            both = compose(family, u, v)
+            assert restrict_prefix(both, a) == u
+            assert restrict_tail(both, a) == v
 
 
 def _random_potential(data, family, k):

@@ -74,7 +74,7 @@ def test_terminal_mismatch_empties_grid(g1, line_word):
     report = examine_pair(g1, u, w, Shape.of(1))
     assert report.m == Shape.of(2) and report.n == Shape.of(1)
     assert len(report.stats) == 6  # 3 kappa words, 2 lambda words
-    assert all(s["cells"] == 0 for s in report.stats)
+    assert all(cells == 0 for _, _, cells, _ in report.stats)
     assert report.all_partial_isometries
 
 
@@ -182,6 +182,24 @@ def test_failure_witness_recovers_decomposition(g2):
     assert set(witness) == {"kappa", "lambda", "nu", "gamma", "first", "second"}
     assert witness["nu"] == {"shape": [1], "labels": [0, 0]}
     assert witness["gamma"] == {"shape": [1], "labels": [0, 0]}
+
+
+def test_failure_witness_column_collision_and_tie_break(g2):
+    # cells are scanned in label order: (1, 0) then (2, 0), whose row is
+    # new but whose column is already held
+    u = _letter(g2, "0")
+    w = list(enumerate_words(g2, Shape.of(2)))
+    dicts = [words.word_to_dict(x) for x in w]
+    by_col = PatternMatrix(tuple(w), frozenset({(w[1], w[0]), (w[2], w[0])}))
+    witness = _failure_witness(u, Shape.of(1), w[0], w[0], by_col)
+    assert witness["first"] == [dicts[1], dicts[0]]
+    assert witness["second"] == [dicts[2], dicts[0]]
+    # (1, 1) repeats the row of (1, 0) and the column of (0, 1): the row wins
+    both = PatternMatrix(tuple(w), frozenset({(w[0], w[1]), (w[1], w[0]),
+                                              (w[1], w[1])}))
+    witness = _failure_witness(u, Shape.of(1), w[0], w[0], both)
+    assert witness["first"] == [dicts[1], dicts[0]]
+    assert witness["second"] == [dicts[1], dicts[1]]
 
 
 # -- Aggregate sweep ---------------------------------------------------------------

@@ -274,9 +274,8 @@ def test_potential_from_dict_rejects_non_numbers(g1, bad):
 
 def test_pressure_json_and_guards(g1):
     pot = vertex_potential(g1, G1_VALUES)
-    data = pressure_estimate(g1, pot, 1, Shape.of(1), 3).to_json()
-    assert set(data) == {"k", "step", "method", "sequence", "diffs", "estimate"}
-    assert data["method"] == "transfer"
+    est = pressure_estimate(g1, pot, 1, Shape.of(1), 3)
+    assert len(est.sequence) == 3 and len(est.diffs) == 2
     with pytest.raises(ValueError):
         pressure_estimate(g1, pot, 1, Shape.of(1), 1)
     with pytest.raises(ZeroDirectionError):

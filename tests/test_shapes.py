@@ -24,6 +24,14 @@ def test_rejects_bad_coords():
             Shape((2, coord))
 
 
+@pytest.mark.parametrize("text", ["1_0", " +1", "+1", "1 ", "\u0661",
+                                  "1,\u0662", "", "1,,2", "-1", "0x1"])
+def test_parse_accepts_ascii_digits_only(text):
+    # int() would read "1_0" as 10 and "\u0661" (Arabic-Indic one) as 1
+    with pytest.raises(ValueError):
+        Shape.parse(text)
+
+
 def test_partial_order_and_arithmetic():
     a, b = Shape.of(1, 2), Shape.of(2, 2)
     assert a <= b
