@@ -293,9 +293,9 @@ def build_parser():
                         help="display base for logarithmic quantities")
     common.add_argument("--max-enum-bits", type=_finite_float,
                         default=DEFAULT_BUDGET.max_enum_bits)
-    common.add_argument("--max-enum-nodes", type=int,
+    common.add_argument("--max-enum-nodes", type=_COUNT,
                         default=DEFAULT_BUDGET.max_enum_nodes)
-    common.add_argument("--max-exact-digits", type=int,
+    common.add_argument("--max-exact-digits", type=_COUNT,
                         default=DEFAULT_BUDGET.max_exact_digits)
 
     parser = argparse.ArgumentParser(
@@ -319,19 +319,19 @@ def build_parser():
     sp = sub.add_parser("entropy", parents=[common])
     sp.add_argument("--p", required=True)
     sp.add_argument("--k", type=_COUNT, default=1)
-    sp.add_argument("--n-max", type=int, default=40)
+    sp.add_argument("--n-max", type=_POSITIVE, default=40)
     sp.add_argument("--mode", choices=("exact", "bowen", "both"), default="both")
     sp.set_defaults(func=_cmd_entropy)
 
     sp = sub.add_parser("action-entropy", parents=[common])
     sp.add_argument("--k", type=_COUNT, default=1)
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=_POSITIVE, required=True)
     sp.set_defaults(func=_cmd_action_entropy)
 
     sp = sub.add_parser("pressure", parents=[common])
     sp.add_argument("--p", required=True)
     sp.add_argument("--k", type=_COUNT, default=1)
-    sp.add_argument("--n-max", type=int, default=40)
+    sp.add_argument("--n-max", type=_POSITIVE, default=40)
     sp.add_argument("--potential", default=None)
     sp.add_argument("--method", choices=("transfer", "enumerate"),
                     default="transfer")

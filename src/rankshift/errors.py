@@ -77,6 +77,12 @@ class ParseError(DomainError):
     code = "ParseError"
 
 
+class RadiusUnderflowError(DomainError):
+    """The normalized power in the spectral-radius loop underflowed to a
+    nilpotent float matrix although the input is not nilpotent."""
+    code = "RadiusUnderflow"
+
+
 class NonFiniteResultError(DomainError):
     code = "NonFiniteResult"
 

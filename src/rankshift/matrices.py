@@ -8,7 +8,10 @@ two orders of completing a unit cube from a three-step chain agree.
 
 Counts are exact Python integers throughout; spectral radii go through a
 renormalized repeated-squaring loop in float, which is robust to
-reducible, periodic and nilpotent inputs.
+reducible, periodic and nilpotent inputs.  The loop's schedule is 64
+squarings; once the normalized iterate repeats, the remaining steps
+replay the stored logs of its norms instead of squaring again, which
+gives the same float result bit for bit.
 
 Families are constructed unvalidated.  The validation report is computed
 on first use and cached; all types here are immutable and every operation
@@ -26,6 +29,7 @@ from .errors import (
     InvalidFamilyError,
     NegativeEntryError,
     NotSquareError,
+    RadiusUnderflowError,
     ZeroDirectionError,
 )
 from .shapes import Shape
@@ -425,12 +429,25 @@ def log_spectral_radius(m):
     Computed as lim log ||m^(2^s)|| / 2^s by repeated squaring with
     log-domain renormalization, max-row-sum norm.  No irreducibility is
     assumed: reducible, periodic and nilpotent matrices all behave.  The
-    full schedule of 64 squarings always runs: the estimates decrease to
-    the radius but can stall for a step (||M^4|| = ||M^2||^2 happens for
-    honest primitive matrices), so a successive-difference stop would
-    return early and wrong.  At s = 64 the subdominant and polynomial
-    parts contribute less than machine epsilon, leaving the radius within
-    1e-10 of its true value for inputs of moderate size.
+    schedule is always 64 squarings, each adding log(mu_s) / 2^s: the
+    estimates decrease to the radius but can stall for a step (||M^4|| =
+    ||M^2||^2 happens for honest primitive matrices), so a
+    successive-difference stop would return early and wrong.  At s = 64
+    the subdominant and polynomial parts contribute less than machine
+    epsilon, leaving the radius within 1e-10 of its true value for inputs
+    of moderate size.
+
+    Each squaring is a fixed function of the normalized iterate, so once
+    the iterate equals the one `period` steps earlier (found by Brent's
+    cycle check against the iterate saved at steps 0, 1, 2, 4, 8, ...),
+    every later log(mu_s) is the one `period` steps back.  Those are
+    replayed from the list instead of recomputed: the same floats enter
+    the same additions in the same order, so the result is bit for bit
+    that of 64 full squarings.
+
+    If the normalized iterate underflows to a nilpotent float matrix, the
+    input is decided exactly: -inf when it is nilpotent, otherwise
+    RadiusUnderflow.
     """
     dim = len(m)
     if dim == 0 or any(len(row) != dim for row in m):
@@ -445,13 +462,29 @@ def log_spectral_radius(m):
     # safe even when entries far exceed float range
     cur = [[x / norm0 for x in row] for row in m]
     acc = math.log(norm0)
+    logs, saved, saved_at, period = [], cur, 0, 0
     for s in range(1, 65):
-        nxt = _float_mul(cur, cur)
-        mu = max(math.fsum(row) for row in nxt)
-        if mu == 0.0:
-            return -math.inf
-        cur = [[x / mu for x in row] for row in nxt]
-        acc += math.log(mu) / (1 << s)
+        if not period:
+            nxt = _float_mul(cur, cur)
+            mu = max(math.fsum(row) for row in nxt)
+            if mu == 0.0:
+                # m is nilpotent exactly when the pattern of its positive
+                # entries has no path of length dim, i.e. no cycle
+                pattern = [[x > 0 for x in row] for row in m]
+                if any(map(any, matrix_power(pattern, dim))):
+                    raise RadiusUnderflowError(
+                        "the normalized power underflowed, but the matrix "
+                        "is not nilpotent", step=s)
+                return -math.inf
+            cur = [[x / mu for x in row] for row in nxt]
+            logs.append(math.log(mu))
+            if cur == saved:
+                period = s - saved_at
+            elif s & (s - 1) == 0:
+                saved, saved_at = cur, s
+        else:
+            logs.append(logs[-period])
+        acc += logs[-1] / (1 << s)
     return acc
 
 

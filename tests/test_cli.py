@@ -252,6 +252,17 @@ def test_transfer_chain_dead_end_exits_one(g1_path, tmp_path):
     assert proc.stderr == ""
 
 
+def test_radius_underflow_exits_1():
+    # a valid family whose radius (1) the float loop loses to underflow:
+    # a coded error, not a log(0) usage error
+    proc = run_cli("entropy", "-f", str(FAMILIES / "unipotent12.json"),
+                   "--p", "1", "--mode", "exact", expect=1)
+    payload = json.loads(proc.stdout)
+    assert payload["error"] == "RadiusUnderflow"
+    assert payload["details"] == {"step": 57}
+    assert proc.stderr == ""
+
+
 @pytest.mark.parametrize("option", [["--max-enum-bits", "inf"],
                                     ["--max-enum-bits", "nan"]])
 def test_non_finite_budget_is_usage_error(g1_path, option):
@@ -271,6 +282,25 @@ def test_integer_option_out_of_range_is_usage_error(argv):
     proc = run_cli(*argv, expect=2)
     assert f"argument {argv[-2]}: must be at least" in proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv, low", [
+    (["entropy", "--p", "1", "--n-max"], 1),
+    (["action-entropy", "--n"], 1),
+    (["words", "--shape", "2", "--max-enum-nodes"], 0),
+    (["entropy", "--p", "1", "--max-exact-digits"], 0)],
+    ids=["n-max", "n", "max-enum-nodes", "max-exact-digits"])
+def test_integer_option_is_strict(capsys, g1_path, argv, low):
+    for text in ["1_0", " +1", str(low - 1)]:
+        with pytest.raises(SystemExit) as info:
+            main([*argv, text, "-f", g1_path])
+        assert info.value.code == 2
+        assert f"argument {argv[-1]}:" in capsys.readouterr().err
+
+
+def test_seed_takes_any_sign(capsys):
+    assert main(["search-gap", "--seed", "-3", "--trials", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["seed"] == -3
 
 
 LENIENT_INTEGERS = ["1_0", " +1", "\u0661"]

@@ -13,6 +13,11 @@ random-search survivors at alphabet size 3:
       gives back the factors
     - the index Birkhoff sum equals the restrict_tail formula, word by word
     - the enumerate and transfer partition sums agree within 1e-12
+    - log_spectral_radius, which replays the squaring orbit once it
+      repeats, equals the full 64-squaring loop bit for bit on int,
+      big-int and float matrices and on power products, and skips the
+      replayed squarings; where the reference's iterate underflows it
+      gives -inf exactly for nilpotent matrices and RadiusUnderflow else
 plus the coded errors around the kernel: unknown letters, the
 non-unique square filling's candidates, the oracle above exp's range and
 a non-finite CSV config line.
@@ -31,12 +36,13 @@ from hypothesis import (
     HealthCheck, assume, example, given, settings, strategies as st)
 from pytest import approx
 
-from rankshift import families
+from rankshift import families, matrices
 from rankshift.budget import Budget
 from rankshift.cli import main
 from rankshift.errors import (
     NonFiniteResultError,
     NonUniqueFillingError,
+    RadiusUnderflowError,
     UnknownLetterError,
 )
 from rankshift.gapsearch import random_search
@@ -45,6 +51,8 @@ from rankshift.matrices import (
     Alphabet,
     MatrixFamily,
     Violation,
+    _float_mul,
+    log_spectral_radius,
     matrix_mul,
     matrix_power_product,
     origin_counts,
@@ -146,6 +154,39 @@ def _dense_cubes(family, i, j, k):
                 ("first_order", [x, z_a, w_a]),
                 ("second_order", [y, w_b, z_b])))
     return None
+
+
+# -- Full-schedule reference radius ----------------------------------------------
+
+def _full_schedule_log_radius(m):
+    """log_spectral_radius as the loop of 64 squarings with no replay;
+    None where the normalized iterate underflows to zero."""
+    norm0 = max(sum(row) for row in m)
+    if norm0 == 0:
+        return -math.inf
+    cur = [[x / norm0 for x in row] for row in m]
+    acc = math.log(norm0)
+    for s in range(1, 65):
+        nxt = _float_mul(cur, cur)
+        mu = max(fsum(row) for row in nxt)
+        if mu == 0.0:
+            return None
+        cur = [[x / mu for x in row] for row in nxt]
+        acc += math.log(mu) / (1 << s)
+    return acc
+
+
+def _has_no_cycle(m):
+    """Whether the graph with an edge a -> b for each positive m[a][b] has
+    no cycle: peeling off, round by round, the letters with no successor
+    among those left removes every letter."""
+    left = range(len(m))
+    while left:
+        keep = [a for a in left if any(m[a][b] > 0 for b in left)]
+        if len(keep) == len(left):
+            return False
+        left = keep
+    return True
 
 
 # -- Generated families ---------------------------------------------------------
@@ -284,6 +325,69 @@ def test_split_and_compose_are_inverse(data):
             both = compose(family, u, v)
             assert restrict_prefix(both, a) == u
             assert restrict_tail(both, a) == v
+
+
+def _square_matrices(entries):
+    return st.integers(1, 6).flatmap(lambda dim: st.lists(
+        st.lists(entries, min_size=dim, max_size=dim),
+        min_size=dim, max_size=dim))
+
+
+@st.composite
+def _power_products(draw):
+    family = draw(valid_families())
+    return matrix_power_product(family, draw(_shapes(family, 3)))
+
+
+NONNEGATIVE_MATRICES = st.one_of(
+    _square_matrices(st.integers(0, 3)),
+    _square_matrices(st.sampled_from((0, 1)) | st.integers(0, 10 ** 400)),
+    _square_matrices(st.floats(0, 1e300)),
+    _power_products())
+
+
+@settings(PROPERTY, max_examples=300)
+@given(NONNEGATIVE_MATRICES)
+@example(((1, 1), (1, 1)))                   # fixed point from step 1
+@example(((0, 1), (1, 1)))                   # period 2 from step 10
+@example(((0, 0, 1), (0, 1, 0), (1, 1, 1)))  # period 3 from step 11
+@example(((0, 1, 0), (0, 0, 2), (3, 0, 0)))  # period 2, two distinct norms
+@example(((1, 0), (1, 1)))                   # never repeats
+@example(((0, 1, 0), (0, 0, 1), (0, 0, 0)))  # nilpotent
+def test_log_spectral_radius_is_the_full_schedule(m):
+    expected = _full_schedule_log_radius(m)
+    if expected is not None:
+        assert log_spectral_radius(m) == expected
+    elif _has_no_cycle(m):
+        assert log_spectral_radius(m) == -math.inf
+    else:
+        with pytest.raises(RadiusUnderflowError):
+            log_spectral_radius(m)
+
+
+def _squarings(monkeypatch, m):
+    """The number of float products one log_spectral_radius call takes."""
+    calls = []
+
+    def counted(a, b):
+        calls.append(None)
+        return _float_mul(a, b)
+
+    monkeypatch.setattr(matrices, "_float_mul", counted)
+    log_spectral_radius(m)
+    monkeypatch.undo()
+    return len(calls)
+
+
+def test_replay_skips_the_repeated_squarings(monkeypatch, g1, g3):
+    # g1's iterate has period 2 from step 10, found at step 18; the g3
+    # product's has period 1, found at step 9
+    assert _squarings(monkeypatch, g1.matrices[0]) == 18
+    product = matrix_power_product(g3, Shape.of(1, 1))
+    assert _squarings(monkeypatch, product) == 9
+    assert _squarings(monkeypatch, ((1, 1), (1, 1))) == 1
+    # a Jordan-type iterate never repeats: the full schedule runs
+    assert _squarings(monkeypatch, ((1, 0), (1, 1))) == 64
 
 
 def _random_potential(data, family, k):

@@ -6,6 +6,8 @@ Core claims:
     - matrix_power_product is exact and factor-order independent
     - spectral_radius matches bisection roots of the characteristic
       polynomials for golden and plastic matrices and is exact on trivia
+    - a radius lost to float underflow is a coded RadiusUnderflow unless
+      the matrix is nilpotent, which still reads 0.0
     - entropy_exact reproduces log phi / log 2 / additive tensor values,
       and stays finite when the radius of M^p leaves float range
     - the counting inequalities w_l <= w_{l+m} <= |B| w_l w_m hold
@@ -13,12 +15,18 @@ Core claims:
 
 import math
 import random
+from pathlib import Path
 
 import pytest
 from pytest import approx
 
 from rankshift.budget import Budget
-from rankshift.errors import BudgetExceededError, InvalidFamilyError, ZeroDirectionError
+from rankshift.errors import (
+    BudgetExceededError,
+    InvalidFamilyError,
+    RadiusUnderflowError,
+    ZeroDirectionError,
+)
 from rankshift.matrices import (
     Alphabet,
     MatrixFamily,
@@ -26,6 +34,7 @@ from rankshift.matrices import (
     entropy_exact,
     family_from_dict,
     family_to_dict,
+    load_family,
     log_spectral_radius,
     log_word_count,
     matrix_power_product,
@@ -36,6 +45,8 @@ from rankshift.matrices import (
 )
 from rankshift.families import golden_mean, tensor_product
 from rankshift.shapes import Shape
+
+FAMILIES = Path(__file__).resolve().parent.parent / "families"
 
 
 # -- Independent oracles -------------------------------------------------------
@@ -215,6 +226,24 @@ def test_entropy_exact_beyond_float_range(g1):
                                                        rel=1e-12)
     assert entropy_exact(g1, Shape.of(1000)) == approx(1000 * math.log(PHI),
                                                        rel=1e-12)
+
+
+def test_radius_underflow_is_coded_unless_nilpotent():
+    # both have radius >= 1, but the normalized powers' diagonals underflow
+    # and leave a strictly triangular float matrix
+    unipotent = load_family(FAMILIES / "unipotent12.json").matrices[0]
+    jordan = tuple(tuple(2 if a == b else int(b == a + 1) for b in range(16))
+                   for a in range(16))
+    for m, step in ((unipotent, 57), (jordan, 45)):
+        with pytest.raises(RadiusUnderflowError) as info:
+            spectral_radius(m)
+        assert info.value.to_json()["details"] == {"step": step}
+    # nilpotent inputs, with small and with huge entries, still read 0.0
+    big = 10 ** 300
+    for m in (((0, big, 1), (0, 0, big), (0, 0, 0)),
+              tuple(tuple(int(b < a) for b in range(12)) for a in range(12))):
+        assert log_spectral_radius(m) == -math.inf
+        assert spectral_radius(m) == 0.0
 
 
 def test_spectral_radius_rejects_bad_input():
