@@ -253,7 +253,7 @@ def _cmd_lemma_check(args, family):
         "pairs": len(reports),
         "failures": failures,
         "all_partial_isometries": failures == 0,
-        "reports": [r.to_json() for r in reports],
+        "reports": patterns.reports_to_json(reports),
     }
     rows = ([_word_str(rep.u), _word_str(rep.w), _word_str(kappa),
              _word_str(lam), cells, ok]

@@ -54,7 +54,7 @@ def separation_threshold(k):
     return Fraction(1, k + 2)
 
 
-def _check_scale(k, p):
+def check_scale(k, p):
     if p.is_zero:
         raise ZeroDirectionError("step direction must be nonzero")
     if k < max(p.coords):
@@ -73,7 +73,7 @@ def separated_count(family, k, p, n, mode="formula", budget=None):
     cube once k dominates p.
     """
     require_valid(family)
-    _check_scale(k, p)
+    check_scale(k, p)
     if n < 0:
         raise ValueError("n must be nonnegative")
     budget = budget or DEFAULT_BUDGET
@@ -131,7 +131,7 @@ def bowen_entropy_estimate(family, k, p, n_max, budget=None):
     product is formed.
     """
     require_valid(family)
-    _check_scale(k, p)
+    check_scale(k, p)
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
     series = log_word_count_series(family, Shape.cube(k, family.rank), p,

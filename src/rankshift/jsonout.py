@@ -4,8 +4,13 @@ Floats print at 12 significant digits, so a result file reproduces byte
 for byte from its embedded config.  ``dumps`` writes exactly the bytes of
 ``json.dumps(round12(payload), indent=2)`` plus a newline, in one pass:
 the standard encoder runs in pure Python once ``indent`` is set and needs
-the rounded copy first.  A NaN or infinite float is refused with a coded
-error instead of printing as invalid JSON.
+the rounded copy first.  Each container joins its own members, so no flat
+list of every fragment is held.  Within one call, a leaf dict (one with no
+dict value, such as a Word) reuses its text wherever the same object
+recurs at the same depth, so a payload that shares one dict encodes it
+once.  Only leaves are kept: holding every container's text until the call
+ends raises the peak memory by more than the reuse saves.  A NaN or
+infinite float is refused with a coded error, not printed as invalid JSON.
 """
 
 import json
@@ -13,6 +18,9 @@ from json.encoder import encode_basestring_ascii
 from math import isfinite
 
 from .errors import NonFiniteResultError
+
+_BASES = (str, int, float, dict, list, tuple)
+_EXACT = frozenset(_BASES + (bool, type(None)))
 
 
 def round12(obj):
@@ -30,7 +38,7 @@ def dumps(payload):
     """Indented JSON text of payload, newline-terminated.  Dict keys must
     be strings.  A NaN or infinite float raises NonFiniteResultError, whose
     ``path`` locates it."""
-    return _encode(payload, "\n") + "\n"
+    return _encode(payload, "\n", {}) + "\n"
 
 
 def dumps_line(payload):
@@ -43,50 +51,42 @@ def dumps_line(payload):
                                    reason=str(exc)) from exc
 
 
-def _encode(obj, newline):
-    # each container joins its own members, so no flat list of every
-    # fragment of the document is ever held
-    if isinstance(obj, str):
+def _encode(obj, newline, memo):
+    kind = type(obj)
+    if kind not in _EXACT:  # a subclass encodes as its base type
+        kind = next((base for base in _BASES if isinstance(obj, base)), kind)
+    if kind is str:
         return encode_basestring_ascii(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
+    if kind is int:
         return int.__repr__(obj)
-    if isinstance(obj, float):
-        if not isfinite(obj):
-            raise NonFiniteResultError("result holds a non-finite number",
-                                       path=[], value=repr(obj))
-        return float.__repr__(float(f"{obj:.12g}"))
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        inner = newline + "  "
-        parts = []
-        for key, value in obj.items():
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            try:
-                parts.append(encode_basestring_ascii(key) + ": "
-                             + _encode(value, inner))
-            except NonFiniteResultError as exc:
-                exc.details["path"].insert(0, key)
-                raise
-        return "{" + inner + ("," + inner).join(parts) + newline + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        inner = newline + "  "
-        parts = []
-        for index, value in enumerate(obj):
-            try:
-                parts.append(_encode(value, inner))
-            except NonFiniteResultError as exc:
-                exc.details["path"].insert(0, index)
-                raise
-        return "[" + inner + ("," + inner).join(parts) + newline + "]"
-    raise TypeError(
-        f"Object of type {type(obj).__name__} is not JSON serializable")
+    if kind is float:
+        if isfinite(obj):
+            return float.__repr__(float(f"{obj:.12g}"))
+        raise NonFiniteResultError("result holds a non-finite number",
+                                   path=[], value=repr(obj))
+    if kind is bool or obj is None:
+        return "null" if obj is None else "true" if obj else "false"
+    if kind is not dict and kind is not list and kind is not tuple:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    is_dict = kind is dict
+    brackets = "{}" if is_dict else "[]"
+    text = memo.get((id(obj), newline)) if obj else brackets
+    if text is not None:  # empty, or a leaf dict already encoded here
+        return text
+    inner = newline + "  "
+    parts = []
+    for key, value in obj.items() if is_dict else enumerate(obj):
+        if is_dict and not isinstance(key, str):
+            raise TypeError(f"keys must be str, not {type(key).__name__}")
+        try:
+            part = _encode(value, inner, memo)
+        except NonFiniteResultError as exc:
+            exc.details["path"].insert(0, key)
+            raise
+        if is_dict:
+            part = encode_basestring_ascii(key) + ": " + part
+        parts.append(part)
+    text = brackets[0] + inner + ("," + inner).join(parts) + newline + brackets[1]
+    if is_dict and not any(isinstance(v, dict) for v in obj.values()):
+        memo[(id(obj), newline)] = text
+    return text

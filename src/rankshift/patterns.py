@@ -19,6 +19,7 @@ letters rule every cell out, so the report matches the summation range of
 the decomposition.
 """
 
+import functools
 from dataclasses import dataclass
 
 from .budget import DEFAULT as DEFAULT_BUDGET
@@ -57,7 +58,7 @@ def _first_collision(pattern):
     by_row = {}
     by_col = {}
     for cell in sorted(pattern.cells, key=lambda rc: (rc[0].labels, rc[1].labels)):
-        row, col = cell
+        row, col = cell[0].labels, cell[1].labels
         first = by_row.get(row) or by_col.get(col)
         if first is not None:
             return first, cell
@@ -141,12 +142,9 @@ def build_shift_patterns(family, u, w, p, m, budget=None, tables=None):
     ext_shape = m + (n - u.shape)
     tables.check_budget(ext_shape, budget)
 
-    index = tables.words(m)
-    grid = {}
-    for kappa in tables.words(n - w.shape):
-        for lam in tables.words(n - u.shape):
-            grid[(kappa, lam)] = set()
-
+    # cells of the live keys only, keyed by (kappa, lambda) labels, which
+    # hash in C where Word pairs hash through two dataclass methods each
+    live = {}
     if u.origin == w.origin and u.terminal == w.terminal:
         gammas = tables.words(m - p - u.shape, origin=u.terminal)
         for nu in tables.words(p):
@@ -158,10 +156,18 @@ def build_shift_patterns(family, u, w, p, m, budget=None, tables=None):
                 row = tables.compose(nu_u, gamma)
                 base = tables.compose(nu_w, gamma)
                 for kappa, lam, col in tables.split_extensions(base, ext_shape, m):
-                    grid[(kappa, lam)].add((row, col))
+                    live.setdefault((kappa.labels, lam.labels), set()).add((row, col))
 
-    return {key: PatternMatrix(index, frozenset(cells))
-            for key, cells in grid.items()}
+    index = tables.words(m)
+    empty = PatternMatrix(index, frozenset())
+    lams = tables.words(n - u.shape)
+    grid = {}
+    for kappa in tables.words(n - w.shape):
+        for lam in lams:
+            cells = live.get((kappa.labels, lam.labels))
+            grid[(kappa, lam)] = (empty if cells is None
+                                  else PatternMatrix(index, frozenset(cells)))
+    return grid
 
 
 # -- Aggregate verification -----------------------------------------------------
@@ -183,20 +189,26 @@ class PatternFamilyReport:
     def all_partial_isometries(self):
         return not self.witnesses
 
-    def to_json(self):
+    def to_json(self, word_dict=word_to_dict):
         return {
-            "u": word_to_dict(self.u),
-            "w": word_to_dict(self.w),
+            "u": word_dict(self.u),
+            "w": word_dict(self.w),
             "p": list(self.p.coords),
             "m": list(self.m.coords),
             "n": list(self.n.coords),
             "patterns": [
-                {"kappa": word_to_dict(kappa), "lambda": word_to_dict(lam),
+                {"kappa": word_dict(kappa), "lambda": word_dict(lam),
                  "cells": cells, "partial_isometry": ok}
                 for kappa, lam, cells, ok in self.stats],
             "all_partial_isometries": self.all_partial_isometries,
             "witnesses": list(self.witnesses),
         }
+
+
+def reports_to_json(reports):
+    """JSON data of reports, with one dict per distinct Word."""
+    word_dict = functools.cache(word_to_dict)
+    return [r.to_json(word_dict) for r in reports]
 
 
 def _failure_witness(u, p, kappa, lam, pattern):
@@ -224,7 +236,7 @@ def examine_pair(family, u, w, p, m=None, budget=None, tables=None):
     stats = []
     witnesses = []
     for (kappa, lam), pattern in patterns.items():
-        ok = check_partial_isometry(pattern)
+        ok = not pattern.cells or check_partial_isometry(pattern)
         stats.append((kappa, lam, len(pattern.cells), ok))
         if not ok:
             witnesses.append(_failure_witness(u, p, kappa, lam, pattern))

@@ -20,7 +20,7 @@ from math import exp, fsum, log
 from sys import float_info
 
 from .budget import DEFAULT as DEFAULT_BUDGET
-from .dynamics import Series
+from .dynamics import Series, check_scale
 from .errors import (
     ShapeMismatchError,
     TransferChainDeadEndError,
@@ -152,12 +152,7 @@ def _check_stage(family, potential, k, step):
     require_valid(family)
     if step.rank != family.rank or potential.window.rank != family.rank:
         raise ShapeMismatchError("rank mismatch")
-    if step.is_zero:
-        raise ZeroDirectionError("step direction must be nonzero")
-    if k < max(step.coords):
-        raise ShapeMismatchError(
-            "cube radius must dominate every step coordinate",
-            k=k, step=list(step.coords))
+    check_scale(k, step)
     if max(potential.window.coords) > k:
         raise WindowTooWideError(
             "potential window does not fit in the stage cube",

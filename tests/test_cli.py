@@ -13,6 +13,7 @@ Core claims:
 """
 
 import csv
+import hashlib
 import json
 import math
 import os
@@ -30,6 +31,10 @@ from rankshift.shapes import Shape
 
 REPO = Path(__file__).resolve().parent.parent
 FAMILIES = REPO / "families"
+
+
+def _g(n):
+    return str(FAMILIES / f"g{n}.json")
 
 
 def run_cli(*argv, expect=0):
@@ -125,6 +130,20 @@ def test_domain_error_exits_one(bad_family):
 def test_zero_direction_exits_one(g1_path):
     proc = run_cli("entropy", "-f", g1_path, "--p", "0", expect=1)
     assert json.loads(proc.stdout)["error"] == "ZeroDirection"
+
+
+@pytest.mark.parametrize("argv, step", [
+    (["entropy", "-f", _g(3), "--p", "2,1"], [2, 1]),
+    (["pressure", "-f", _g(1), "--p", "2"], [2]),
+    (["pressure", "-f", _g(3), "--p", "2,0", "--method", "enumerate"], [2, 0]),
+], ids=["entropy", "pressure", "pressure-enumerate"])
+def test_step_beyond_cube_radius_is_scale_too_fine(argv, step):
+    # entropy and pressure share one check: same code, message and details
+    payload = json.loads(run_cli(*argv, expect=1).stdout)
+    assert payload == {
+        "error": "ScaleTooFine",
+        "message": "cube radius must dominate every step coordinate",
+        "details": {"k": 1, "step": step}}
 
 
 def test_usage_errors_exit_two(g1_path):
@@ -415,6 +434,32 @@ def test_lemma_check(g1_path):
     assert data["all_partial_isometries"] is True
 
 
+# Digests of the lemma-check outputs on g3 with --p 1,1, taken before the
+# emitter shared Word dicts and the pattern build skipped empty patterns:
+# neither may change a byte.  The config embeds the family path as given,
+# so the runs name it relative to the repository root.
+LEMMA_DIGESTS = {
+    ("1,0", "json"):
+        "746a7e071129832351af875ba2a18fd1b43c838a7e4f668eae109ac489bf836d",
+    ("1,0", "csv"):
+        "25ea18886fa4348f7b9e921069d6d7d6d178da359e2ecd174260a5bd14bba8b6",
+    ("0,1", "json"):
+        "b6d86a97791461e5e2eee826a312453dddd568ac1d43ae82ec72ec0f06427867",
+    ("0,1", "csv"):
+        "b0e4dca532a506c8ba3e6eca20e49d483092832233e7ddcde603c5741649be7a",
+}
+
+
+@pytest.mark.parametrize("max_shape, fmt", sorted(LEMMA_DIGESTS))
+def test_lemma_check_bytes_are_pinned(capsys, monkeypatch, max_shape, fmt):
+    monkeypatch.chdir(REPO)
+    assert main(["lemma-check", "-f", "families/g3.json", "--p", "1,1",
+                 "--max-shape", max_shape, "--format", fmt]) == 0
+    text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode()).hexdigest() \
+        == LEMMA_DIGESTS[(max_shape, fmt)]
+
+
 # -- Embedded-config reproducibility ------------------------------------------------
 
 def _argv_from_config(config):
@@ -450,10 +495,6 @@ def test_embedded_config_reproduces_csv(tmp_path):
 
 
 # -- One emit path: JSON and CSV agree ----------------------------------------------
-
-def _g(n):
-    return str(FAMILIES / f"g{n}.json")
-
 
 def _word_str(word):
     return (",".join(map(str, word["shape"])) + ":"

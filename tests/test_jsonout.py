@@ -4,10 +4,14 @@ Core claims:
     - dumps gives the bytes of json.dumps(round12(x), indent=2) plus a
       newline for any payload of nested dicts, lists and tuples over
       strings, bools, None, ints of any size and finite floats
+    - the same holds when one dict object sits in several places (the
+      emitter reuses the text of a leaf dict within one call only) and for
+      subclasses of int and str
     - a NaN or infinite float anywhere is a coded NonFiniteResult error
-      that names where it sits
+      that names where it sits, the first place for a shared dict
 """
 
+import enum
 import json
 import math
 
@@ -66,3 +70,69 @@ def test_non_finite_float_is_coded_error(bad):
 def test_non_string_key_is_refused():
     with pytest.raises(TypeError):
         dumps({1: "one"})
+
+
+def _expected(payload):
+    return json.dumps(round12(payload), indent=2) + "\n"
+
+
+WORD = {"shape": [1, 0], "labels": [0, 2]}
+OUTER = {"word": WORD, "n": 3}
+
+ALIASED = [
+    # same depth
+    [WORD, WORD, {"a": 1}, WORD],
+    {"kappa": WORD, "lambda": WORD},
+    # two depths
+    [WORD, [WORD, [WORD]], {"x": WORD}],
+    {"u": WORD, "patterns": [{"kappa": WORD, "cells": 0}, WORD]},
+    # inside both a list and a dict
+    {"list": [WORD, 1], "dict": {"word": WORD}, "top": WORD},
+    # a shared dict with a dict value, and its leaf shared beside it
+    [OUTER, OUTER, WORD, {"o": OUTER}],
+]
+
+
+@pytest.mark.parametrize("payload", ALIASED)
+def test_shared_dicts_match_json_dumps(payload):
+    assert dumps(payload) == _expected(payload)
+
+
+def test_memo_does_not_outlive_a_call():
+    shared = {"labels": [0, 1]}
+    payload = {"a": shared, "b": [shared, shared]}
+    first = dumps(payload)
+    assert first == _expected(payload)
+    shared["labels"].append(2)
+    shared["extra"] = 0.5
+    second = dumps(payload)
+    assert second != first
+    assert second == _expected(payload)
+
+
+def test_nan_in_shared_dict_keeps_its_first_path():
+    shared = {"ok": 1.0, "bad": math.nan}
+    payload = {"config": {"k": 1}, "rows": [[0, shared], shared],
+               "again": shared}
+    with pytest.raises(NonFiniteResultError) as info:
+        dumps(payload)
+    assert info.value.details["path"] == ["rows", 0, 1, "bad"]
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 10 ** 30
+
+
+class Tag(str):
+    def __str__(self):
+        return "not the value"
+
+
+@pytest.mark.parametrize("payload", [
+    Level.HIGH, Tag("x\"y"),
+    {"level": Level.LOW, "tag": Tag("é"), Tag("key"): [Level.HIGH, Tag("")]},
+    [Level.LOW, {"t": Tag("a")}, (Tag("b"), 2.5)],
+], ids=["int-enum", "str-subclass", "in-dict", "in-list"])
+def test_int_and_str_subclasses_match_json_dumps(payload):
+    assert dumps(payload) == _expected(payload)

@@ -11,6 +11,9 @@ random-search survivors at alphabet size 3:
     - enumeration yields word_count words, in lexicographic label order
     - split then compose is the identity on words, and compose then split
       gives back the factors
+    - build_shift_patterns gives the keys, index and cells of a dense
+      reference that decomposes every word of the extension shape, and
+      the collision scan finds the witnesses of a Word-keyed scan
     - the index Birkhoff sum equals the restrict_tail formula, word by word
     - the enumerate and transfer partition sums agree within 1e-12
     - log_spectral_radius, which replays the squaring orbit once it
@@ -47,6 +50,8 @@ from rankshift.errors import (
 )
 from rankshift.gapsearch import random_search
 from rankshift.jsonout import round12
+from rankshift.patterns import (
+    PatternMatrix, _first_collision, build_shift_patterns)
 from rankshift.matrices import (
     Alphabet,
     MatrixFamily,
@@ -325,6 +330,70 @@ def test_split_and_compose_are_inverse(data):
             both = compose(family, u, v)
             assert restrict_prefix(both, a) == u
             assert restrict_tail(both, a) == v
+
+
+def _dense_patterns(family, u, w, p, m):
+    """(kappa, lambda) -> set of (row, col) Words, by decomposing every word
+    of the extension shape as nu.w.gamma.kappa, with lambda its part past m;
+    nu must also feed u and gamma be fed by u."""
+    n = u.shape.sup(w.shape)
+    grid = {(kappa, lam): set()
+            for kappa in enumerate_words(family, n - w.shape)
+            for lam in enumerate_words(family, n - u.shape)}
+    base_shape = m + w.shape - u.shape
+    for ext in enumerate_words(family, m + n - u.shape):
+        nu = restrict_prefix(ext, p)
+        if restrict_prefix(restrict_tail(ext, p), w.shape) != w:
+            continue
+        gamma = restrict_tail(restrict_prefix(ext, base_shape), p + w.shape)
+        if nu.terminal != u.origin or gamma.origin != u.terminal:
+            continue
+        row = compose(family, compose(family, nu, u), gamma)
+        key = (restrict_tail(ext, base_shape), restrict_tail(ext, m))
+        grid[key].add((row, restrict_prefix(ext, m)))
+    return grid
+
+
+def _dense_first_collision(cells):
+    """The collision scan over Word-keyed maps: the first cell in label
+    order whose row or column is taken, a taken row winning."""
+    by_row, by_col = {}, {}
+    for row, col in sorted(cells, key=lambda rc: (rc[0].labels, rc[1].labels)):
+        first = by_row.get(row) or by_col.get(col)
+        if first is not None:
+            return first, (row, col)
+        by_row[row] = by_col[col] = (row, col)
+    return None
+
+
+@PROPERTY
+@given(st.data())
+def test_shift_patterns_match_dense_reference(data):
+    family = data.draw(valid_families().filter(lambda f: f.rank <= 2))
+    u = data.draw(st.sampled_from(
+        list(enumerate_words(family, data.draw(_shapes(family, 1))))))
+    ws = list(enumerate_words(family, data.draw(_shapes(family, 1))))
+    # mismatched endpoints give empty patterns only, so prefer matching
+    matching = [x for x in ws if (x.origin, x.terminal) == (u.origin, u.terminal)]
+    w = data.draw(st.sampled_from(
+        matching if matching and data.draw(st.booleans()) else ws))
+    p = data.draw(_shapes(family, 1))
+    m = p + u.shape.sup(w.shape) + data.draw(_shapes(family, 1))
+    built = build_shift_patterns(family, u, w, p, m)
+    dense = _dense_patterns(family, u, w, p, m)
+    assert list(built) == list(dense)
+    index = tuple(enumerate_words(family, m))
+    for key, cells in dense.items():
+        assert built[key].index == index
+        assert built[key].cells == cells
+        assert _first_collision(built[key]) == _dense_first_collision(cells)
+    # a valid family gives no collision, so scan random cell sets as well
+    for _ in range(3):
+        cells = frozenset(data.draw(st.lists(
+            st.tuples(st.sampled_from(index), st.sampled_from(index)),
+            max_size=6)))
+        assert (_first_collision(PatternMatrix(index, cells))
+                == _dense_first_collision(cells))
 
 
 def _square_matrices(entries):

@@ -8,7 +8,7 @@ Core claims:
       per-kappa row sets and per-lambda column sets pairwise disjoint
     - fabricated double cells are caught and reported with a usable witness
     - a sweep's shared word tables change no report, and none outlives
-      the sweep
+      the sweep; its JSON data holds one dict per distinct Word
 """
 
 import pytest
@@ -24,6 +24,7 @@ from rankshift.patterns import (
     check_cylinder_separation,
     check_partial_isometry,
     examine_pair,
+    reports_to_json,
     verify_partial_isometries,
 )
 from rankshift.pressure import Potential, vertex_potential
@@ -234,7 +235,16 @@ def test_shared_tables_change_no_report(g1, g2, g3, case):
         "t3": (t3, Shape.of(1, 0, 1), Shape.of(0, 0, 0), None),
     }[case]
     shared = verify_partial_isometries(family, p, max_gen, m=m)
-    assert [r.to_json() for r in shared] == _unshared_sweep(family, p, max_gen, m)
+    unshared = _unshared_sweep(family, p, max_gen, m)
+    assert [r.to_json() for r in shared] == unshared
+    data = reports_to_json(shared)
+    assert data == unshared
+    # one dict per distinct Word, the same object wherever the Word appears
+    dicts = {}
+    for report in data:
+        for d in [report["u"], report["w"]] + [
+                pat[key] for pat in report["patterns"] for key in ("kappa", "lambda")]:
+            assert dicts.setdefault((tuple(d["shape"]), tuple(d["labels"])), d) is d
 
 
 def test_no_table_outlives_a_sweep(g3, monkeypatch):

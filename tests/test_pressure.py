@@ -22,6 +22,7 @@ from pytest import approx
 
 from rankshift.errors import (
     DomainError,
+    ScaleTooFineError,
     ShapeMismatchError,
     TransferChainDeadEndError,
     WindowTooWideError,
@@ -150,7 +151,7 @@ def test_partition_guards(g1, g3):
     zero1 = vertex_potential(g1, {})
     with pytest.raises(ZeroDirectionError):
         partition_function_log(g1, zero1, 1, Shape.of(0), 1)
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(ScaleTooFineError):
         partition_function_log(g3, vertex_potential(g3, {}), 1, Shape.of(2, 1), 1)
     with pytest.raises(ValueError):
         partition_function_log(g1, zero1, 1, Shape.of(1), -1)
