@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 domain error (JSON with the error code), 2 usage.
 
 import argparse
 import csv
+import functools
 import io
 import itertools
 import json
@@ -255,8 +256,9 @@ def _cmd_lemma_check(args, family):
         "all_partial_isometries": failures == 0,
         "reports": patterns.reports_to_json(reports),
     }
-    rows = ([_word_str(rep.u), _word_str(rep.w), _word_str(kappa),
-             _word_str(lam), cells, ok]
+    word_str = functools.cache(_word_str)  # a few Words recur in every row
+    rows = ([word_str(rep.u), word_str(rep.w), word_str(kappa),
+             word_str(lam), cells, ok]
             for rep in reports for kappa, lam, cells, ok in rep.stats)
     return (payload,
             ["u", "w", "kappa", "lambda", "cells", "partial_isometry"], rows)

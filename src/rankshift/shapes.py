@@ -26,6 +26,9 @@ class Shape:
             raise ValueError("shape coordinates must be nonnegative")
         object.__setattr__(self, "coords", coords)
 
+    def __hash__(self):
+        return hash(self.coords)
+
     @classmethod
     def of(cls, *coords):
         return cls(coords)
@@ -76,14 +79,14 @@ class Shape:
 
     def __add__(self, other):
         self._check_rank(other)
-        return Shape(tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return _trusted(tuple(a + b for a, b in zip(self.coords, other.coords)))
 
     def __sub__(self, other):
         self._check_rank(other)
         diff = tuple(a - b for a, b in zip(self.coords, other.coords))
         if any(d < 0 for d in diff):
             raise ValueError(f"{other.coords} does not divide below {self.coords}")
-        return Shape(diff)
+        return _trusted(diff)
 
     def __le__(self, other):
         """Coordinatewise domination (partial order)."""
@@ -100,7 +103,7 @@ class Shape:
 
     def sup(self, other):
         self._check_rank(other)
-        return Shape(tuple(max(a, b) for a, b in zip(self.coords, other.coords)))
+        return _trusted(tuple(max(a, b) for a, b in zip(self.coords, other.coords)))
 
     def box(self):
         """All points 0 <= l <= self as plain tuples, row-major order."""
@@ -114,7 +117,7 @@ class Shape:
         return idx
 
     def _check_rank(self, other):
-        if self.rank != other.rank:
+        if len(self.coords) != len(other.coords):
             raise ValueError(f"rank mismatch: {self.rank} vs {other.rank}")
 
     def __iter__(self):
@@ -125,3 +128,11 @@ class Shape:
 
     def __repr__(self):
         return f"Shape{self.coords}"
+
+
+def _trusted(coords):
+    """The Shape with coords, unchecked: for results of +, - and sup on two
+    validated Shapes, whose coordinates are nonnegative ints already."""
+    shape = object.__new__(Shape)
+    object.__setattr__(shape, "coords", coords)
+    return shape

@@ -48,6 +48,9 @@ class Word:
     def letters(self, family):
         return tuple(family.alphabet[i] for i in self.labels)
 
+    def __hash__(self):
+        return hash((self.shape.coords, self.labels))
+
     def __repr__(self):
         return f"Word({self.shape.coords}, {self.labels})"
 

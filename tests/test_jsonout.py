@@ -4,9 +4,11 @@ Core claims:
     - dumps gives the bytes of json.dumps(round12(x), indent=2) plus a
       newline for any payload of nested dicts, lists and tuples over
       strings, bools, None, ints of any size and finite floats
-    - the same holds when one dict object sits in several places (the
-      emitter reuses the text of a leaf dict within one call only) and for
-      subclasses of int and str
+    - the same holds when one dict object sits in several places, at any
+      depth and however it nests (the emitter reuses the text of a small
+      dict within one call only), and for subclasses of int and str
+    - of a lemma report, the emitter keeps the text of the Words and the
+      patterns but not of the report
     - a NaN or infinite float anywhere is a coded NonFiniteResult error
       that names where it sits, the first place for a shared dict
 """
@@ -18,8 +20,11 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rankshift.jsonout import dumps, round12
+from rankshift.jsonout import _encode, dumps, round12
 from rankshift.errors import DomainError, NonFiniteResultError
+from rankshift.families import golden_mean
+from rankshift.patterns import reports_to_json, verify_partial_isometries
+from rankshift.shapes import Shape
 
 AWKWARD_TEXT = ['"', "\\", "a\"b\\c", "\n\t\r\x00\x1f\x7f", "é", "日本語",
                 "\U0001f600", " ", ""]
@@ -96,6 +101,47 @@ ALIASED = [
 @pytest.mark.parametrize("payload", ALIASED)
 def test_shared_dicts_match_json_dumps(payload):
     assert dumps(payload) == _expected(payload)
+
+
+@st.composite
+def aliased_payloads(draw):
+    """Payloads in which a few dict objects recur by reference at several
+    depths: flat dicts, a dict holding a list of them, and a dict holding
+    that one."""
+    flat = draw(st.lists(st.dictionaries(texts, leaves, max_size=3),
+                         min_size=1, max_size=3))
+    holder = {"items": draw(st.lists(st.sampled_from(flat), max_size=3)),
+              "n": draw(leaves)}
+    outer = {"holder": holder, "flat": draw(st.sampled_from(flat))}
+    pool = flat + [holder, outer]
+    trees = st.recursive(
+        st.sampled_from(pool) | leaves,
+        lambda children: (st.lists(children, max_size=4)
+                          | st.lists(children, max_size=4).map(tuple)
+                          | st.dictionaries(texts, children, max_size=4)),
+        max_leaves=20)
+    return {"a": draw(trees), "b": [draw(trees), pool], "c": pool}
+
+
+@settings(max_examples=150, deadline=None)
+@given(aliased_payloads())
+def test_aliased_payloads_match_json_dumps(payload):
+    assert dumps(payload) == _expected(payload)
+
+
+def test_memo_keeps_patterns_not_reports():
+    reports = reports_to_json(
+        verify_partial_isometries(golden_mean(), Shape.of(1), Shape.of(1)))
+    payload = {"config": {"command": "lemma-check"}, "reports": reports}
+    memo = {}
+    assert _encode(payload, "\n", memo) + "\n" == _expected(payload)
+    kept = {key for key, _ in memo}
+    patterns = [pat for report in reports for pat in report["patterns"]]
+    assert patterns
+    assert all(id(pat) in kept for pat in patterns)
+    assert all(id(report[key]) in kept for report in reports for key in "uw")
+    assert not any(id(report) in kept for report in reports)
+    assert id(reports) not in kept and id(payload) not in kept
 
 
 def test_memo_does_not_outlive_a_call():

@@ -8,7 +8,8 @@ Core claims:
       per-kappa row sets and per-lambda column sets pairwise disjoint
     - fabricated double cells are caught and reported with a usable witness
     - a sweep's shared word tables change no report, and none outlives
-      the sweep; its JSON data holds one dict per distinct Word
+      the sweep; its JSON data holds one dict per distinct Word and one
+      per distinct pattern
 """
 
 import pytest
@@ -245,6 +246,11 @@ def test_shared_tables_change_no_report(g1, g2, g3, case):
         for d in [report["u"], report["w"]] + [
                 pat[key] for pat in report["patterns"] for key in ("kappa", "lambda")]:
             assert dicts.setdefault((tuple(d["shape"]), tuple(d["labels"])), d) is d
+    # and one dict per distinct stat tuple, shared across the reports
+    pattern_dicts = {}
+    for report, shared_report in zip(data, shared):
+        for pat, (kappa, lam, cells, ok) in zip(report["patterns"], shared_report.stats):
+            assert pattern_dicts.setdefault((kappa, lam, cells, ok), pat) is pat
 
 
 def test_no_table_outlives_a_sweep(g3, monkeypatch):

@@ -1,8 +1,10 @@
 """Shape arithmetic and box iteration."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from rankshift.shapes import Shape
+from rankshift.words import Word
 
 
 def test_construction_and_parse():
@@ -61,3 +63,52 @@ def test_misc_properties():
     assert s.min_coord == 1
     assert not s.is_zero
     assert Shape.zero(2).is_zero
+
+
+coord_pairs = st.integers(min_value=1, max_value=4).flatmap(
+    lambda rank: st.tuples(*[st.tuples(st.integers(0, 10**20), st.integers(0, 10**20))
+                             for _ in range(rank)]))
+
+
+@given(coord_pairs)
+def test_arithmetic_results_match_validated_shapes(pairs):
+    # +, - and sup build their results unchecked; each must equal the
+    # Shape that validation builds from the same coordinates
+    a = Shape(tuple(x for x, _ in pairs))
+    b = Shape(tuple(y for _, y in pairs))
+    results = [(a + b, [x + y for x, y in pairs]),
+               (a.sup(b), [max(x, y) for x, y in pairs]),
+               ((a + b) - b, [x for x, _ in pairs])]
+    for result, coords in results:
+        validated = Shape(tuple(coords))
+        assert type(result) is Shape
+        assert type(result.coords) is tuple
+        assert result == validated
+        assert hash(result) == hash(validated)
+        assert repr(result) == repr(validated)
+
+
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=3),
+       st.lists(st.integers(0, 5), min_size=1, max_size=6))
+def test_equal_shapes_and_words_hash_equal(coords, labels):
+    shape, twin = Shape(tuple(coords)), Shape(tuple(coords)) + Shape.zero(len(coords))
+    assert shape == twin and shape is not twin
+    assert hash(shape) == hash(twin)
+    word, other = Word(shape, tuple(labels)), Word(twin, tuple(labels))
+    assert word == other
+    assert hash(word) == hash(other)
+    assert len({word, other}) == 1
+
+
+def test_scaled_keeps_its_check():
+    # the factor comes from callers, so its result is validated
+    with pytest.raises(ValueError):
+        Shape.of(1).scaled(2.0)
+    with pytest.raises(ValueError):
+        Shape.of(1).scaled(-1)
+
+
+@pytest.mark.parametrize("op", [Shape.__add__, Shape.__sub__, Shape.sup, Shape.__le__])
+def test_rank_mismatch_is_refused(op):
+    with pytest.raises(ValueError):
+        op(Shape.of(1, 2), Shape.of(1))
