@@ -254,8 +254,9 @@ def _cmd_lemma_check(args, family):
         "pairs": len(reports),
         "failures": failures,
         "all_partial_isometries": failures == 0,
-        "reports": patterns.reports_to_json(reports),
     }
+    if args.format == "json":  # CSV writes the rows below, not the payload
+        payload["reports"] = patterns.reports_to_json(reports)
     word_str = functools.cache(_word_str)  # a few Words recur in every row
     rows = ([word_str(rep.u), word_str(rep.w), word_str(kappa),
              word_str(lam), cells, ok]

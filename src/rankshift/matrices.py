@@ -22,6 +22,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 from .budget import DEFAULT as DEFAULT_BUDGET
 from .errors import (
@@ -51,19 +52,20 @@ def matrix_mul(a, b):
 
 
 def matrix_power(m, k):
-    """k-th power by repeated squaring, exact."""
+    """k-th power by repeated squaring, exact, as a tuple of tuples; m^1
+    is m itself, no product."""
     if k < 0:
         raise ValueError("negative power")
-    result = matrix_identity(len(m))
-    base = m
-    while k:
+    if not k:
+        return matrix_identity(len(m))
+    base, result = tuple(map(tuple, m)), None
+    while True:
         if k & 1:
-            result = matrix_mul(result, base)
-        base_needed = k > 1
-        if base_needed:
-            base = matrix_mul(base, base)
+            result = base if result is None else matrix_mul(result, base)
         k >>= 1
-    return result
+        if not k:
+            return result
+        base = matrix_mul(base, base)
 
 
 def mask_bits(mask):
@@ -72,6 +74,35 @@ def mask_bits(mask):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+# entry bytes 0 and 1 become the digits "0" and "1", any other byte "x"
+_BINARY_DIGITS = b"01" + b"x" * 254
+
+
+def _bit_rows(m):
+    """Row bitmasks of a 0-1 matrix, built in C: bit b of row a is m[a][b].
+    ValueError for an integer entry other than 0 or 1."""
+    return tuple(int(bytes(row[::-1]).translate(_BINARY_DIGITS), 2)
+                 for row in m)
+
+
+def _columns(rows):
+    """Column bitmasks: bit a of column b is bit b of row a."""
+    return tuple(sum((row >> b & 1) << a for a, row in enumerate(rows))
+                 for b in range(len(rows)))
+
+
+def _image(rows, mask):
+    """Union and summed sizes of rows[c] over the set bits c of mask."""
+    union = size = 0
+    while mask:
+        low = mask & -mask
+        row = rows[low.bit_length() - 1]
+        union |= row
+        size += row.bit_count()
+        mask ^= low
+    return union, size
 
 
 # -- Alphabet and family ------------------------------------------------------
@@ -150,14 +181,8 @@ class MatrixFamily:
         """Row bitmasks (succ, pred): bit b of succ[j][a] and bit a of
         pred[j][b] are set when M_j(a, b) = 1.  Meaningful once the
         structure stage of validation has passed (square 0-1 matrices)."""
-        succ = tuple(
-            tuple(sum(x << b for b, x in enumerate(row)) for row in m)
-            for m in self.matrices)
-        pred = tuple(
-            tuple(sum(row[b] << a for a, row in enumerate(m))
-                  for b in range(len(m)))
-            for m in self.matrices)
-        return succ, pred
+        succ = tuple(map(_bit_rows, self.matrices))
+        return succ, tuple(map(_columns, succ))
 
     @property
     def is_valid(self):
@@ -187,30 +212,43 @@ def validate_family(family):
     violations = []
     dim = len(family.alphabet)
 
-    # structure: rank, squareness, binary entries
+    # structure: rank, squareness, binary entries; a matrix with an entry
+    # that is not an int or bool 0 or 1 is scanned for its first bad cell
     if family.rank < 1 or len(family.matrices) != family.rank:
         violations.append(Violation("ShapeMismatch", (
             ("rank", family.rank), ("matrices", len(family.matrices)))))
+    succ = []
     for i, m in enumerate(family.matrices, start=1):
         if len(m) != dim or any(len(row) != dim for row in m):
             violations.append(Violation("ShapeMismatch", (
                 ("i", i), ("rows", len(m)), ("dim", dim))))
             continue
-        bad = next(
-            ((a, b) for a in range(dim) for b in range(dim)
-             if not isinstance(m[a][b], int) or m[a][b] not in (0, 1)),
-            None,
-        )
-        if bad is not None:
-            a, b = bad
-            violations.append(Violation("NonBinaryEntry", (
-                ("i", i), ("row", a), ("col", b), ("value", m[a][b]))))
+        rows = None
+        if set(map(type, chain.from_iterable(m))) <= {int, bool}:
+            try:
+                rows = _bit_rows(m)
+            except ValueError:  # an integer other than 0 or 1
+                pass
+        if rows is None:
+            bad = next(
+                ((a, b) for a in range(dim) for b in range(dim)
+                 if not isinstance(m[a][b], int) or m[a][b] not in (0, 1)),
+                None,
+            )
+            if bad is not None:
+                a, b = bad
+                violations.append(Violation("NonBinaryEntry", (
+                    ("i", i), ("row", a), ("col", b), ("value", m[a][b]))))
+                continue
+            rows = _bit_rows(m)  # 0s and 1s of an int subclass
+        succ.append(rows)
     if violations:
         return ValidationReport(tuple(violations))
-    succ, pred = family.masks
 
     # C0 / NS: nonzero matrices, no all-zero rows
     for i, rows in enumerate(succ, start=1):
+        if all(rows):
+            continue
         if not any(rows):
             violations.append(Violation("ZeroMatrix", (("i", i),)))
             continue
@@ -221,16 +259,10 @@ def validate_family(family):
         return ValidationReport(tuple(violations))
 
     # C1 / C2: commutation with 0-1 products; one witness per pair, first
-    # offending cell in row-major order.  (M_i M_j)(a, b) counts the letters
-    # in both succ_i(a) and pred_j(b).
+    # offending cell in row-major order
     for i in range(family.rank):
         for j in range(i + 1, family.rank):
-            cell = next(
-                ((a, b, p) for a in range(dim) for b in range(dim)
-                 for p in ((succ[i][a] & pred[j][b]).bit_count(),)
-                 if p > 1 or p != (succ[j][a] & pred[i][b]).bit_count()),
-                None,
-            )
+            cell = _commutation_witness(succ[i], succ[j])
             if cell is not None:
                 a, b, p = cell
                 violations.append(Violation("UniqueFactorizationViolation", (
@@ -243,6 +275,7 @@ def validate_family(family):
     # a -(i)-> b -(j)-> c -(k)-> d must label all eight corners identically.
     # Whether C1+C2 already force this is open, so it is checked outright.
     if family.rank >= 3:
+        pred = tuple(map(_columns, succ))
         for i in range(family.rank):
             for j in range(family.rank):
                 for k in range(family.rank):
@@ -252,6 +285,25 @@ def validate_family(family):
                     if v is not None:
                         violations.append(v)
     return ValidationReport(tuple(violations))
+
+
+def _commutation_witness(si, sj):
+    """First cell (a, b, p), row-major, where M_i M_j exceeds 1 or differs
+    from M_j M_i, with p = (M_i M_j)(a, b); None when there is none.
+
+    Row a of M_i M_j sums the M_j rows over succ_i(a).  The two products
+    share a 0-1 row a exactly when those rows are pairwise disjoint, so
+    are the M_i rows over succ_j(a), and the two unions agree; only the
+    first row that fails is scanned cell by cell."""
+    for a, (x, y) in enumerate(zip(si, sj)):
+        image = _image(sj, x)
+        if image == _image(si, y) and image[1] == image[0].bit_count():
+            continue
+        for b in range(len(si)):
+            p = sum(sj[c] >> b & 1 for c in mask_bits(x))
+            if p > 1 or p != sum(si[c] >> b & 1 for c in mask_bits(y)):
+                return a, b, p
+    return None
 
 
 def _check_cubes(succ, pred, i, j, k):
@@ -310,11 +362,12 @@ def matrix_power_product(family, l, budget=None):
     family; the ascending-direction order used here is the canonical one.
     """
     _check_exact(family, l, budget)
-    out = matrix_identity(len(family.alphabet))
+    out = None
     for m, e in zip(family.matrices, l.coords):
         if e:
-            out = matrix_mul(out, matrix_power(m, e))
-    return out
+            power = matrix_power(m, e)
+            out = power if out is None else matrix_mul(out, power)
+    return matrix_identity(len(family.alphabet)) if out is None else out
 
 
 def _step_vector(family, l, v):

@@ -65,8 +65,9 @@ def word_from_dict(family, data):
 
 
 def make_word(family, shape, labels):
-    """Validated constructor: checks that labels are exact integers in
-    range and every box edge."""
+    """Validated constructor: checks that the family is valid, that labels
+    are exact integers in range and every box edge."""
+    require_valid(family)
     labels = tuple(labels)
     if any(type(x) is not int for x in labels):
         raise ValueError("letter labels must be integers")

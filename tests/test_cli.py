@@ -192,6 +192,23 @@ def test_non_finite_potential_is_parse_error(g1_path, tmp_path):
     assert json.loads(proc.stdout)["error"] == "ParseError"
 
 
+@pytest.mark.parametrize("entry", [0, 2])
+def test_potential_on_invalid_family_is_invalid_family(capsys, tmp_path,
+                                                        entry):
+    # the edges of the potential's words are checked against a family only
+    # once it has validated, so the failure names the family, not the
+    # potential file
+    family, pot = tmp_path / "fam.json", tmp_path / "pot.json"
+    family.write_text(json.dumps({"rank": 1, "alphabet": ["0", "1"],
+                                  "matrices": [[[entry, 1], [0, 0]]]}))
+    pot.write_text(json.dumps({
+        "window": [1], "default": 0.0,
+        "entries": [{"word": {"labels": [0, 0]}, "value": 0.5}]}))
+    assert main(["pressure", "-f", str(family), "--p", "1", "--n-max", "2",
+                 "--potential", str(pot)]) == 1
+    assert json.loads(capsys.readouterr().out)["error"] == "InvalidFamily"
+
+
 @pytest.mark.parametrize("rank", [1.7, True, "1"])
 def test_inexact_rank_is_parse_error(tmp_path, rank):
     path = tmp_path / "rank.json"
@@ -458,6 +475,40 @@ def test_lemma_check_bytes_are_pinned(capsys, monkeypatch, max_shape, fmt):
     text = capsys.readouterr().out
     assert hashlib.sha256(text.encode()).hexdigest() \
         == LEMMA_DIGESTS[(max_shape, fmt)]
+
+
+def test_lemma_csv_builds_no_json_reports(capsys, monkeypatch):
+    from rankshift import patterns
+    built = []
+    real = patterns.reports_to_json
+    monkeypatch.setattr(patterns, "reports_to_json",
+                        lambda reports: built.append(None) or real(reports))
+    for fmt in ("csv", "json"):
+        assert main(["lemma-check", "-f", str(FAMILIES / "g1.json"), "--p",
+                     "1", "--max-shape", "1", "--format", fmt]) == 0
+        assert capsys.readouterr().out
+        assert len(built) == (fmt == "json")
+
+
+# Digests of search-gap CSV outputs, taken before the sweeps shared one
+# radius per distinct matrix and validation tested commutation row by row:
+# neither may change a byte.  The random sweep's 300 candidates all fail.
+SEARCH_GAP_DIGESTS = {
+    "--exhaustive --size 2":
+        "ec27944ee68f67c812eb059a1d69e79159aaa1b444161a53d017c17d89fae6d8",
+    "--exhaustive --size 2 --rank 3":
+        "7dece1b864923f0fa7557c5056b5c3911e62f44ed78c3ef263cbeb506a324bae",
+    "--size 4 --density 0.5 --trials 300 --seed 11":
+        "23ce5c99cfbb584e2cdb955fba2c3b4da217ec2b329fade067d99030cce34efd",
+}
+
+
+@pytest.mark.parametrize("options", sorted(SEARCH_GAP_DIGESTS))
+def test_search_gap_bytes_are_pinned(capsys, options):
+    assert main(["search-gap", *options.split(), "--format", "csv"]) == 0
+    text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode()).hexdigest() \
+        == SEARCH_GAP_DIGESTS[options]
 
 
 # -- Embedded-config reproducibility ------------------------------------------------

@@ -7,6 +7,7 @@ Core claims:
       as a prefilter-free brute force written here from scratch
     - every recorded gap over the small alphabets is zero to rounding,
       and never negative
+    - a sweep computes the spectral radius of each distinct matrix once
     - a fixed seed fixes the random record stream byte for byte
     - records survive the CSV round trip
 """
@@ -16,6 +17,8 @@ import math
 import random
 
 import pytest
+
+from rankshift import gapsearch
 from pytest import approx
 
 from rankshift.budget import Budget
@@ -112,6 +115,47 @@ def test_exhaustive_single_letter():
     assert len(records) == 1
     assert records[0].family.matrices == (((1,),), ((1,),))
     assert records[0].value == 0.0
+
+
+def _count_radii(monkeypatch):
+    """Count the spectral_radius calls that gap_parts makes."""
+    calls = []
+    real = gapsearch.spectral_radius
+
+    def counted(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(gapsearch, "spectral_radius", counted)
+    return calls
+
+
+@pytest.mark.parametrize("rank, survivors", [(2, 22), (3, 46)])
+def test_sweep_takes_each_radius_once(monkeypatch, rank, survivors):
+    # each survivor needs rank factor radii and one product radius, all
+    # of them among the 9 two-letter matrices with nonzero rows
+    expected = [r.to_json() for r in exhaustive_search(2, rank=rank)]
+    calls = _count_radii(monkeypatch)
+    records = exhaustive_search(2, rank=rank)
+    assert len(records) == survivors
+    assert len(calls) == len(set(calls)) == 9
+    assert [r.to_json() for r in records] == expected
+
+
+def test_random_sweep_takes_each_radius_once(monkeypatch):
+    expected = [r.to_json() for r in random_search(3, 0.3, 200, seed=5)]
+    calls = _count_radii(monkeypatch)
+    records = random_search(3, 0.3, 200, seed=5)
+    assert len(records) > 10
+    assert len(calls) == len(set(calls)) < 3 * len(records)
+    assert [r.to_json() for r in records] == expected
+
+
+def test_gap_parts_without_a_memo_takes_every_radius(monkeypatch, g3):
+    calls = _count_radii(monkeypatch)
+    gap_parts(g3)
+    gap_parts(g3)
+    assert len(calls) == 6
 
 
 def test_exhaustive_budget_guard():

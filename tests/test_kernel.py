@@ -4,7 +4,9 @@ Core claims, over letter-permuted tensor products of g1/g2/g4 and
 random-search survivors at alphabet size 3:
     - validate_family gives the reports (codes and witnesses) of a dense
       reference built from exact matrix products and list scans, also on
-      arbitrary, mostly invalid, 0-1 families
+      arbitrary, mostly invalid, families of up to 5 letters with entries
+      of other values and types, and on families that fail C1/C2 only in
+      a later row
     - word_count equals the entry sum of the exact power product, and
       origin_counts (also the value of check_enum_budget) its row sums
     - a words run and each count-check shape compute M^l e once
@@ -48,7 +50,7 @@ from rankshift.errors import (
     RadiusUnderflowError,
     UnknownLetterError,
 )
-from rankshift.gapsearch import random_search
+from rankshift.gapsearch import exhaustive_search, random_search
 from rankshift.jsonout import round12
 from rankshift.patterns import (
     PatternMatrix, _first_collision, build_shift_patterns)
@@ -221,18 +223,57 @@ def valid_families(draw):
     return _permuted(family, perm)
 
 
+class _Bit(int):
+    """An int subclass: its 0 and 1 pass validation like plain ints."""
+
+
+# Entries of other values and types; True, False and _Bit(0), _Bit(1)
+# are integers 0 or 1, the rest are NonBinaryEntry.
+ODD_ENTRIES = (2, 1.0, True, False, "1", None, _Bit(0), _Bit(1))
+
+
 @st.composite
 def any_families(draw):
     """Arbitrary small families with entries mostly 0 or 1: nearly all
-    fail some stage of validation."""
+    fail some stage of validation.  Some entry sets add 2, bools and
+    _Bit integers, or any of ODD_ENTRIES."""
     rank = draw(st.integers(1, 3))
-    dim = draw(st.integers(1, 3))
-    entry = st.sampled_from((0, 1, 1, 1, 2)) if draw(st.booleans()) \
-        else st.sampled_from((0, 1))
+    dim = draw(st.integers(1, 5))
+    entry = draw(st.sampled_from((
+        st.sampled_from((0, 1)),
+        st.sampled_from((0, 1, 1, 1, 2)),
+        st.sampled_from((0, 1, True, False, _Bit(0), _Bit(1))),
+        st.sampled_from((0, 1) * 12 + ODD_ENTRIES),
+    )))
     mats = tuple(
         tuple(tuple(draw(entry) for _ in range(dim)) for _ in range(dim))
         for _ in range(rank))
     return MatrixFamily(rank, Alphabet(tuple(str(a) for a in range(dim))), mats)
+
+
+# Valid families of one and two letters, rank 2 and rank 3.
+SMALL_VALID = {rank: tuple(rec.family for size in (1, 2)
+                           for rec in exhaustive_search(size, rank=rank))
+               for rank in (2, 3)}
+
+
+@st.composite
+def late_failing_families(draw):
+    """Block-diagonal families diag(V_i, A_i), V valid and A arbitrary 0-1:
+    the rows of V's letters pass C1/C2, so any C1/C2 failure lies in a
+    later row, among A's letters."""
+    rank = draw(st.sampled_from((2, 3)))
+    valid = draw(st.sampled_from(SMALL_VALID[rank]))
+    head, tail = valid.dim, draw(st.integers(1, 3))
+    dim = head + tail
+    mats = []
+    for m in valid.matrices:
+        block = [draw(st.lists(st.sampled_from((0, 1)), min_size=tail,
+                               max_size=tail)) for _ in range(tail)]
+        mats.append(tuple(row + (0,) * tail for row in m)
+                    + tuple((0,) * head + tuple(row) for row in block))
+    return MatrixFamily(rank, Alphabet(tuple(str(a) for a in range(dim))),
+                        tuple(mats))
 
 
 def _shapes(family, top):
@@ -249,13 +290,56 @@ PROPERTY = settings(max_examples=40, deadline=None,
 # offending cell in row-major order.
 TWO_CELLS = MatrixFamily(2, Alphabet(("0", "1", "2")), (
     ((0, 0, 1), (0, 0, 1), (0, 1, 0)), ((0, 0, 1), (0, 1, 1), (0, 1, 0))))
+# Rows 0 and 1 commute; row 2 of M_1 M_2 is (1, 0, 0) and of M_2 M_1
+# (0, 1, 0): the unions differ.
+LAST_ROW_UNION = MatrixFamily(2, Alphabet(("0", "1", "2")), (
+    ((0, 0, 1), (0, 0, 1), (0, 1, 0)), ((0, 1, 0), (1, 0, 0), (0, 0, 1))))
+# The identity on letter 0, then the full 2-shift twice: row 1 of both
+# products is (0, 2, 2), the successor rows overlap.
+LAST_ROWS_OVERLAP = MatrixFamily(2, Alphabet(("0", "1", "2")), (
+    ((1, 0, 0), (0, 1, 1), (0, 1, 1)),) * 2)
+# Rank 3: the pair (1, 2) fails in row 0, (1, 3) only in row 2, and
+# (2, 3) commutes.
+PAIRS_IN_TWO_ROWS = MatrixFamily(3, Alphabet(("0", "1", "2")), (
+    ((0, 1, 0), (0, 1, 0), (1, 0, 0)), ((0, 0, 1), (0, 0, 1), (0, 1, 0)),
+    ((0, 1, 0), (0, 1, 0), (0, 0, 1))))
+# A bool and an int-subclass matrix validate like their int twins.
+ODD_INTEGERS = MatrixFamily(2, Alphabet(("0", "1")), (
+    ((True, False), (False, True)), ((_Bit(0), _Bit(1)), (_Bit(1), _Bit(0)))))
 
 
-@settings(PROPERTY, max_examples=200)
-@given(st.one_of(any_families(), valid_families()))
+@settings(PROPERTY, max_examples=300)
+@given(st.one_of(any_families(), valid_families(), late_failing_families()))
 @example(TWO_CELLS)
+@example(LAST_ROW_UNION)
+@example(LAST_ROWS_OVERLAP)
+@example(PAIRS_IN_TWO_ROWS)
+@example(ODD_INTEGERS)
 def test_validation_matches_dense_reference(family):
     assert validate_family(family).violations == _dense_validate(family)
+
+
+def test_commutation_witnesses_in_later_rows():
+    def witnesses(family):
+        return [dict(v.witness) for v in validate_family(family).violations]
+
+    assert witnesses(LAST_ROW_UNION) == [
+        {"i": 1, "j": 2, "row": 2, "col": 0, "count": 1}]
+    assert witnesses(LAST_ROWS_OVERLAP) == [
+        {"i": 1, "j": 2, "row": 1, "col": 1, "count": 2}]
+    assert [(w["i"], w["j"], w["row"]) for w in witnesses(PAIRS_IN_TWO_ROWS)] \
+        == [(1, 2, 0), (1, 3, 2)]
+    assert validate_family(ODD_INTEGERS).ok
+
+
+@pytest.mark.parametrize("value", [1.0, "1", None, 2, -1, 256])
+def test_non_binary_entry_names_the_first_bad_cell(value):
+    m = ((1, 0, 0), (0, 1, value), (value, 0, 1))
+    family = MatrixFamily(2, Alphabet(("0", "1", "2")), (((1, 0, 0),) * 3, m))
+    (violation,) = validate_family(family).violations
+    assert violation.code == "NonBinaryEntry"
+    assert dict(violation.witness) == {"i": 2, "row": 1, "col": 2,
+                                       "value": value}
 
 
 def test_generated_pool_is_valid():

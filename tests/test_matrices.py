@@ -36,6 +36,7 @@ from rankshift.matrices import (
     family_to_dict,
     load_family,
     log_spectral_radius,
+    matrix_identity,
     log_word_count,
     matrix_power_product,
     require_valid,
@@ -109,6 +110,54 @@ def test_factor_order_independence(g3):
     ordered = matrix_power_product(g3, Shape.of(2, 3))
     swapped = matrix_mul(matrix_power(m2, 3), matrix_power(m1, 2))
     assert ordered == swapped
+
+
+def _count_products(monkeypatch):
+    from rankshift import matrices
+    calls = []
+    real = matrices.matrix_mul
+
+    def counted(a, b):
+        calls.append(None)
+        return real(a, b)
+
+    monkeypatch.setattr(matrices, "matrix_mul", counted)
+    return calls
+
+
+def test_powers_take_no_identity_products(monkeypatch, g3):
+    from rankshift.matrices import matrix_mul, matrix_power
+    m = g3.matrices[0]
+    square = matrix_mul(m, m)
+    fourth = matrix_mul(square, square)
+    calls = _count_products(monkeypatch)
+    assert matrix_power(m, 1) == m and not calls
+    assert matrix_power(m, 4) == fourth and len(calls) == 2
+    assert matrix_power(m, 0) == matrix_identity(4)
+    for rank in (1, 2, 3, 4):
+        # the swap of two letters commutes with itself: a valid family
+        family = MatrixFamily(rank, Alphabet(("0", "1")),
+                              (((0, 1), (1, 0)),) * rank)
+        calls.clear()
+        matrix_power_product(family, Shape.cube(1, rank))
+        assert len(calls) == rank - 1
+    calls.clear()
+    assert matrix_power_product(g3, Shape.of(0, 0)) == matrix_identity(4)
+    assert matrix_power_product(g3, Shape.of(0, 1)) == g3.matrices[1]
+    assert not calls
+
+
+def test_matrix_power_returns_tuples():
+    # the nilpotent check in log_spectral_radius passes a list of bools
+    from rankshift.matrices import matrix_power
+    pattern = [[False, True], [False, False]]
+    for k in range(4):
+        power = matrix_power(pattern, k)
+        assert type(power) is tuple
+        assert all(type(row) is tuple for row in power)
+    assert matrix_power(pattern, 1) == ((0, 1), (0, 0))
+    assert matrix_power(pattern, 2) == ((0, 0), (0, 0))
+    assert log_spectral_radius(pattern) == -math.inf
 
 
 def test_exact_digit_budget():
