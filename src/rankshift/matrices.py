@@ -370,13 +370,20 @@ def matrix_power_product(family, l, budget=None):
     return matrix_identity(len(family.alphabet)) if out is None else out
 
 
-def _step_vector(family, l, v):
-    """M^l v, exact: v takes one unit step at a time, v <- M_j v, over the
-    successor lists."""
-    for rows, e in zip(family.masks[0], l.coords):
-        lists = [tuple(mask_bits(row)) for row in rows] if e else ()
+def _successor_lists(family, l):
+    """Per direction j, the successor index lists of M_j (entry a lists
+    the b with M_j(a, b) = 1, ascending), or () where l_j = 0."""
+    return [[tuple(mask_bits(row)) for row in rows] if e else ()
+            for rows, e in zip(family.masks[0], l.coords)]
+
+
+def _step_vector(lists, l, v):
+    """M^l v, exact: v takes one unit step at a time, v <- M_j v, over
+    lists = _successor_lists(family, l), which each caller builds once
+    per call, not once per step or stage."""
+    for succ_lists, e in zip(lists, l.coords):
         for _ in range(e):
-            v = [sum(v[b] for b in succ) for succ in lists]
+            v = [sum(v[b] for b in succ) for succ in succ_lists]
     return v
 
 
@@ -384,7 +391,8 @@ def origin_counts(family, l, budget=None):
     """M^l e, exact: entry a counts the words of shape l with origin
     letter a."""
     _check_exact(family, l, budget)
-    return _step_vector(family, l, [1] * len(family.alphabet))
+    return _step_vector(_successor_lists(family, l), l,
+                        [1] * len(family.alphabet))
 
 
 def word_count(family, l, budget=None):
@@ -445,7 +453,8 @@ def log_word_count_series(family, base, step, n_max, budget=None):
     Stages under the digit guard carry one exact vector, v_n = M^step
     v_{n-1} with v_1 = origin_counts of the first shape, so each exact
     stage costs step.total unit steps of a vector; the counts are the same
-    integers, hence the same logs.  Stages over the guard take
+    integers, hence the same logs.  The successor lists of step are built
+    once per call, not once per stage.  Stages over the guard take
     log_word_count's float route, one by one.
     """
     require_valid(family)
@@ -459,8 +468,9 @@ def log_word_count_series(family, base, step, n_max, budget=None):
             continue
         if counts is None:
             counts = origin_counts(family, shape, budget)
+            lists = _successor_lists(family, step)
         else:
-            counts = _step_vector(family, step, counts)
+            counts = _step_vector(lists, step, counts)
         out.append((math.log(sum(counts)), True))
     return out
 

@@ -10,6 +10,9 @@ Core claims:
       and the same values
     - input files are read as UTF-8 whatever the locale, and integer
       options out of range or not written in ASCII digits are usage errors
+    - main parses with the one parser built at import: no call builds
+      another, no option leaks from one call into the next, and help
+      reads the terminal width when it is printed
 """
 
 import csv
@@ -24,6 +27,7 @@ from pathlib import Path
 import pytest
 from pytest import approx
 
+from rankshift import cli
 from rankshift.cli import main
 from rankshift.jsonout import dumps_line
 from rankshift.matrices import load_family, matrix_power_product
@@ -356,6 +360,16 @@ def test_integer_option_takes_ascii_digits_only(capsys, g1_path, text):
     assert "argument --limit: not an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", [*LENIENT_INTEGERS, " 1", "-\u0663"],
+                         ids=["underscore", "plus", "arabic", "space",
+                              "negative-arabic"])
+def test_seed_takes_ascii_digits_only(capsys, text):
+    with pytest.raises(SystemExit) as info:
+        main(["search-gap", "--seed", text, "--trials", "2"])
+    assert info.value.code == 2
+    assert "argument --seed: not an integer" in capsys.readouterr().err
+
+
 def test_family_file_is_read_as_utf8_under_any_locale(tmp_path):
     path = tmp_path / "accented.json"
     path.write_bytes(json.dumps(
@@ -509,6 +523,71 @@ def test_search_gap_bytes_are_pinned(capsys, options):
     text = capsys.readouterr().out
     assert hashlib.sha256(text.encode()).hexdigest() \
         == SEARCH_GAP_DIGESTS[options]
+
+
+# -- One parser per process ----------------------------------------------------------
+
+def test_main_builds_no_parser(capsys, monkeypatch, g1_path):
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda: built.append(None) or real())
+    assert main(["validate", "-f", g1_path]) == 0
+    assert main(["entropy", "-f", g1_path, "--p", "1", "--n-max", "5"]) == 0
+    assert main(["search-gap", "--exhaustive", "--format", "csv"]) == 0
+    assert main(["words", "-f", g1_path, "--shape", "1_0"]) == 2
+    with pytest.raises(SystemExit):
+        main(["entropy", "-f", g1_path])
+    assert capsys.readouterr().out
+    assert built == []
+
+
+def test_no_option_leaks_between_calls(capsys, g1_path):
+    argv = ["pressure", "-f", g1_path, "--p", "1", "--n-max", "5"]
+    assert main([*argv, "--oracle", "--format", "csv"]) == 0
+    assert capsys.readouterr().out.startswith("# config: ")
+    assert main(argv) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert "oracle" not in data
+    assert data["config"]["oracle"] is False
+    assert data["config"]["format"] == "json"
+
+
+def test_usage_error_leaves_lemma_bytes_pinned(capsys, monkeypatch):
+    monkeypatch.chdir(REPO)
+    with pytest.raises(SystemExit) as info:
+        main(["lemma-check", "-f", "families/g3.json", "--p", "1,1",
+              "--max-shape", "1,0", "--format", "xml"])
+    assert info.value.code == 2
+    assert main(["lemma-check", "-f", "families/g3.json", "--p", "1_1",
+                 "--max-shape", "1,0"]) == 2
+    capsys.readouterr()
+    for (max_shape, fmt), digest in sorted(LEMMA_DIGESTS.items()):
+        assert main(["lemma-check", "-f", "families/g3.json", "--p", "1,1",
+                     "--max-shape", max_shape, "--format", fmt]) == 0
+        text = capsys.readouterr().out
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _help(parse, argv):
+    with pytest.raises(SystemExit) as info:
+        parse(argv)
+    assert info.value.code == 0
+
+
+def test_help_reads_terminal_width_when_printed(capsys, monkeypatch):
+    texts = {}
+    for columns in ("60", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        _help(main, ["entropy", "-h"])
+        texts[columns] = capsys.readouterr().out
+        _help(cli.build_parser().parse_args, ["entropy", "-h"])
+        assert capsys.readouterr().out == texts[columns]
+    assert texts["60"] != texts["200"]
+    monkeypatch.setenv("COLUMNS", "60")
+    _help(main, ["-h"])
+    assert ("{validate,words,count-check,entropy,action-entropy,pressure,"
+            "lemma-check,search-gap}") in capsys.readouterr().out
 
 
 # -- Embedded-config reproducibility ------------------------------------------------

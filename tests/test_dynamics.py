@@ -7,7 +7,11 @@ Core claims:
       bruteforce over every small grid we can afford
     - the Bowen sequence for the golden mean is the Fibonacci log ratios
     - the one-pass Bowen series is bit-identical to per-stage
-      log_word_count calls, across the exact-to-float switch
+      log_word_count calls, across the exact-to-float switch, on g1/g3/t3
+      and on the generated valid families of test_kernel (ranks 2 and 3,
+      steps with zero coordinates)
+    - the series builds its successor lists a fixed number of times,
+      whatever n_max
     - the lattice-action probe decays like 1/n^rank
 """
 
@@ -15,8 +19,10 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 from pytest import approx
 
+from rankshift import matrices
 from rankshift.budget import Budget
 from rankshift.errors import (
     RankOneError,
@@ -36,6 +42,7 @@ from rankshift.families import tensor_product
 from rankshift.matrices import log_word_count, log_word_count_series
 from rankshift.shapes import Shape
 from rankshift.words import enumerate_words, make_word, restrict_prefix
+from test_kernel import BASES, PROPERTY, SMALL_VALID, valid_families
 
 
 # -- Metric ----------------------------------------------------------------------
@@ -163,6 +170,60 @@ def test_bowen_series_bit_identical_to_per_stage(g1, g3, digits):
         est = bowen_entropy_estimate(fam, k, p, n_max, budget)
         assert est.sequence == tuple(logs[n - 1] / n for n in range(1, n_max + 1))
         assert est.diffs == tuple(logs[n] - logs[n - 1] for n in range(1, n_max))
+
+
+@st.composite
+def series_cases(draw):
+    """(family, k, p, n_max, digits): a generated valid family of rank 2,
+    a valid rank-3 family of one or two letters, or a rank-2 one tensored
+    with a base family; a step of coordinates 0..2, some of them zero; the
+    cube radius k at least the largest step coordinate."""
+    family = draw(st.one_of(
+        valid_families(),
+        st.sampled_from(SMALL_VALID[3]),
+        st.builds(tensor_product, valid_families(), st.sampled_from(BASES))))
+    coords = draw(st.lists(st.integers(0, 2), min_size=family.rank,
+                           max_size=family.rank).filter(any))
+    k = draw(st.integers(max(coords), 2))
+    n_max = draw(st.integers(2, 12))
+    digits = draw(st.sampled_from((1, 4, 8, 12, 1_000_000)))
+    return family, k, Shape(tuple(coords)), n_max, digits
+
+
+@PROPERTY
+@given(series_cases())
+@example((tensor_product(BASES[0], BASES[0]), 1, Shape.of(1, 0), 12, 8))
+@example((tensor_product(tensor_product(BASES[0], BASES[0]), BASES[0]), 1,
+          Shape.of(0, 1, 1), 6, 12))
+def test_bowen_series_bit_identical_on_generated_families(case):
+    family, k, p, n_max, digits = case
+    budget = Budget(max_exact_digits=digits)
+    cube = Shape.cube(k, family.rank)
+    stages = [log_word_count(family, cube + p.scaled(n), budget)
+              for n in range(1, n_max + 1)]
+    assert log_word_count_series(family, cube, p, n_max, budget) == stages
+    logs = [value for value, _ in stages]
+    est = bowen_entropy_estimate(family, k, p, n_max, budget)
+    assert est.sequence == tuple(logs[n - 1] / n for n in range(1, n_max + 1))
+
+
+def test_series_builds_successor_lists_once_per_call(monkeypatch, g3):
+    # each successor list is built by one mask_bits call; the series
+    # builds the lists of its first shape and of its step, whatever n_max
+    calls = []
+    real = matrices.mask_bits
+
+    def counted(mask):
+        calls.append(mask)
+        return real(mask)
+
+    monkeypatch.setattr(matrices, "mask_bits", counted)
+    built = []
+    for n_max in (10, 200):
+        calls.clear()
+        bowen_entropy_estimate(g3, 1, Shape.of(1, 1), n_max)
+        built.append(len(calls))
+    assert built[0] == built[1] == 2 * 2 * g3.dim
 
 
 def test_bowen_needs_two_terms(g1):
