@@ -11,7 +11,6 @@ extends beyond its largest cube.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .budget import DEFAULT as DEFAULT_BUDGET
 from .errors import (
     RankOneError,
     ScaleTooFineError,
@@ -76,7 +75,6 @@ def separated_count(family, k, p, n, mode="formula", budget=None):
     check_scale(k, p)
     if n < 0:
         raise ValueError("n must be nonnegative")
-    budget = budget or DEFAULT_BUDGET
     shape = Shape.cube(k, family.rank) + p.scaled(n)
     if mode == "formula":
         return word_count(family, shape, budget)
@@ -150,7 +148,6 @@ def action_entropy_estimate(family, k, n, budget=None):
         raise ValueError("n must be positive")
     if k < 0:
         raise ValueError("k must be nonnegative")
-    budget = budget or DEFAULT_BUDGET
     shape = Shape.cube(k + n, family.rank)
     value, _ = log_word_count(family, shape, budget)
     return value / float(n) ** family.rank

@@ -72,7 +72,6 @@ def gap_parts(family, p=None, budget=None, radii=None):
     if family.rank < 2:
         raise RankOneError("the gap needs at least two directions",
                            rank=family.rank)
-    budget = budget or DEFAULT_BUDGET
     if p is None:
         p = Shape.cube(1, family.rank)
     if p.is_zero:
@@ -178,7 +177,6 @@ def random_search(alphabet_size, density, trials, seed, rank=2, budget=None):
     """
     if not 0 < density < 1:
         raise ValueError("density must be strictly between 0 and 1")
-    budget = budget or DEFAULT_BUDGET
     alphabet = _digit_alphabet(alphabet_size)
     records, radii = [], {}
     rng = random.Random(seed)

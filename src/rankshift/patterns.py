@@ -22,7 +22,6 @@ the decomposition.
 import functools
 from dataclasses import dataclass
 
-from .budget import DEFAULT as DEFAULT_BUDGET
 from .errors import ShapeTooSmallError, WindowTooWideError
 from .matrices import require_valid
 from .shapes import Shape
@@ -129,7 +128,6 @@ def build_shift_patterns(family, u, w, p, m, budget=None, tables=None):
     p and compression shape m.  Needs m >= p + sup(sigma(u), sigma(w)).
     ``tables`` shares word tables across the builds of one sweep."""
     require_valid(family)
-    budget = budget or DEFAULT_BUDGET
     if tables is None:
         tables = SweepTables(family)
     elif tables.family != family:
@@ -267,7 +265,6 @@ def verify_partial_isometries(family, p, max_gen_shape, m=None, budget=None):
     dominated by max_gen_shape.  Returns the reports in grid order.  The
     pairs share one set of word tables, built for this call only."""
     require_valid(family)
-    budget = budget or DEFAULT_BUDGET
     tables = SweepTables(family)
     gens = []
     for pt in max_gen_shape.box():
@@ -288,7 +285,6 @@ def check_cylinder_separation(family, m, potential, budget=None):
     falsifiable form of that constancy.
     """
     require_valid(family)
-    budget = budget or DEFAULT_BUDGET
     if not potential.window <= m:
         raise WindowTooWideError(
             "potential window does not fit in the cylinder shape",

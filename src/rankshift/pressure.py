@@ -16,12 +16,14 @@ series costs n_max chain steps, linear in n_max.
 """
 
 from dataclasses import dataclass
-from math import exp, fsum, log
+from fractions import Fraction
+from math import exp, fsum, inf, log
 from sys import float_info
 
-from .budget import DEFAULT as DEFAULT_BUDGET
 from .dynamics import Series, check_scale
 from .errors import (
+    NonFiniteResultError,
+    RadiusUnderflowError,
     ShapeMismatchError,
     TransferChainDeadEndError,
     WindowTooWideError,
@@ -107,6 +109,8 @@ def log_sum_exp(values):
     if not values:
         raise ValueError("log_sum_exp of nothing")
     top = max(values)
+    if top == -inf:  # every term weighs nothing, not exp(nan)
+        return top
     return top + log(fsum(exp(v - top) for v in values))
 
 
@@ -144,8 +148,24 @@ def _labels_table(potential):
 
 
 def _birkhoff_sum(labels, sites, table, default):
-    return fsum(table.get(tuple(labels[i] for i in site), default)
-                for site in sites)
+    """The potential summed over the window sites of one word.  Where a
+    partial sum leaves float range the exact sum decides: below it, the
+    word weighs exp(-inf) = 0; above it, NonFiniteResult, as the transfer
+    route's infinite log sum is when emitted."""
+    try:
+        return fsum(table.get(tuple(labels[i] for i in site), default)
+                    for site in sites)
+    except OverflowError:
+        exact = sum(Fraction(table.get(tuple(labels[i] for i in site), default))
+                    for site in sites)
+    try:
+        return float(exact)
+    except OverflowError:
+        if exact < 0:
+            return -inf
+        raise NonFiniteResultError(
+            "the Birkhoff sum leaves float range",
+            labels=list(labels)) from None
 
 
 def _check_stage(family, potential, k, step):
@@ -165,7 +185,6 @@ def partition_function_log(family, potential, k, p, n, method="transfer",
     _check_stage(family, potential, k, p)
     if n < 0:
         raise ValueError("n must be nonnegative")
-    budget = budget or DEFAULT_BUDGET
     if method == "enumerate":
         shape = Shape.cube(k, family.rank) + p.scaled(n)
         check_enum_budget(family, shape, budget)
@@ -223,7 +242,6 @@ def pressure_estimate(family, potential, k, p, n_max, method="transfer",
     increment is the pressure estimate."""
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
-    budget = budget or DEFAULT_BUDGET
     if method == "transfer":
         _check_stage(family, potential, k, p)
         in_edges, weight_logs = _transfer_parts(family, potential, k, p, budget)
@@ -238,11 +256,11 @@ def pressure_oracle_vertex(family, values, p, budget=None):
     """Independent check for vertex potentials: log spectral radius of the
     letter-weighted step matrix diag(exp g) * M^p.  A top value beyond
     +-700 is factored out first, so exp neither overflows nor underflows
-    every weight."""
+    every weight.  Weights that underflow on every cycle leave a nilpotent
+    matrix: RadiusUnderflow."""
     require_valid(family)
     if p.is_zero:
         raise ZeroDirectionError("step direction must be nonzero")
-    budget = budget or DEFAULT_BUDGET
     step_matrix = matrix_power_product(family, p, budget)
     dim = len(family.alphabet)
     g = [0.0] * dim
@@ -255,5 +273,13 @@ def pressure_oracle_vertex(family, values, p, budget=None):
         for a in range(dim)
     )
     if shift:
-        return shift + log_spectral_radius(weighted)
-    return log(spectral_radius(weighted))
+        value = shift + log_spectral_radius(weighted)
+    else:
+        radius = spectral_radius(weighted)
+        value = log(radius) if radius else -inf
+    if value == -inf:
+        # M^p of a valid family is never nilpotent: the weights underflowed
+        raise RadiusUnderflowError(
+            "the weighted step matrix underflowed to a nilpotent matrix",
+            step=list(p.coords))
+    return value

@@ -4,8 +4,8 @@ A word of shape m assigns a letter to every point of box(m) so that each
 unit step in direction j is allowed by M_j.  Its restriction to a prefix
 box [0, k] or a tail box [k, m] (rebased to the origin) is again a word,
 and a word is recovered uniquely from any compatible prefix/tail pair by
-filling unit squares: the missing corner of a square with three known
-corners along a path is forced when the family is valid.
+filling unit squares: the corner of a square after one known end of its
+diagonal and before the other is forced when the family is valid.
 
 Enumeration is depth-first over box points in row-major order, trying
 letters in index order, so words stream in lexicographic order of their
@@ -221,12 +221,13 @@ def restrict_tail(word, k):
 def compose(family, u, v):
     """The unique word of shape sigma(u) + sigma(v) with prefix u and tail v.
 
-    u is placed on [0, sigma(u)], v on [sigma(u), sigma(u)+sigma(v)] after
-    the shared corner is checked, and the rest of the box is filled by
-    repeated unique square completion.  Any completion order agrees for a
-    valid family; a failure to fill, a non-unique fill, or a broken edge in
-    the result all signal a family that wrongly passed validation and
-    surface as hard errors.
+    u is placed on [0, c] and v on [c, c + sigma(v)], c = sigma(u), after
+    the shared corner is checked.  Any other point q has some q_j > c_j and
+    some q_i < c_i: it follows q - e_j and precedes q + e_i, both one step
+    nearer to c, so one pass in order of L1 distance from c fills each
+    point once.  A fill without exactly one candidate, or a broken edge in
+    the result, signals a family that wrongly passed validation and
+    surfaces as a hard error.
     """
     require_valid(family)
     if u.shape.rank != v.shape.rank:
@@ -235,31 +236,20 @@ def compose(family, u, v):
         raise OriginMismatchError(
             "terminal letter of u differs from origin letter of v",
             terminal=u.terminal, origin=v.origin)
+    corner = u.shape.coords
     total = u.shape + v.shape
-    rank = total.rank
 
     known = {}
     for pt in u.shape.box():
         known[pt] = u.label_at(pt)
     for pt in v.shape.box():
-        shifted = tuple(a + b for a, b in zip(u.shape.coords, pt))
+        shifted = tuple(a + b for a, b in zip(corner, pt))
         known[shifted] = v.label_at(pt)
 
-    pending = [pt for pt in total.box() if pt not in known]
-    while pending:
-        progress = False
-        still = []
-        for q in pending:
-            letter = _try_fill(family.masks, rank, total, known, q)
-            if letter is None:
-                still.append(q)
-            else:
-                known[q] = letter
-                progress = True
-        if not progress:
-            raise NoFillingError(
-                "square completion stalled", stuck=[list(p) for p in still])
-        pending = still
+    rest = [pt for pt in total.box() if pt not in known]
+    rest.sort(key=lambda q: sum(abs(a - c) for a, c in zip(q, corner)))
+    for q in rest:
+        known[q] = _fill(family.masks, known, q, corner)
 
     result = Word(total, tuple(known[pt] for pt in total.box()))
     bad = _first_bad_edge(family, result)
@@ -271,33 +261,24 @@ def compose(family, u, v):
     return result
 
 
-def _try_fill(masks, rank, total, known, q):
-    """Fill q from a unit square whose other three corners are known and
-    form a path: base = q - e_j, base + e_i, q + e_i."""
+def _fill(masks, known, q, corner):
+    """The letter at q, a point in neither box of compose: the one letter
+    after base = q - e_j in direction j and before top = q + e_i in
+    direction i, for the first j with q_j > c_j and i with q_i < c_i."""
     succ, pred = masks
-    for j in range(rank):
-        if not q[j]:
-            continue
-        base = q[:j] + (q[j] - 1,) + q[j + 1:]
-        if base not in known:
-            continue
-        for i in range(rank):
-            if i == j or q[i] + 1 > total[i]:
-                continue
-            mid = base[:i] + (base[i] + 1,) + base[i + 1:]
-            top = q[:i] + (q[i] + 1,) + q[i + 1:]
-            if mid not in known or top not in known:
-                continue
-            cand = succ[j][known[base]] & pred[i][known[top]]
-            if not cand:
-                raise NoFillingError(
-                    "square completion has no solution", point=list(q))
-            if cand & (cand - 1):
-                raise NonUniqueFillingError(
-                    "square completion not unique",
-                    point=list(q), candidates=list(mask_bits(cand)))
-            return cand.bit_length() - 1
-    return None
+    j = next(j for j, c in enumerate(corner) if q[j] > c)
+    i = next(i for i, c in enumerate(corner) if q[i] < c)
+    base = q[:j] + (q[j] - 1,) + q[j + 1:]
+    top = q[:i] + (q[i] + 1,) + q[i + 1:]
+    cand = succ[j][known[base]] & pred[i][known[top]]
+    if not cand:
+        raise NoFillingError(
+            "square completion has no solution", point=list(q))
+    if cand & (cand - 1):
+        raise NonUniqueFillingError(
+            "square completion not unique",
+            point=list(q), candidates=list(mask_bits(cand)))
+    return cand.bit_length() - 1
 
 
 # -- Count cross-check ---------------------------------------------------------
@@ -337,7 +318,6 @@ def count_oracle_check(family, max_shape, budget=None):
     """Compare direct enumeration against the matrix count <e, M^l e> for
     every shape l <= max_shape."""
     require_valid(family)
-    budget = budget or DEFAULT_BUDGET
     rows = []
     for pt in max_shape.box():
         l = Shape(pt)

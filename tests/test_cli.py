@@ -491,6 +491,26 @@ def test_lemma_check_bytes_are_pinned(capsys, monkeypatch, max_shape, fmt):
         == LEMMA_DIGESTS[(max_shape, fmt)]
 
 
+# Digests of two more lemma-check CSV runs, taken before compose filled
+# its box in one pass ordered by distance from the shared corner: rank 3
+# on t3 = g3 (x) g1, and g3 with a compression shape beyond p + n.
+LEMMA_CSV_DIGESTS = {
+    "-f families/t3.json --p 1,1,1 --max-shape 1,0,0":
+        "507c287f19d60facd7e1cf4aebccd858ad282dc7c67f98e5dbe311032ab218ea",
+    "-f families/g3.json --p 1,1 --max-shape 1,1 --m 3,3":
+        "4aa29dd8d906072f894f3097f2ab9b6d8f770eab9fc387aad73e932172a36461",
+}
+
+
+@pytest.mark.parametrize("options", sorted(LEMMA_CSV_DIGESTS))
+def test_lemma_csv_bytes_are_pinned(capsys, monkeypatch, options):
+    monkeypatch.chdir(REPO)
+    assert main(["lemma-check", *options.split(), "--format", "csv"]) == 0
+    text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode()).hexdigest() \
+        == LEMMA_CSV_DIGESTS[options]
+
+
 def test_lemma_csv_builds_no_json_reports(capsys, monkeypatch):
     from rankshift import patterns
     built = []

@@ -12,7 +12,8 @@ random-search survivors at alphabet size 3:
     - a words run and each count-check shape compute M^l e once
     - enumeration yields word_count words, in lexicographic label order
     - split then compose is the identity on words, and compose then split
-      gives back the factors
+      gives back the factors, also on rank-3 families; compose fills each
+      point outside both factor boxes exactly once
     - build_shift_patterns gives the keys, index and cells of a dense
       reference that decomposes every word of the extension shape, and
       the collision scan finds the witnesses of a Word-keyed scan
@@ -24,8 +25,10 @@ random-search survivors at alphabet size 3:
       replayed squarings; where the reference's iterate underflows it
       gives -inf exactly for nilpotent matrices and RadiusUnderflow else
 plus the coded errors around the kernel: unknown letters, the
-non-unique square filling's candidates, the oracle above exp's range and
-a non-finite CSV config line.
+non-unique square filling's candidates, the oracle above exp's range, the
+oracle's weights underflowing on every cycle, an enumerated Birkhoff sum
+beyond float range (below it, the word weighs nothing) and a non-finite
+CSV config line.
 """
 
 import json
@@ -41,7 +44,7 @@ from hypothesis import (
     HealthCheck, assume, example, given, settings, strategies as st)
 from pytest import approx
 
-from rankshift import families, matrices
+from rankshift import families, matrices, words
 from rankshift.budget import Budget
 from rankshift.cli import main
 from rankshift.errors import (
@@ -70,13 +73,14 @@ from rankshift.pressure import (
     Potential,
     birkhoff_sum_on_cylinder,
     partition_function_log,
+    pressure_estimate,
     pressure_oracle_vertex,
     vertex_potential,
 )
 from rankshift.shapes import Shape
 from rankshift.words import (
-    _try_fill, check_enum_budget, compose, enumerate_words, restrict_prefix,
-    restrict_tail)
+    _fill, check_enum_budget, compose, enumerate_words, make_word,
+    restrict_prefix, restrict_tail)
 
 FAMILIES = Path(__file__).resolve().parent.parent / "families"
 
@@ -258,6 +262,18 @@ SMALL_VALID = {rank: tuple(rec.family for size in (1, 2)
 
 
 @st.composite
+def rank3_families(draw):
+    """Valid rank-3 families: a rank-2 valid family tensored with a rank-1
+    base, letters permuted, or a one- or two-letter exhaustive survivor."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(SMALL_VALID[3]))
+    left = draw(valid_families().filter(lambda f: f.rank == 2))
+    right = draw(st.sampled_from([b for b in BASES if b.rank == 1]))
+    family = families.tensor_product(left, right)
+    return _permuted(family, draw(st.permutations(range(family.dim))))
+
+
+@st.composite
 def late_failing_families(draw):
     """Block-diagonal families diag(V_i, A_i), V valid and A arbitrary 0-1:
     the rows of V's letters pass C1/C2, so any C1/C2 failure lies in a
@@ -405,7 +421,7 @@ def test_enumeration_count_is_word_count(data):
 @PROPERTY
 @given(st.data())
 def test_split_and_compose_are_inverse(data):
-    family = data.draw(valid_families())
+    family = data.draw(st.one_of(valid_families(), rank3_families()))
     a, b = data.draw(_shapes(family, 1)), data.draw(_shapes(family, 1))
     for w in islice(enumerate_words(family, a + b), 32):
         assert compose(family, restrict_prefix(w, a), restrict_tail(w, a)) == w
@@ -414,6 +430,30 @@ def test_split_and_compose_are_inverse(data):
             both = compose(family, u, v)
             assert restrict_prefix(both, a) == u
             assert restrict_tail(both, a) == v
+
+
+T3 = families.tensor_product(families.tensor_golden(), families.golden_mean())
+
+
+@pytest.mark.parametrize("family, a, b, fills", [
+    (families.tensor_golden(), (30, 0), (0, 30), 900),
+    (families.tensor_golden(), (6, 6), (6, 6), 72),
+    (T3, (2, 1, 0), (0, 1, 2), 16),
+    (T3, (1, 1, 1), (1, 1, 1), 12),
+], ids=["g3-30,0+0,30", "g3-6,6+6,6", "t3-2,1,0+0,1,2", "t3-1,1,1+1,1,1"])
+def test_compose_fills_each_point_once(monkeypatch, family, a, b, fills):
+    filled = []
+    monkeypatch.setattr(words, "_fill",
+                        lambda *args: filled.append(args[2]) or _fill(*args))
+    a, b = Shape(a), Shape(b)
+    u = next(enumerate_words(family, a))
+    v = next(enumerate_words(family, b, origin=u.terminal))
+    both = compose(family, u, v)
+    assert restrict_prefix(both, a) == u and restrict_tail(both, a) == v
+    outside = {q for q in both.shape.box()
+               if not (Shape(q) <= a or a <= Shape(q))}
+    assert len(filled) == len(outside) == fills
+    assert set(filled) == outside
 
 
 def _dense_patterns(family, u, w, p, m):
@@ -629,10 +669,58 @@ def test_non_unique_filling_lists_candidates_ascending():
     # the full shift twice over fails C1, so its squares fill two ways
     ones = ((1, 1), (1, 1))
     family = MatrixFamily(2, Alphabet(("0", "1")), (ones, ones))
+    # u = 0 1 on [0, (1, 0)], v = 1 0 on [(1, 0), (1, 1)]: (0, 1) lies
+    # after (0, 0) in direction 1 and before (1, 1) in direction 0
     known = {(0, 0): 0, (1, 0): 1, (1, 1): 0}
     with pytest.raises(NonUniqueFillingError) as info:
-        _try_fill(family.masks, 2, Shape.of(1, 1), known, (0, 1))
+        _fill(family.masks, known, (0, 1), (1, 0))
     assert info.value.details == {"point": [0, 1], "candidates": [0, 1]}
+
+
+def _refused_pressure(tmp_path, value, *options):
+    """A g1 enumerate-route pressure run with vertex potential ``value`` on
+    letter 0: exit 1, the coded JSON on stdout, nothing on stderr and no
+    output file."""
+    pot = tmp_path / "pot.json"
+    pot.write_text(json.dumps({"window": [0], "default": 0.0, "entries": [
+        {"word": {"shape": [0], "labels": [0]}, "value": value}]}))
+    out = tmp_path / "out.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "rankshift", "pressure", "-f",
+         str(FAMILIES / "g1.json"), "--p", "1", "--method", "enumerate",
+         "--potential", str(pot), "--out", str(out), *options],
+        capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert not out.exists()
+    return json.loads(proc.stdout)["error"]
+
+
+def test_enumerated_birkhoff_overflow_is_coded(g1, tmp_path):
+    assert _refused_pressure(tmp_path, 1e308, "--n-max", "2") \
+        == "NonFiniteResult"
+    # fsum overflows on 1e308 + 1e308 - 1e308; the exact sum does not
+    pot = vertex_potential(g1, {0: 1e308, 1: -1e308})
+    word = make_word(g1, Shape.of(3), (0, 0, 1, 0))
+    assert birkhoff_sum_on_cylinder(g1, pot, word, Shape.of(1), 2) == 1e308
+    # below float range a word weighs nothing, as in the transfer chain;
+    # with every word below it the log sums are -inf, not NaN
+    for pot in (vertex_potential(g1, {1: -1e308}),
+                vertex_potential(g1, {}, default=-1e308)):
+        enum, transfer = (
+            pressure_estimate(g1, pot, 1, Shape.of(1), 4, method=method)
+            .sequence for method in ("enumerate", "transfer"))
+        assert enum == approx(transfer, abs=1e-12)
+    assert enum == (-math.inf,) * 4
+
+
+def test_oracle_weights_underflowing_every_cycle(g1, tmp_path):
+    # letter 1 has no loop, so with letter 0's weight at 0.0 the weighted
+    # golden-mean matrix is nilpotent, with and without a shift
+    for values in ({0: -1000.0}, {0: -1000.0, 1: 800.0}):
+        with pytest.raises(RadiusUnderflowError):
+            pressure_oracle_vertex(g1, values, Shape.of(1))
+    assert _refused_pressure(tmp_path, -1000.0, "--n-max", "4", "--oracle") \
+        == "RadiusUnderflow"
 
 
 def test_masks_are_rows_and_columns(g3):
