@@ -128,6 +128,10 @@ def _emit(args, payload, header, rows):
     if args.format == "json":
         text = dumps({"config": _config(args), **payload})
     else:
+        try:  # the rows print the payload's values: refuse what JSON refuses
+            json.dumps(payload, allow_nan=False, check_circular=False)
+        except ValueError:  # a NaN or infinity, whose path dumps names
+            dumps(payload)
         buf = io.StringIO()
         buf.write("# config: " + dumps_line(_config(args)) + "\n")
         writer = csv.writer(buf, lineterminator="\n")

@@ -7,17 +7,14 @@ the standard encoder runs in pure Python once ``indent`` is set and needs
 the rounded copy first.  Each container joins its own members, so no flat
 list of every fragment is held.
 
-Within one call, a small dict reuses its text wherever the same object
-recurs at the same depth, so a payload that shares one dict encodes it
-once.  A dict is small when each of its dict values is small and each of
-its list or tuple values holds no container: a Word, a lemma pattern (two
-Words and two scalars) or a config.  A dict with a list of dicts, such as
-a lemma report, is not kept, nor is anything holding one.  The plain rule
-"every dict value kept" would also keep each report, whose text is most of
-the payload: on a g3 lemma-check at max-shape (1, 0) that raised the peak
-traced memory of the job (tracemalloc, Python 3.11) from 3.11 MB to
-3.67 MB, where this rule lowers it to 2.81 MB.  A NaN or infinite float is refused with a coded error, not
-printed as invalid JSON.
+Within one call, a container met a second time at one depth keeps its
+text for every later meeting there; one met once keeps only its id.  So
+a shared list or dict is encoded at most twice per depth, and text that
+occurs once, such as a lemma report's, is not held.  On a g3 lemma-check
+at max-shape (1, 0) the job's peak traced memory (tracemalloc, Python
+3.11) is 2.82 MB; keeping every container's text gives 4.64 MB, and the
+former rule, small dicts only, 3.04 MB.  A NaN or infinite float is
+refused with a coded error, not printed as invalid JSON.
 """
 
 import json
@@ -28,7 +25,6 @@ from .errors import NonFiniteResultError
 
 _BASES = (str, int, float, dict, list, tuple)
 _EXACT = frozenset(_BASES + (bool, type(None)))
-_CONTAINERS = (dict, list, tuple)
 
 
 def round12(obj):
@@ -78,9 +74,9 @@ def _encode(obj, newline, memo):
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
     is_dict = kind is dict
     brackets = "{}" if is_dict else "[]"
-    text = memo.get((id(obj), newline)) if obj else brackets
-    if text is not None:  # empty, or a leaf dict already encoded here
-        return text
+    kept = memo.get((id(obj), newline), False) if obj else brackets
+    if kept:  # empty, or met twice here already; None: met once, False: never
+        return kept
     inner = newline + "  "
     parts = []
     for key, value in obj.items() if is_dict else enumerate(obj):
@@ -95,17 +91,5 @@ def _encode(obj, newline, memo):
             part = encode_basestring_ascii(key) + ": " + part
         parts.append(part)
     text = brackets[0] + inner + ("," + inner).join(parts) + newline + brackets[1]
-    if is_dict and all(_small_member(v, inner, memo) for v in obj.values()):
-        memo[(id(obj), newline)] = text
+    memo[(id(obj), newline)] = None if kept is False else text
     return text
-
-
-def _small_member(value, depth, memo):
-    """Whether a dict value, just encoded at depth, lets its dict be kept:
-    a scalar, a dict already kept there, or a list or tuple that holds no
-    container."""
-    if isinstance(value, dict):
-        return (id(value), depth) in memo
-    if isinstance(value, (list, tuple)):
-        return not any(isinstance(x, _CONTAINERS) for x in value)
-    return True

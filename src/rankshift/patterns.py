@@ -20,6 +20,7 @@ the decomposition.
 """
 
 import functools
+from collections import namedtuple
 from dataclasses import dataclass
 
 from .errors import ShapeTooSmallError, WindowTooWideError
@@ -71,16 +72,22 @@ def check_partial_isometry(pattern):
     return _first_collision(pattern) is None
 
 
+# What the builds of all generator pairs of two shapes share, the all-empty
+# grid and its stats among them; ``keys`` maps label pairs to Word pairs.
+PairPlan = namedtuple("PairPlan", "n m ext gamma index grid keys stats")
+
+
 class SweepTables:
     """Word tables shared by the pattern builds of one sweep.
 
-    What a build enumerates, composes and budget-checks depends on the
-    family, shapes, endpoint letters and words, not on the generator pair
-    itself, so a sweep over many pairs needs each entry once: words by
-    (shape, origin), compositions by factor pair, the split extensions of
-    a base word by (base, extension shape, compression shape), and the
-    enumeration budget by (shape, budget).  A table serves one sweep over
-    one family; nothing outlives it.
+    What a build enumerates, composes and checks depends on the family,
+    shapes, endpoint letters and words, not on the generator pair itself,
+    so a sweep over many pairs needs each entry once: words by (shape,
+    origin), compositions by factor pair, the split extensions of a base
+    word by (base, extension shape, compression shape), and the PairPlan,
+    shape and budget checks done, by (sigma(u), sigma(w), p, m, budget).
+    A build copies the plan's empty grid, whose keys keep their hashes,
+    and fills the few live keys.  Nothing outlives the one sweep.
     """
 
     def __init__(self, family):
@@ -88,12 +95,7 @@ class SweepTables:
         self._words = {}
         self._composed = {}
         self._splits = {}
-        self._budgeted = set()
-
-    def check_budget(self, shape, budget):
-        if (shape, budget) not in self._budgeted:
-            check_enum_budget(self.family, shape, budget)
-            self._budgeted.add((shape, budget))
+        self._plans = {}
 
     def words(self, shape, origin=None):
         key = (shape, origin)
@@ -122,49 +124,62 @@ class SweepTables:
                 for ext in enumerate_extensions(self.family, base, shape))
         return found
 
+    def plan(self, u_shape, w_shape, p, m=None, budget=None):
+        """The PairPlan at step p and shape m (p + n when None) >= p + n."""
+        key = (u_shape, w_shape, p, m, budget)
+        found = self._plans.get(key)
+        if found is not None:
+            return found
+        n = u_shape.sup(w_shape)
+        m = p + n if m is None else m
+        if not p + n <= m:
+            raise ShapeTooSmallError(
+                "compression shape must dominate step plus generator shapes",
+                m=list(m.coords), needed=list((p + n).coords))
+        ext = m + (n - u_shape)
+        check_enum_budget(self.family, ext, budget)
+        index = self.words(m)
+        pairs = [(kappa, lam) for kappa in self.words(n - w_shape)
+                 for lam in self.words(n - u_shape)]
+        found = self._plans[key] = PairPlan(
+            n, m, ext, m - p - u_shape, index,
+            dict.fromkeys(pairs, PatternMatrix(index, frozenset())),
+            {(kappa.labels, lam.labels): (kappa, lam) for kappa, lam in pairs},
+            tuple((kappa, lam, 0, True) for kappa, lam in pairs))
+        return found
 
-def build_shift_patterns(family, u, w, p, m, budget=None, tables=None):
-    """Map (kappa, lambda) -> PatternMatrix for generators u, w, shift step
-    p and compression shape m.  Needs m >= p + sup(sigma(u), sigma(w)).
-    ``tables`` shares word tables across the builds of one sweep."""
+
+def _plan_and_cells(family, u, w, p, m, budget, tables):
+    """(plan, live): the PairPlan of u and w and the cells of each live key,
+    by (kappa, lambda) labels, which hash in C; tables are checked first."""
     require_valid(family)
     if tables is None:
         tables = SweepTables(family)
     elif tables.family != family:
         raise ValueError("sweep tables belong to a different family")
-    n = u.shape.sup(w.shape)
-    if not p + n <= m:
-        raise ShapeTooSmallError(
-            "compression shape must dominate step plus generator shapes",
-            m=list(m.coords), needed=list((p + n).coords))
-    ext_shape = m + (n - u.shape)
-    tables.check_budget(ext_shape, budget)
-
-    # cells of the live keys only, keyed by (kappa, lambda) labels, which
-    # hash in C where Word pairs hash through two dataclass methods each
+    plan = tables.plan(u.shape, w.shape, p, m, budget)
     live = {}
     if u.origin == w.origin and u.terminal == w.terminal:
-        gammas = tables.words(m - p - u.shape, origin=u.terminal)
+        gammas = tables.words(plan.gamma, origin=u.terminal)
         for nu in tables.words(p):
             if nu.terminal != u.origin:
                 continue
-            nu_u = tables.compose(nu, u)
-            nu_w = tables.compose(nu, w)
+            nu_u, nu_w = tables.compose(nu, u), tables.compose(nu, w)
             for gamma in gammas:
-                row = tables.compose(nu_u, gamma)
-                base = tables.compose(nu_w, gamma)
-                for kappa, lam, col in tables.split_extensions(base, ext_shape, m):
+                row, base = tables.compose(nu_u, gamma), tables.compose(nu_w, gamma)
+                for kappa, lam, col in tables.split_extensions(base, plan.ext, plan.m):
                     live.setdefault((kappa.labels, lam.labels), set()).add((row, col))
+    return plan, live
 
-    index = tables.words(m)
-    empty = PatternMatrix(index, frozenset())
-    lams = tables.words(n - u.shape)
-    grid = {}
-    for kappa in tables.words(n - w.shape):
-        for lam in lams:
-            cells = live.get((kappa.labels, lam.labels))
-            grid[(kappa, lam)] = (empty if cells is None
-                                  else PatternMatrix(index, frozenset(cells)))
+
+def build_shift_patterns(family, u, w, p, m, budget=None, tables=None):
+    """Map (kappa, lambda) -> PatternMatrix for generators u, w, shift step
+    p and compression shape m.  Needs m >= p + sup(sigma(u), sigma(w)).
+    ``tables`` shares word tables across the builds of one sweep."""
+    plan, live = _plan_and_cells(family, u, w, p, m, budget, tables)
+    grid = plan.grid.copy()
+    for key, cells in live.items():
+        grid[plan.keys[key]] = PatternMatrix(plan.index, frozenset(cells))
     return grid
 
 
@@ -187,27 +202,28 @@ class PatternFamilyReport:
     def all_partial_isometries(self):
         return not self.witnesses
 
-    def to_json(self, dicts=None):
-        """JSON data of the report.  ``dicts`` is a pair from _shared_dicts,
-        which a call over many reports passes to share it."""
-        word_dict, pattern_dict = dicts or _shared_dicts()
+    def to_json(self, shared=None):
+        """JSON data of the report.  ``shared``, a triple from
+        _shared_json, is passed by a call over many reports."""
+        word_dict, coords, patterns = shared or _shared_json()
         return {
             "u": word_dict(self.u),
             "w": word_dict(self.w),
-            "p": list(self.p.coords),
-            "m": list(self.m.coords),
-            "n": list(self.n.coords),
-            "patterns": [pattern_dict(stat) for stat in self.stats],
+            "p": coords(self.p),
+            "m": coords(self.m),
+            "n": coords(self.n),
+            "patterns": patterns(self.stats),
             "all_partial_isometries": self.all_partial_isometries,
             "witnesses": list(self.witnesses),
         }
 
 
-def _shared_dicts():
-    """(word_dict, pattern_dict): builders of the dict of a Word and of a
-    (kappa, lambda, cells, partial_isometry) stat tuple, each returning one
-    dict per distinct argument for as long as the pair is kept."""
+def _shared_json():
+    """(word_dict, coords, patterns): functions that make the dict of a
+    Word, the list of a Shape and the pattern list of a stats object, each
+    giving one object per distinct argument while the triple is kept."""
     word_dict = functools.cache(word_to_dict)
+    coords = functools.cache(lambda shape: list(shape.coords))
 
     @functools.cache
     def pattern_dict(stat):
@@ -215,17 +231,24 @@ def _shared_dicts():
         return {"kappa": word_dict(kappa), "lambda": word_dict(lam),
                 "cells": cells, "partial_isometry": ok}
 
-    return word_dict, pattern_dict
+    lists = {}  # id(stats) -> (stats, list): holding stats keeps the id its own
+
+    def patterns(stats):
+        if id(stats) not in lists:
+            lists[id(stats)] = stats, list(map(pattern_dict, stats))
+        return lists[id(stats)][1]
+
+    return word_dict, coords, patterns
 
 
 def reports_to_json(reports):
-    """JSON data of reports.  Equal Words and equal patterns share one dict
-    object across all the reports, so the emitter, which reuses the text
-    of a dict that recurs, encodes each only once per depth.  On a g3 sweep
-    at max-shape (1, 0) the 1984 patterns are 80 distinct dicts over 10
-    Words."""
-    dicts = _shared_dicts()
-    return [r.to_json(dicts) for r in reports]
+    """JSON data of reports.  Equal Words, Shapes and stats share one object,
+    and so do the pattern lists of the pairs without a live pattern, which
+    share their plan's stats: the emitter encodes each at most twice per
+    depth.  On a g3 sweep at max-shape (1, 0) the 1984 patterns are 80
+    distinct dicts over 10 Words, in 18 distinct lists."""
+    shared = _shared_json()
+    return [r.to_json(shared) for r in reports]
 
 
 def _failure_witness(u, p, kappa, lam, pattern):
@@ -243,21 +266,22 @@ def _failure_witness(u, p, kappa, lam, pattern):
 
 
 def examine_pair(family, u, w, p, m=None, budget=None, tables=None):
-    """Build all patterns for one generator pair and check each one.  The
-    grid comes out of build_shift_patterns in (kappa, lambda) label order,
-    since words are enumerated in label order."""
-    n = u.shape.sup(w.shape)
-    if m is None:
-        m = p + n
-    patterns = build_shift_patterns(family, u, w, p, m, budget, tables)
-    stats = []
-    witnesses = []
-    for (kappa, lam), pattern in patterns.items():
-        ok = not pattern.cells or check_partial_isometry(pattern)
-        stats.append((kappa, lam, len(pattern.cells), ok))
-        if not ok:
-            witnesses.append(_failure_witness(u, p, kappa, lam, pattern))
-    return PatternFamilyReport(u, w, p, m, n, tuple(stats), tuple(witnesses))
+    """Build all patterns for one generator pair and check each one, in
+    (kappa, lambda) label order; with no live pattern, the plan's stats."""
+    plan, live = _plan_and_cells(family, u, w, p, m, budget, tables)
+    stats, witnesses = plan.stats, []
+    if live:
+        stats = []
+        for (key, (kappa, lam)), stat in zip(plan.keys.items(), plan.stats):
+            cells = live.get(key)
+            if cells is not None:
+                pattern = PatternMatrix(plan.index, frozenset(cells))
+                ok = check_partial_isometry(pattern)
+                stat = (kappa, lam, len(cells), ok)
+                if not ok:
+                    witnesses.append(_failure_witness(u, p, kappa, lam, pattern))
+            stats.append(stat)
+    return PatternFamilyReport(u, w, p, plan.m, plan.n, tuple(stats), tuple(witnesses))
 
 
 def verify_partial_isometries(family, p, max_gen_shape, m=None, budget=None):

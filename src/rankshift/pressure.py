@@ -134,11 +134,7 @@ def birkhoff_sum_on_cylinder(family, potential, word, step, n):
 def _window_sites(shape, window, step, n):
     """Flat label indices, in the row-major order of a word of the given
     shape, of the window box placed at each offset 0, p, .., n*p."""
-    return [
-        tuple(shape.index_of(tuple(o + x for o, x in zip(offset, pt)))
-              for pt in window.box())
-        for offset in (step.scaled(l).coords for l in range(n + 1))
-    ]
+    return [tuple(shape.indices(window, step.scaled(l))) for l in range(n + 1)]
 
 
 def _labels_table(potential):

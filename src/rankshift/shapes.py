@@ -7,8 +7,9 @@ iterated in row-major order, i.e. lexicographic with the last coordinate
 varying fastest.
 """
 
+import operator
 from dataclasses import dataclass
-from itertools import product
+from itertools import product, repeat
 from math import prod
 
 
@@ -79,19 +80,19 @@ class Shape:
 
     def __add__(self, other):
         self._check_rank(other)
-        return _trusted(tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return _trusted(tuple(map(operator.add, self.coords, other.coords)))
 
     def __sub__(self, other):
         self._check_rank(other)
-        diff = tuple(a - b for a, b in zip(self.coords, other.coords))
-        if any(d < 0 for d in diff):
+        diff = tuple(map(operator.sub, self.coords, other.coords))
+        if min(diff) < 0:
             raise ValueError(f"{other.coords} does not divide below {self.coords}")
         return _trusted(diff)
 
     def __le__(self, other):
         """Coordinatewise domination (partial order)."""
         self._check_rank(other)
-        return all(a <= b for a, b in zip(self.coords, other.coords))
+        return all(map(operator.le, self.coords, other.coords))
 
     def __ge__(self, other):
         return other.__le__(self)
@@ -103,7 +104,7 @@ class Shape:
 
     def sup(self, other):
         self._check_rank(other)
-        return _trusted(tuple(max(a, b) for a, b in zip(self.coords, other.coords)))
+        return _trusted(tuple(map(max, self.coords, other.coords)))
 
     def box(self):
         """All points 0 <= l <= self as plain tuples, row-major order."""
@@ -114,6 +115,14 @@ class Shape:
         idx = 0
         for c, m in zip(point, self.coords):
             idx = idx * (m + 1) + c
+        return idx
+
+    def indices(self, sub, offset=None):
+        """Row-major indices of the points offset + box(sub) of box(self),
+        in the order of box(sub); offset (default the origin) + sub <= self."""
+        idx = [0]
+        for m, s, o in zip(self.coords, sub, offset or repeat(0)):
+            idx = [i * (m + 1) + x for i in idx for x in range(o, o + s + 1)]
         return idx
 
     def _check_rank(self, other):

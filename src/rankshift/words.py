@@ -13,6 +13,7 @@ label sequences.
 """
 
 from dataclasses import dataclass
+from itertools import islice
 from math import log2
 
 from .budget import DEFAULT as DEFAULT_BUDGET
@@ -87,15 +88,20 @@ def make_word(family, shape, labels):
 
 
 def _first_bad_edge(family, word):
-    m = word.shape
-    succ = family.masks[0]
-    for point in m.box():
-        for j in range(m.rank):
-            if point[j] < m[j]:
-                nxt = point[:j] + (point[j] + 1,) + point[j + 1:]
-                if not succ[j][word.label_at(point)] >> word.label_at(nxt) & 1:
-                    return point, j
-    return None
+    """(point, j) of the first edge that M_j forbids, in row-major order
+    of its start point and then of j; None when every edge is allowed."""
+    m, labels, succ = word.shape, word.labels, family.masks[0]
+    bad = []
+    for j in range(m.rank):
+        if m[j]:
+            step = Shape.unit(j, m.rank)
+            bad.extend((a, j) for a, b in zip(m.indices(m - step),
+                                              m.indices(m - step, step))
+                       if not succ[j][labels[a]] >> labels[b] & 1)
+    if not bad:
+        return None
+    a, j = min(bad)
+    return next(islice(m.box(), a, None)), j
 
 
 def letter_index(family, letter):
@@ -188,7 +194,7 @@ def enumerate_extensions(family, base, m):
         raise ShapeNotDominatedError(
             "extension shape must dominate the base shape",
             base=list(base.shape.coords), target=list(m.coords))
-    fixed = {m.index_of(pt): base.label_at(pt) for pt in base.shape.box()}
+    fixed = dict(zip(m.indices(base.shape), base.labels))
     return _dfs_words(family, m, fixed)
 
 
@@ -200,8 +206,7 @@ def restrict_prefix(word, k):
         raise ShapeNotDominatedError(
             "prefix shape not dominated by word shape",
             shape=list(word.shape.coords), prefix=list(k.coords))
-    labels = tuple(word.label_at(pt) for pt in k.box())
-    return Word(k, labels)
+    return Word(k, tuple(map(word.labels.__getitem__, word.shape.indices(k))))
 
 
 def restrict_tail(word, k):
@@ -211,11 +216,8 @@ def restrict_tail(word, k):
             "tail offset not dominated by word shape",
             shape=list(word.shape.coords), offset=list(k.coords))
     rest = word.shape - k
-    labels = tuple(
-        word.label_at(tuple(a + b for a, b in zip(k.coords, pt)))
-        for pt in rest.box()
-    )
-    return Word(rest, labels)
+    return Word(rest, tuple(map(word.labels.__getitem__,
+                                word.shape.indices(rest, k))))
 
 
 def compose(family, u, v):
@@ -239,19 +241,18 @@ def compose(family, u, v):
     corner = u.shape.coords
     total = u.shape + v.shape
 
-    known = {}
-    for pt in u.shape.box():
-        known[pt] = u.label_at(pt)
-    for pt in v.shape.box():
-        shifted = tuple(a + b for a, b in zip(corner, pt))
-        known[shifted] = v.label_at(pt)
+    labels = [None] * total.volume
+    placed = total.indices(u.shape) + total.indices(v.shape, corner)
+    for t, x in zip(placed, u.labels + v.labels):
+        labels[t] = x
+    known = dict(zip(total.box(), labels))  # row-major, like labels
 
-    rest = [pt for pt in total.box() if pt not in known]
+    rest = [q for q, x in known.items() if x is None]
     rest.sort(key=lambda q: sum(abs(a - c) for a, c in zip(q, corner)))
     for q in rest:
         known[q] = _fill(family.masks, known, q, corner)
 
-    result = Word(total, tuple(known[pt] for pt in total.box()))
+    result = Word(total, tuple(known.values()))
     bad = _first_bad_edge(family, result)
     if bad is not None:
         point, j = bad

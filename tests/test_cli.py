@@ -274,6 +274,23 @@ def test_non_finite_result_is_coded_error(g1_path, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("method, default, value", [
+    ("transfer", 1e308, "inf"), ("transfer", -1e308, "-inf"),
+    ("enumerate", -1e308, "-inf")])
+def test_non_finite_csv_result_is_coded_error(g1_path, tmp_path, method,
+                                              default, value):
+    # the CSV twin of the test above: the rows would print inf, -inf, nan
+    pot = _potential_file(tmp_path, default)
+    out = tmp_path / "out.csv"
+    proc = run_cli("pressure", "-f", g1_path, "--p", "1", "--n-max", "3",
+                   "--potential", pot, "--method", method, "--format", "csv",
+                   "--out", str(out), expect=1)
+    payload = json.loads(proc.stdout)
+    assert payload["error"] == "NonFiniteResult"
+    assert payload["details"] == {"path": ["sequence", 0], "value": value}
+    assert not out.exists()
+
+
 def test_exact_entropy_beyond_float_range_stays_finite(g1_path):
     data = run_json("entropy", "-f", g1_path, "--p", "1500", "--mode", "exact")
     assert data["exact"] == approx(1500 * math.log((1 + math.sqrt(5)) / 2),
@@ -509,6 +526,26 @@ def test_lemma_csv_bytes_are_pinned(capsys, monkeypatch, options):
     text = capsys.readouterr().out
     assert hashlib.sha256(text.encode()).hexdigest() \
         == LEMMA_CSV_DIGESTS[options]
+
+
+# The JSON twins of the two runs above, taken before the sweep built one
+# plan per generator-shape pair and the emitter kept the text of any
+# container met twice at one depth: neither may change a byte.
+LEMMA_JSON_DIGESTS = {
+    "-f families/t3.json --p 1,1,1 --max-shape 1,0,0":
+        "bd163b355d269ff1c2ac1317ff4f82fbdc9dcfc7014b18f4fde88aee2bad4139",
+    "-f families/g3.json --p 1,1 --max-shape 1,1 --m 3,3":
+        "cdc96cf792b09b08ee5e89ce537e11e14d21e08c8390a664bc802b23c72de30a",
+}
+
+
+@pytest.mark.parametrize("options", sorted(LEMMA_JSON_DIGESTS))
+def test_lemma_json_bytes_are_pinned(capsys, monkeypatch, options):
+    monkeypatch.chdir(REPO)
+    assert main(["lemma-check", *options.split()]) == 0
+    text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode()).hexdigest() \
+        == LEMMA_JSON_DIGESTS[options]
 
 
 def test_lemma_csv_builds_no_json_reports(capsys, monkeypatch):

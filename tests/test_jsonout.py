@@ -4,11 +4,13 @@ Core claims:
     - dumps gives the bytes of json.dumps(round12(x), indent=2) plus a
       newline for any payload of nested dicts, lists and tuples over
       strings, bools, None, ints of any size and finite floats
-    - the same holds when one dict object sits in several places, at any
-      depth and however it nests (the emitter reuses the text of a small
-      dict within one call only), and for subclasses of int and str
-    - of a lemma report, the emitter keeps the text of the Words and the
-      patterns but not of the report
+    - the same holds when one dict, list or tuple object sits in several
+      places, at any depth and however it nests (the emitter reuses the
+      text of a container within one call only), and for subclasses of
+      int and str
+    - the emitter keeps the text of exactly the containers met twice at
+      one depth: of a lemma sweep, the Words, shapes and patterns, never a
+      report, the report list or the payload
     - a NaN or infinite float anywhere is a coded NonFiniteResult error
       that names where it sits, the first place for a shared dict
 """
@@ -16,6 +18,7 @@ Core claims:
 import enum
 import json
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -105,15 +108,18 @@ def test_shared_dicts_match_json_dumps(payload):
 
 @st.composite
 def aliased_payloads(draw):
-    """Payloads in which a few dict objects recur by reference at several
-    depths: flat dicts, a dict holding a list of them, and a dict holding
-    that one."""
+    """Payloads in which a few containers recur by reference at several
+    depths: flat dicts, a list and a tuple of leaves, a dict holding a
+    list of them, a tuple holding that, and a dict holding both."""
     flat = draw(st.lists(st.dictionaries(texts, leaves, max_size=3),
                          min_size=1, max_size=3))
+    flat += [draw(st.lists(leaves, max_size=3)),
+             tuple(draw(st.lists(leaves, max_size=3)))]
     holder = {"items": draw(st.lists(st.sampled_from(flat), max_size=3)),
               "n": draw(leaves)}
-    outer = {"holder": holder, "flat": draw(st.sampled_from(flat))}
-    pool = flat + [holder, outer]
+    pair = (holder, draw(st.sampled_from(flat)))
+    outer = {"holder": holder, "pair": pair, "flat": draw(st.sampled_from(flat))}
+    pool = flat + [holder, pair, outer]
     trees = st.recursive(
         st.sampled_from(pool) | leaves,
         lambda children: (st.lists(children, max_size=4)
@@ -126,7 +132,30 @@ def aliased_payloads(draw):
 @settings(max_examples=150, deadline=None)
 @given(aliased_payloads())
 def test_aliased_payloads_match_json_dumps(payload):
-    assert dumps(payload) == _expected(payload)
+    memo = {}
+    assert _encode(payload, "\n", memo) + "\n" == _expected(payload)
+    assert _kept(memo) == _met_twice(payload)
+
+
+def _kept(memo):
+    """(id, depth) of every container whose text a memo keeps."""
+    return {(ident, len(newline) // 2)
+            for (ident, newline), text in memo.items() if text is not None}
+
+
+def _met_twice(payload):
+    """(id, depth) of every nonempty container that sits at that depth on
+    two or more paths into payload."""
+    counts = Counter()
+
+    def walk(obj, depth):
+        if isinstance(obj, (dict, list, tuple)) and obj:
+            counts[id(obj), depth] += 1
+            for value in obj.values() if isinstance(obj, dict) else obj:
+                walk(value, depth + 1)
+
+    walk(payload, 0)
+    return {slot for slot, n in counts.items() if n > 1}
 
 
 def test_memo_keeps_patterns_not_reports():
@@ -135,11 +164,15 @@ def test_memo_keeps_patterns_not_reports():
     payload = {"config": {"command": "lemma-check"}, "reports": reports}
     memo = {}
     assert _encode(payload, "\n", memo) + "\n" == _expected(payload)
-    kept = {key for key, _ in memo}
-    patterns = [pat for report in reports for pat in report["patterns"]]
-    assert patterns
-    assert all(id(pat) in kept for pat in patterns)
+    kept = _kept(memo)
+    assert kept == _met_twice(payload)
+    kept = {ident for ident, _ in kept}
+    # reports of one shape pair without a live pattern share one list
+    lists = Counter(id(report["patterns"]) for report in reports)
+    assert max(lists.values()) > 1
+    assert all(ident in kept for ident, n in lists.items() if n > 1)
     assert all(id(report[key]) in kept for report in reports for key in "uw")
+    assert all(id(report[key]) in kept for report in reports for key in "pmn")
     assert not any(id(report) in kept for report in reports)
     assert id(reports) not in kept and id(payload) not in kept
 

@@ -14,6 +14,9 @@ random-search survivors at alphabet size 3:
     - split then compose is the identity on words, and compose then split
       gives back the factors, also on rank-3 families; compose fills each
       point outside both factor boxes exactly once
+    - the box-index kernel Shape.indices, the prefix and tail restrictions
+      and the first forbidden edge equal their point-by-point definitions,
+      the edge in the order of a row-major scan that make_word names
     - build_shift_patterns gives the keys, index and cells of a dense
       reference that decomposes every word of the extension shape, and
       the collision scan finds the witnesses of a Word-keyed scan
@@ -79,7 +82,7 @@ from rankshift.pressure import (
 )
 from rankshift.shapes import Shape
 from rankshift.words import (
-    _fill, check_enum_budget, compose, enumerate_words, make_word,
+    Word, _fill, check_enum_budget, compose, enumerate_words, make_word,
     restrict_prefix, restrict_tail)
 
 FAMILIES = Path(__file__).resolve().parent.parent / "families"
@@ -454,6 +457,72 @@ def test_compose_fills_each_point_once(monkeypatch, family, a, b, fills):
                if not (Shape(q) <= a or a <= Shape(q))}
     assert len(filled) == len(outside) == fills
     assert set(filled) == outside
+
+
+@st.composite
+def _boxes(draw):
+    """(m, sub, offset) with offset + sub <= m, rank 1 to 4."""
+    rank = draw(st.integers(1, 4))
+    sub = Shape(tuple(draw(st.integers(0, 3)) for _ in range(rank)))
+    offset = Shape(tuple(draw(st.integers(0, 3)) for _ in range(rank)))
+    slack = Shape(tuple(draw(st.integers(0, 2)) for _ in range(rank)))
+    return offset + sub + slack, sub, offset
+
+
+@PROPERTY
+@given(_boxes())
+def test_box_indices_are_pointwise_index_of(box):
+    m, sub, offset = box
+    assert m.indices(sub, offset) == [m.index_of((offset + Shape(l)).coords)
+                                      for l in sub.box()]
+    assert m.indices(sub) == [m.index_of(l) for l in sub.box()]
+
+
+@PROPERTY
+@given(st.data())
+def test_restrictions_are_pointwise(data):
+    family = data.draw(st.one_of(valid_families(), rank3_families()))
+    shape = data.draw(_shapes(family, 2 if family.rank < 3 else 1))
+    word = data.draw(st.sampled_from(list(islice(
+        enumerate_words(family, shape), 64))))
+    k = Shape(tuple(data.draw(st.integers(0, c)) for c in shape))
+    assert restrict_prefix(word, k) == Word(
+        k, tuple(word.label_at(l) for l in k.box()))
+    rest = shape - k
+    assert restrict_tail(word, k) == Word(
+        rest, tuple(word.label_at((k + Shape(l)).coords) for l in rest.box()))
+
+
+def _scanned_bad_edge(family, word):
+    """The first forbidden edge of a row-major scan over start points,
+    then directions."""
+    m, succ = word.shape, family.masks[0]
+    for point in m.box():
+        for j in range(m.rank):
+            if point[j] < m[j]:
+                nxt = point[:j] + (point[j] + 1,) + point[j + 1:]
+                if not succ[j][word.label_at(point)] >> word.label_at(nxt) & 1:
+                    return point, j
+    return None
+
+
+@PROPERTY
+@given(st.data())
+def test_first_bad_edge_is_the_row_major_scan(data):
+    family = data.draw(st.one_of(valid_families(), rank3_families()))
+    shape = data.draw(_shapes(family, 2 if family.rank < 3 else 1))
+    labels = tuple(data.draw(st.lists(st.integers(0, family.dim - 1),
+                                      min_size=shape.volume,
+                                      max_size=shape.volume)))
+    bad = _scanned_bad_edge(family, Word(shape, labels))
+    assert words._first_bad_edge(family, Word(shape, labels)) == bad
+    if bad is None:
+        assert make_word(family, shape, labels) == Word(shape, labels)
+    else:
+        message = f"edge constraint violated at {bad[0]} direction {bad[1]}"
+        with pytest.raises(ValueError) as info:
+            make_word(family, shape, labels)
+        assert str(info.value) == message
 
 
 def _dense_patterns(family, u, w, p, m):

@@ -10,6 +10,9 @@ Core claims:
     - a sweep's shared word tables change no report, and none outlives
       the sweep; its JSON data holds one dict per distinct Word and one
       per distinct pattern
+    - the pairs of one shape pair without a live pattern share the plan's
+      stats, and a build never fills the plan's grid; tables of another
+      family are refused before any lookup
 """
 
 import pytest
@@ -274,6 +277,44 @@ def test_tables_refuse_another_family(g1, g2):
     with pytest.raises(ValueError):
         build_shift_patterns(g2, u, u, Shape.of(1), Shape.of(2),
                              tables=SweepTables(g1))
+
+
+def _untouchable_tables(family):
+    """Tables of family on which any lookup fails the test."""
+    tables = SweepTables(family)
+
+    def used(*args):
+        raise AssertionError("the tables were used")
+
+    for name in ("words", "compose", "split_extensions", "plan"):
+        setattr(tables, name, used)
+    return tables
+
+
+@pytest.mark.parametrize("build", [examine_pair, build_shift_patterns])
+def test_another_familys_tables_are_refused_before_use(g1, g2, build):
+    u = _letter(g2, "0")
+    with pytest.raises(ValueError, match="different family"):
+        build(g2, u, u, Shape.of(1), Shape.of(2),
+              tables=_untouchable_tables(g1))
+
+
+def test_pairs_without_live_patterns_share_their_plan(g3):
+    tables = SweepTables(g3)
+    p = Shape.of(1, 1)
+    gens = tables.words(Shape.of(1, 0))
+    reports = [examine_pair(g3, u, w, p, tables=tables)
+               for u in gens for w in gens]
+    empty = [r for r in reports if not any(stat[2] for stat in r.stats)]
+    assert 1 < len(empty) < len(reports)
+    assert {id(r.stats) for r in empty} == {
+        id(tables.plan(gens[0].shape, gens[0].shape, p).stats)}
+    # a build fills a copy of the plan's grid, never the grid itself
+    m = p + gens[0].shape
+    grid = build_shift_patterns(g3, gens[0], gens[0], p, m, tables=tables)
+    assert any(pattern.cells for pattern in grid.values())
+    plan = tables.plan(gens[0].shape, gens[0].shape, p, m)
+    assert not any(pattern.cells for pattern in plan.grid.values())
 
 
 # -- Cylinder separation ---------------------------------------------------------
