@@ -72,9 +72,9 @@ def check_partial_isometry(pattern):
     return _first_collision(pattern) is None
 
 
-# What the builds of all generator pairs of two shapes share, the all-empty
-# grid and its stats among them; ``keys`` maps label pairs to Word pairs.
-PairPlan = namedtuple("PairPlan", "n m ext gamma index grid keys stats")
+# What the builds of all generator pairs of two shapes share, the stats of
+# the all-empty grid among them; ``keys`` maps label pairs to Word pairs.
+PairPlan = namedtuple("PairPlan", "n m ext gamma index keys stats")
 
 
 class SweepTables:
@@ -86,8 +86,9 @@ class SweepTables:
     origin), compositions by factor pair, the split extensions of a base
     word by (base, extension shape, compression shape), and the PairPlan,
     shape and budget checks done, by (sigma(u), sigma(w), p, m, budget).
-    A build copies the plan's empty grid, whose keys keep their hashes,
-    and fills the few live keys.  Nothing outlives the one sweep.
+    A build maps every plan key to one shared empty pattern and fills only
+    the live keys; a pair with none reports the plan's stats.  Nothing
+    outlives the one sweep.
     """
 
     def __init__(self, family):
@@ -143,23 +144,25 @@ class SweepTables:
                  for lam in self.words(n - u_shape)]
         found = self._plans[key] = PairPlan(
             n, m, ext, m - p - u_shape, index,
-            dict.fromkeys(pairs, PatternMatrix(index, frozenset())),
             {(kappa.labels, lam.labels): (kappa, lam) for kappa, lam in pairs},
             tuple((kappa, lam, 0, True) for kappa, lam in pairs))
         return found
 
 
-def _plan_and_cells(family, u, w, p, m, budget, tables):
-    """(plan, live): the PairPlan of u and w and the cells of each live key,
-    by (kappa, lambda) labels, which hash in C; tables are checked first."""
+def build_shift_patterns(family, u, w, p, m, budget=None, tables=None):
+    """Map (kappa, lambda) -> PatternMatrix for generators u, w, shift step
+    p and compression shape m, in label order.  Needs m >= p +
+    sup(sigma(u), sigma(w)).  ``tables`` shares word tables across the
+    builds of one sweep; another family's tables are refused before use."""
     require_valid(family)
     if tables is None:
         tables = SweepTables(family)
     elif tables.family != family:
         raise ValueError("sweep tables belong to a different family")
     plan = tables.plan(u.shape, w.shape, p, m, budget)
-    live = {}
+    grid = dict.fromkeys(plan.keys.values(), PatternMatrix(plan.index, frozenset()))
     if u.origin == w.origin and u.terminal == w.terminal:
+        live = {}  # by (kappa, lambda) labels, which hash in C
         gammas = tables.words(plan.gamma, origin=u.terminal)
         for nu in tables.words(p):
             if nu.terminal != u.origin:
@@ -169,17 +172,8 @@ def _plan_and_cells(family, u, w, p, m, budget, tables):
                 row, base = tables.compose(nu_u, gamma), tables.compose(nu_w, gamma)
                 for kappa, lam, col in tables.split_extensions(base, plan.ext, plan.m):
                     live.setdefault((kappa.labels, lam.labels), set()).add((row, col))
-    return plan, live
-
-
-def build_shift_patterns(family, u, w, p, m, budget=None, tables=None):
-    """Map (kappa, lambda) -> PatternMatrix for generators u, w, shift step
-    p and compression shape m.  Needs m >= p + sup(sigma(u), sigma(w)).
-    ``tables`` shares word tables across the builds of one sweep."""
-    plan, live = _plan_and_cells(family, u, w, p, m, budget, tables)
-    grid = plan.grid.copy()
-    for key, cells in live.items():
-        grid[plan.keys[key]] = PatternMatrix(plan.index, frozenset(cells))
+        for key, cells in live.items():
+            grid[plan.keys[key]] = PatternMatrix(plan.index, frozenset(cells))
     return grid
 
 
@@ -268,19 +262,18 @@ def _failure_witness(u, p, kappa, lam, pattern):
 def examine_pair(family, u, w, p, m=None, budget=None, tables=None):
     """Build all patterns for one generator pair and check each one, in
     (kappa, lambda) label order; with no live pattern, the plan's stats."""
-    plan, live = _plan_and_cells(family, u, w, p, m, budget, tables)
+    tables = tables or SweepTables(family)
+    grid = build_shift_patterns(family, u, w, p, m, budget, tables)
+    plan = tables.plan(u.shape, w.shape, p, m, budget)
     stats, witnesses = plan.stats, []
-    if live:
-        stats = []
-        for (key, (kappa, lam)), stat in zip(plan.keys.items(), plan.stats):
-            cells = live.get(key)
-            if cells is not None:
-                pattern = PatternMatrix(plan.index, frozenset(cells))
-                ok = check_partial_isometry(pattern)
-                stat = (kappa, lam, len(cells), ok)
-                if not ok:
-                    witnesses.append(_failure_witness(u, p, kappa, lam, pattern))
-            stats.append(stat)
+    for i, ((kappa, lam), pattern) in enumerate(grid.items()):
+        if pattern.cells:
+            if stats is plan.stats:
+                stats = list(stats)
+            ok = check_partial_isometry(pattern)
+            stats[i] = (kappa, lam, len(pattern.cells), ok)
+            if not ok:
+                witnesses.append(_failure_witness(u, p, kappa, lam, pattern))
     return PatternFamilyReport(u, w, p, plan.m, plan.n, tuple(stats), tuple(witnesses))
 
 

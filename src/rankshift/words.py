@@ -13,8 +13,7 @@ label sequences.
 """
 
 from dataclasses import dataclass
-from itertools import islice
-from math import log2
+from math import log2, prod
 
 from .budget import DEFAULT as DEFAULT_BUDGET
 from .errors import (
@@ -90,18 +89,13 @@ def make_word(family, shape, labels):
 def _first_bad_edge(family, word):
     """(point, j) of the first edge that M_j forbids, in row-major order
     of its start point and then of j; None when every edge is allowed."""
-    m, labels, succ = word.shape, word.labels, family.masks[0]
-    bad = []
-    for j in range(m.rank):
-        if m[j]:
-            step = Shape.unit(j, m.rank)
-            bad.extend((a, j) for a, b in zip(m.indices(m - step),
-                                              m.indices(m - step, step))
-                       if not succ[j][labels[a]] >> labels[b] & 1)
-    if not bad:
-        return None
-    a, j = min(bad)
-    return next(islice(m.box(), a, None)), j
+    m, labels, succ = word.shape.coords, word.labels, family.masks[0]
+    strides = [prod(c + 1 for c in m[j + 1:]) for j in range(len(m))]
+    for a, point in enumerate(word.shape.box()):
+        for j, step in enumerate(strides):
+            if point[j] < m[j] and not succ[j][labels[a]] >> labels[a + step] & 1:
+                return point, j
+    return None
 
 
 def letter_index(family, letter):

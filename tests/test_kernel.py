@@ -59,7 +59,7 @@ from rankshift.errors import (
 from rankshift.gapsearch import exhaustive_search, random_search
 from rankshift.jsonout import round12
 from rankshift.patterns import (
-    PatternMatrix, _first_collision, build_shift_patterns)
+    PatternMatrix, _first_collision, build_shift_patterns, examine_pair)
 from rankshift.matrices import (
     Alphabet,
     MatrixFamily,
@@ -575,6 +575,9 @@ def test_shift_patterns_match_dense_reference(data):
     built = build_shift_patterns(family, u, w, p, m)
     dense = _dense_patterns(family, u, w, p, m)
     assert list(built) == list(dense)
+    # the report lemma-check emits reads the same build
+    assert examine_pair(family, u, w, p, m).stats == tuple(
+        (kappa, lam, len(cells), True) for (kappa, lam), cells in dense.items())
     index = tuple(enumerate_words(family, m))
     for key, cells in dense.items():
         assert built[key].index == index

@@ -11,8 +11,7 @@ Core claims:
       the sweep; its JSON data holds one dict per distinct Word and one
       per distinct pattern
     - the pairs of one shape pair without a live pattern share the plan's
-      stats, and a build never fills the plan's grid; tables of another
-      family are refused before any lookup
+      stats; tables of another family are refused before any lookup
 """
 
 import pytest
@@ -309,12 +308,6 @@ def test_pairs_without_live_patterns_share_their_plan(g3):
     assert 1 < len(empty) < len(reports)
     assert {id(r.stats) for r in empty} == {
         id(tables.plan(gens[0].shape, gens[0].shape, p).stats)}
-    # a build fills a copy of the plan's grid, never the grid itself
-    m = p + gens[0].shape
-    grid = build_shift_patterns(g3, gens[0], gens[0], p, m, tables=tables)
-    assert any(pattern.cells for pattern in grid.values())
-    plan = tables.plan(gens[0].shape, gens[0].shape, p, m)
-    assert not any(pattern.cells for pattern in plan.grid.values())
 
 
 # -- Cylinder separation ---------------------------------------------------------
