@@ -273,7 +273,8 @@ def validate_family(family):
 
     # C3 (rank >= 3): both orders of completing the unit cube from a chain
     # a -(i)-> b -(j)-> c -(k)-> d must label all eight corners identically.
-    # Whether C1+C2 already force this is open, so it is checked outright.
+    # C1+C2 do not force this: families/cube_fail.json passes them pairwise
+    # and fails here, with 8 words of shape (1,1,1) against 10 in M1 M2 M3.
     if family.rank >= 3:
         pred = tuple(map(_columns, succ))
         for i in range(family.rank):
@@ -591,7 +592,10 @@ def _exact_int(x, what):
 def family_from_dict(data):
     try:
         rank = _exact_int(data["rank"], "rank")
-        alphabet = Alphabet(tuple(data["alphabet"]))
+        letters = data["alphabet"]
+        if type(letters) is not list or any(type(x) is not str for x in letters):
+            raise ValueError(f"alphabet {letters!r} is not a list of strings")
+        alphabet = Alphabet(tuple(letters))
         matrices = tuple(
             tuple(tuple(_exact_int(x, "matrix entry") for x in row)
                   for row in m)

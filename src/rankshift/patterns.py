@@ -72,9 +72,9 @@ def check_partial_isometry(pattern):
     return _first_collision(pattern) is None
 
 
-# What the builds of all generator pairs of two shapes share, the stats of
-# the all-empty grid among them; ``keys`` maps label pairs to Word pairs.
-PairPlan = namedtuple("PairPlan", "n m ext gamma index keys stats")
+# What the builds of all generator pairs of two shapes share, and the
+# stats of the all-empty grid among them, in (kappa, lambda) label order.
+PairPlan = namedtuple("PairPlan", "n m ext gamma index stats")
 
 
 class SweepTables:
@@ -82,87 +82,67 @@ class SweepTables:
 
     What a build enumerates, composes and checks depends on the family,
     shapes, endpoint letters and words, not on the generator pair itself,
-    so a sweep over many pairs needs each entry once: words by (shape,
-    origin), compositions by factor pair, the split extensions of a base
-    word by (base, extension shape, compression shape), and the PairPlan,
-    shape and budget checks done, by (sigma(u), sigma(w), p, m, budget).
-    A build maps every plan key to one shared empty pattern and fills only
-    the live keys; a pair with none reports the plan's stats.  Nothing
-    outlives the one sweep.
+    so a sweep over many pairs needs each entry once.  Each table is a
+    functools.cache over the family: words by (shape, origin),
+    compositions by factor pair, the split extensions of a base word by
+    (base, extension shape, compression shape), and the PairPlan, shape
+    and budget checks done, by (sigma(u), sigma(w), p, m, budget), with
+    an omitted m or budget keyed as None.  No cache refers to the tables,
+    so they die with the sweep's last reference, without a GC pass.
     """
 
     def __init__(self, family):
         self.family = family
-        self._words = {}
-        self._composed = {}
-        self._splits = {}
-        self._plans = {}
-
-    def words(self, shape, origin=None):
-        key = (shape, origin)
-        found = self._words.get(key)
-        if found is None:
-            found = self._words[key] = tuple(
-                enumerate_words(self.family, shape, origin=origin))
-        return found
-
-    def compose(self, u, v):
-        key = (u, v)
-        found = self._composed.get(key)
-        if found is None:
-            found = self._composed[key] = compose(self.family, u, v)
-        return found
-
-    def split_extensions(self, base, shape, m):
-        """(kappa, lambda, column) for every extension of base to shape:
-        the tail past base, the tail past m and the prefix of shape m."""
-        key = (base, shape, m)
-        found = self._splits.get(key)
-        if found is None:
-            found = self._splits[key] = tuple(
-                (restrict_tail(ext, base.shape), restrict_tail(ext, m),
-                 restrict_prefix(ext, m))
-                for ext in enumerate_extensions(self.family, base, shape))
-        return found
+        self.words = functools.cache(lambda shape, origin=None: tuple(
+            enumerate_words(family, shape, origin=origin)))
+        self.compose = functools.cache(functools.partial(compose, family))
+        self.split_extensions = functools.cache(
+            functools.partial(_split_extensions, family))
+        self._plans = functools.cache(functools.partial(_plan, family, self.words))
 
     def plan(self, u_shape, w_shape, p, m=None, budget=None):
         """The PairPlan at step p and shape m (p + n when None) >= p + n."""
-        key = (u_shape, w_shape, p, m, budget)
-        found = self._plans.get(key)
-        if found is not None:
-            return found
-        n = u_shape.sup(w_shape)
-        m = p + n if m is None else m
-        if not p + n <= m:
-            raise ShapeTooSmallError(
-                "compression shape must dominate step plus generator shapes",
-                m=list(m.coords), needed=list((p + n).coords))
-        ext = m + (n - u_shape)
-        check_enum_budget(self.family, ext, budget)
-        index = self.words(m)
-        pairs = [(kappa, lam) for kappa in self.words(n - w_shape)
-                 for lam in self.words(n - u_shape)]
-        found = self._plans[key] = PairPlan(
-            n, m, ext, m - p - u_shape, index,
-            {(kappa.labels, lam.labels): (kappa, lam) for kappa, lam in pairs},
-            tuple((kappa, lam, 0, True) for kappa, lam in pairs))
-        return found
+        return self._plans(u_shape, w_shape, p, m, budget)
+
+
+def _split_extensions(family, base, shape, m):
+    """(kappa, lambda, column) for every extension of base to shape: the
+    tail past base, the tail past m and the prefix of shape m."""
+    return tuple((restrict_tail(ext, base.shape), restrict_tail(ext, m),
+                  restrict_prefix(ext, m))
+                 for ext in enumerate_extensions(family, base, shape))
+
+
+def _plan(family, words, u_shape, w_shape, p, m, budget):
+    n = u_shape.sup(w_shape)
+    m = p + n if m is None else m
+    if not p + n <= m:
+        raise ShapeTooSmallError(
+            "compression shape must dominate step plus generator shapes",
+            m=list(m.coords), needed=list((p + n).coords))
+    ext = m + (n - u_shape)
+    check_enum_budget(family, ext, budget)
+    return PairPlan(n, m, ext, m - p - u_shape, words(m), tuple(
+        (kappa, lam, 0, True)
+        for kappa in words(n - w_shape) for lam in words(n - u_shape)))
 
 
 def build_shift_patterns(family, u, w, p, m, budget=None, tables=None):
     """Map (kappa, lambda) -> PatternMatrix for generators u, w, shift step
     p and compression shape m, in label order.  Needs m >= p +
     sup(sigma(u), sigma(w)).  ``tables`` shares word tables across the
-    builds of one sweep; another family's tables are refused before use."""
+    builds of one sweep; another family's tables are refused before use.
+    Every key maps to one shared empty pattern until a live cell fills it."""
     require_valid(family)
     if tables is None:
         tables = SweepTables(family)
     elif tables.family != family:
         raise ValueError("sweep tables belong to a different family")
     plan = tables.plan(u.shape, w.shape, p, m, budget)
-    grid = dict.fromkeys(plan.keys.values(), PatternMatrix(plan.index, frozenset()))
+    grid = dict.fromkeys([stat[:2] for stat in plan.stats],
+                         PatternMatrix(plan.index, frozenset()))
     if u.origin == w.origin and u.terminal == w.terminal:
-        live = {}  # by (kappa, lambda) labels, which hash in C
+        live = {}
         gammas = tables.words(plan.gamma, origin=u.terminal)
         for nu in tables.words(p):
             if nu.terminal != u.origin:
@@ -171,9 +151,9 @@ def build_shift_patterns(family, u, w, p, m, budget=None, tables=None):
             for gamma in gammas:
                 row, base = tables.compose(nu_u, gamma), tables.compose(nu_w, gamma)
                 for kappa, lam, col in tables.split_extensions(base, plan.ext, plan.m):
-                    live.setdefault((kappa.labels, lam.labels), set()).add((row, col))
+                    live.setdefault((kappa, lam), set()).add((row, col))
         for key, cells in live.items():
-            grid[plan.keys[key]] = PatternMatrix(plan.index, frozenset(cells))
+            grid[key] = PatternMatrix(plan.index, frozenset(cells))
     return grid
 
 
@@ -196,26 +176,17 @@ class PatternFamilyReport:
     def all_partial_isometries(self):
         return not self.witnesses
 
-    def to_json(self, shared=None):
-        """JSON data of the report.  ``shared``, a triple from
-        _shared_json, is passed by a call over many reports."""
-        word_dict, coords, patterns = shared or _shared_json()
-        return {
-            "u": word_dict(self.u),
-            "w": word_dict(self.w),
-            "p": coords(self.p),
-            "m": coords(self.m),
-            "n": coords(self.n),
-            "patterns": patterns(self.stats),
-            "all_partial_isometries": self.all_partial_isometries,
-            "witnesses": list(self.witnesses),
-        }
+    def to_json(self):
+        """JSON data of the report, as reports_to_json gives it."""
+        return reports_to_json([self])[0]
 
 
-def _shared_json():
-    """(word_dict, coords, patterns): functions that make the dict of a
-    Word, the list of a Shape and the pattern list of a stats object, each
-    giving one object per distinct argument while the triple is kept."""
+def reports_to_json(reports):
+    """JSON data of reports.  Equal Words, Shapes and stats share one object,
+    and so do the pattern lists of the pairs without a live pattern, which
+    share their plan's stats: the emitter encodes each at most twice per
+    depth.  On a g3 sweep at max-shape (1, 0) the 1984 patterns are 80
+    distinct dicts over 10 Words, in 18 distinct lists."""
     word_dict = functools.cache(word_to_dict)
     coords = functools.cache(lambda shape: list(shape.coords))
 
@@ -232,17 +203,10 @@ def _shared_json():
             lists[id(stats)] = stats, list(map(pattern_dict, stats))
         return lists[id(stats)][1]
 
-    return word_dict, coords, patterns
-
-
-def reports_to_json(reports):
-    """JSON data of reports.  Equal Words, Shapes and stats share one object,
-    and so do the pattern lists of the pairs without a live pattern, which
-    share their plan's stats: the emitter encodes each at most twice per
-    depth.  On a g3 sweep at max-shape (1, 0) the 1984 patterns are 80
-    distinct dicts over 10 Words, in 18 distinct lists."""
-    shared = _shared_json()
-    return [r.to_json(shared) for r in reports]
+    return [{"u": word_dict(r.u), "w": word_dict(r.w), "p": coords(r.p),
+             "m": coords(r.m), "n": coords(r.n), "patterns": patterns(r.stats),
+             "all_partial_isometries": r.all_partial_isometries,
+             "witnesses": list(r.witnesses)} for r in reports]
 
 
 def _failure_witness(u, p, kappa, lam, pattern):

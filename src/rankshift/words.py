@@ -14,6 +14,7 @@ label sequences.
 
 from dataclasses import dataclass
 from math import log2, prod
+from typing import NamedTuple
 
 from .budget import DEFAULT as DEFAULT_BUDGET
 from .errors import (
@@ -29,8 +30,8 @@ from .matrices import mask_bits, origin_counts, require_valid
 from .shapes import Shape
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(NamedTuple):
+    """Labels of box(shape), row-major; a tuple, so it hashes in C."""
     shape: Shape
     labels: tuple
 
@@ -47,9 +48,6 @@ class Word:
 
     def letters(self, family):
         return tuple(family.alphabet[i] for i in self.labels)
-
-    def __hash__(self):
-        return hash((self.shape.coords, self.labels))
 
     def __repr__(self):
         return f"Word({self.shape.coords}, {self.labels})"

@@ -222,6 +222,16 @@ def test_inexact_rank_is_parse_error(tmp_path, rank):
     assert json.loads(proc.stdout)["error"] == "ParseError"
 
 
+@pytest.mark.parametrize("alphabet", ["01", [0, 1], [True, None]],
+                         ids=["string", "ints", "bool-null"])
+def test_alphabet_of_non_strings_is_parse_error(capsys, tmp_path, alphabet):
+    path = tmp_path / "alphabet.json"
+    path.write_text(json.dumps(
+        {"rank": 1, "alphabet": alphabet, "matrices": [[[1, 1], [1, 0]]]}))
+    assert main(["validate", "-f", str(path)]) == 1
+    assert json.loads(capsys.readouterr().out)["error"] == "ParseError"
+
+
 def _potential_file(tmp_path, default, entries=()):
     path = tmp_path / "pot.json"
     path.write_text(json.dumps({

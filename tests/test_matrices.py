@@ -2,7 +2,9 @@
 
 Core claims:
     - the golden-mean counts follow the Fibonacci recurrence (frozen values)
-    - validation flags the known bad families with exact codes and witnesses
+    - validation flags the known bad families with exact codes and witnesses;
+      a family valid on every pair can still fail C3, and then its word
+      count leaves the entry sum of M_1 M_2 M_3
     - matrix_power_product is exact and factor-order independent
     - spectral_radius matches bisection roots of the characteristic
       polynomials for golden and plastic matrices and is exact on trivia
@@ -13,6 +15,7 @@ Core claims:
     - the counting inequalities w_l <= w_{l+m} <= |B| w_l w_m hold
 """
 
+import itertools
 import math
 import random
 from pathlib import Path
@@ -37,6 +40,7 @@ from rankshift.matrices import (
     load_family,
     log_spectral_radius,
     matrix_identity,
+    matrix_mul,
     log_word_count,
     matrix_power_product,
     require_valid,
@@ -193,6 +197,36 @@ def test_rank3_tensor_passes_cube_check(g1):
     triple = tensor_product(tensor_product(g1, g1), g1)
     assert triple.rank == 3
     assert validate_family(triple).ok
+
+
+def _brute_force_count(family, shape):
+    """Labelings of box(shape) with every unit step allowed, by trying all
+    of them: needs no validity, unlike enumerate_words."""
+    points = list(shape.box())
+    place = {pt: t for t, pt in enumerate(points)}
+    edges = [(place[pt], place[pt[:j] + (pt[j] + 1,) + pt[j + 1:]], m)
+             for pt in points for j, m in enumerate(family.matrices)
+             if pt[j] < shape[j]]
+    return sum(all(m[labels[a]][labels[b]] for a, b, m in edges)
+               for labels in itertools.product(range(family.dim),
+                                               repeat=len(points)))
+
+
+def test_pairwise_valid_family_can_fail_the_cube_check():
+    # C1 and C2 on every pair do not imply C3: the cube check is needed
+    family = load_family(FAMILIES / "cube_fail.json")
+    report = validate_family(family)
+    assert report.to_json()["status"] == "invalid"
+    assert [v.code for v in report.violations] == ["CubeInconsistency"] * 6
+    first = dict(report.violations[0].witness)
+    assert [first[key] for key in "ijk"] == [1, 2, 3]
+    assert first["chain"] == [2, 0, 0, 0]
+    for pair in itertools.combinations(family.matrices, 2):
+        assert validate_family(MatrixFamily(2, family.alphabet, pair)).ok
+    # and without C3 the word count leaves the entry sum of the product
+    assert _brute_force_count(family, Shape.of(1, 1, 1)) == 8
+    m1, m2, m3 = family.matrices
+    assert sum(map(sum, matrix_mul(matrix_mul(m1, m2), m3))) == 10
 
 
 def test_unique_factorization_violation():

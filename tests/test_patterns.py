@@ -8,11 +8,15 @@ Core claims:
       per-kappa row sets and per-lambda column sets pairwise disjoint
     - fabricated double cells are caught and reported with a usable witness
     - a sweep's shared word tables change no report, and none outlives
-      the sweep; its JSON data holds one dict per distinct Word and one
-      per distinct pattern
+      the sweep: the tables die with their last reference, without a GC
+      pass; its JSON data holds one dict per distinct Word and one per
+      distinct pattern
     - the pairs of one shape pair without a live pattern share the plan's
       stats; tables of another family are refused before any lookup
 """
+
+import gc
+import weakref
 
 import pytest
 
@@ -308,6 +312,22 @@ def test_pairs_without_live_patterns_share_their_plan(g3):
     assert 1 < len(empty) < len(reports)
     assert {id(r.stats) for r in empty} == {
         id(tables.plan(gens[0].shape, gens[0].shape, p).stats)}
+
+
+def test_tables_die_with_their_last_reference(g3):
+    # no table holds the tables themselves, so they need no GC pass
+    gc.disable()
+    try:
+        tables = SweepTables(g3)
+        gens = tables.words(Shape.of(1, 0))
+        reports = [examine_pair(g3, u, w, Shape.of(1, 1), tables=tables)
+                   for u in gens for w in gens]
+        ref = weakref.ref(tables)
+        del tables
+        assert ref() is None
+    finally:
+        gc.enable()
+    assert any(stat[2] for r in reports for stat in r.stats)
 
 
 # -- Cylinder separation ---------------------------------------------------------
