@@ -292,8 +292,9 @@ def _cmd_search_gap(args, family):
             budget=budget)
         attempts = args.trials
     records = gapsearch.sorted_records(records)
-    payload = {"summary": gapsearch.summarize(records, attempts),
-               "records": [r.to_json() for r in records]}
+    payload = {"summary": gapsearch.summarize(records, attempts)}
+    if args.format == "json":  # CSV writes the rows below, not the payload
+        payload["records"] = [r.to_json() for r in records]
     return (payload, gapsearch.record_csv_header(args.rank),
             map(gapsearch.record_csv_row, records))
 

@@ -22,7 +22,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import combinations, permutations
 
 from .budget import DEFAULT as DEFAULT_BUDGET
 from .errors import (
@@ -80,9 +80,9 @@ def mask_bits(mask):
 _BINARY_DIGITS = b"01" + b"x" * 254
 
 
-def _bit_rows(m):
+def bit_rows(m):
     """Row bitmasks of a 0-1 matrix, built in C: bit b of row a is m[a][b].
-    ValueError for an integer entry other than 0 or 1."""
+    ValueError or TypeError for an entry that is not an integer 0 or 1."""
     return tuple(int(bytes(row[::-1]).translate(_BINARY_DIGITS), 2)
                  for row in m)
 
@@ -181,7 +181,7 @@ class MatrixFamily:
         """Row bitmasks (succ, pred): bit b of succ[j][a] and bit a of
         pred[j][b] are set when M_j(a, b) = 1.  Meaningful once the
         structure stage of validation has passed (square 0-1 matrices)."""
-        succ = tuple(map(_bit_rows, self.matrices))
+        succ = tuple(map(bit_rows, self.matrices))
         return succ, tuple(map(_columns, succ))
 
     @property
@@ -212,8 +212,8 @@ def validate_family(family):
     violations = []
     dim = len(family.alphabet)
 
-    # structure: rank, squareness, binary entries; a matrix with an entry
-    # that is not an int or bool 0 or 1 is scanned for its first bad cell
+    # structure: rank, squareness, binary entries; a matrix whose bit rows
+    # cannot be built is scanned for its first cell that is not an int 0 or 1
     if family.rank < 1 or len(family.matrices) != family.rank:
         violations.append(Violation("ShapeMismatch", (
             ("rank", family.rank), ("matrices", len(family.matrices)))))
@@ -223,25 +223,14 @@ def validate_family(family):
             violations.append(Violation("ShapeMismatch", (
                 ("i", i), ("rows", len(m)), ("dim", dim))))
             continue
-        rows = None
-        if set(map(type, chain.from_iterable(m))) <= {int, bool}:
-            try:
-                rows = _bit_rows(m)
-            except ValueError:  # an integer other than 0 or 1
-                pass
-        if rows is None:
-            bad = next(
-                ((a, b) for a in range(dim) for b in range(dim)
-                 if not isinstance(m[a][b], int) or m[a][b] not in (0, 1)),
-                None,
-            )
-            if bad is not None:
-                a, b = bad
-                violations.append(Violation("NonBinaryEntry", (
-                    ("i", i), ("row", a), ("col", b), ("value", m[a][b]))))
-                continue
-            rows = _bit_rows(m)  # 0s and 1s of an int subclass
-        succ.append(rows)
+        try:
+            succ.append(bit_rows(m))
+        except (TypeError, ValueError):
+            a, b = next(
+                (a, b) for a in range(dim) for b in range(dim)
+                if not isinstance(m[a][b], int) or m[a][b] not in (0, 1))
+            violations.append(Violation("NonBinaryEntry", (
+                ("i", i), ("row", a), ("col", b), ("value", m[a][b]))))
     if violations:
         return ValidationReport(tuple(violations))
 
@@ -260,14 +249,13 @@ def validate_family(family):
 
     # C1 / C2: commutation with 0-1 products; one witness per pair, first
     # offending cell in row-major order
-    for i in range(family.rank):
-        for j in range(i + 1, family.rank):
-            cell = _commutation_witness(succ[i], succ[j])
-            if cell is not None:
-                a, b, p = cell
-                violations.append(Violation("UniqueFactorizationViolation", (
-                    ("i", i + 1), ("j", j + 1), ("row", a), ("col", b),
-                    ("count", p))))
+    for i, j in combinations(range(family.rank), 2):
+        cell = commutation_witness(succ[i], succ[j])
+        if cell is not None:
+            a, b, p = cell
+            violations.append(Violation("UniqueFactorizationViolation", (
+                ("i", i + 1), ("j", j + 1), ("row", a), ("col", b),
+                ("count", p))))
     if violations:
         return ValidationReport(tuple(violations))
 
@@ -277,18 +265,14 @@ def validate_family(family):
     # and fails here, with 8 words of shape (1,1,1) against 10 in M1 M2 M3.
     if family.rank >= 3:
         pred = tuple(map(_columns, succ))
-        for i in range(family.rank):
-            for j in range(family.rank):
-                for k in range(family.rank):
-                    if len({i, j, k}) < 3:
-                        continue
-                    v = _check_cubes(succ, pred, i, j, k)
-                    if v is not None:
-                        violations.append(v)
+        for i, j, k in permutations(range(family.rank), 3):
+            v = _check_cubes(succ, pred, i, j, k)
+            if v is not None:
+                violations.append(v)
     return ValidationReport(tuple(violations))
 
 
-def _commutation_witness(si, sj):
+def commutation_witness(si, sj):
     """First cell (a, b, p), row-major, where M_i M_j exceeds 1 or differs
     from M_j M_i, with p = (M_i M_j)(a, b); None when there is none.
 

@@ -32,6 +32,7 @@ from rankshift.cli import main
 from rankshift.jsonout import dumps_line
 from rankshift.matrices import load_family, matrix_power_product
 from rankshift.shapes import Shape
+from rerun_argv import argv_from_config, config_of
 
 REPO = Path(__file__).resolve().parent.parent
 FAMILIES = REPO / "families"
@@ -571,6 +572,20 @@ def test_lemma_csv_builds_no_json_reports(capsys, monkeypatch):
         assert len(built) == (fmt == "json")
 
 
+def test_search_gap_csv_builds_no_json_records(capsys, monkeypatch):
+    from rankshift import gapsearch
+    built = []
+    real = gapsearch.GapRecord.to_json
+    monkeypatch.setattr(gapsearch.GapRecord, "to_json",
+                        lambda rec: built.append(None) or real(rec))
+    for fmt, count in (("csv", 0), ("json", 22)):
+        built.clear()
+        assert main(["search-gap", "--exhaustive", "--size", "2",
+                     "--format", fmt]) == 0
+        assert capsys.readouterr().out
+        assert len(built) == count
+
+
 # Digests of search-gap CSV outputs, taken before the sweeps shared one
 # radius per distinct matrix and validation tested commutation row by row:
 # neither may change a byte.  The random sweep's 300 candidates all fail.
@@ -659,36 +674,33 @@ def test_help_reads_terminal_width_when_printed(capsys, monkeypatch):
 
 # -- Embedded-config reproducibility ------------------------------------------------
 
-def _argv_from_config(config):
-    argv = [config["command"]]
-    for key, value in config.items():
-        if key == "command" or value is None:
-            continue
-        flag = "--" + key.replace("_", "-")
-        if key == "family":
-            flag = "-f"
-        if isinstance(value, bool):
-            if value:
-                argv.append(flag)
-            continue
-        argv.extend([flag, str(value)])
-    return argv
-
-
 def test_embedded_config_reproduces_json(g1_path):
     first = run_cli("entropy", "-f", g1_path, "--p", "1", "--n-max", "12")
-    config = json.loads(first.stdout)["config"]
-    second = run_cli(*_argv_from_config(config))
+    second = run_cli(*argv_from_config(config_of(first.stdout)))
     assert second.stdout == first.stdout
 
 
 def test_embedded_config_reproduces_csv(tmp_path):
     first = run_cli("search-gap", "-f", "/dev/null", "--trials", "25",
                     "--seed", "11", "--density", "0.5", "--format", "csv")
-    config_line = first.stdout.splitlines()[0]
-    config = json.loads(config_line[len("# config: "):])
-    second = run_cli(*_argv_from_config(config))
+    second = run_cli(*argv_from_config(config_of(first.stdout)))
     assert second.stdout == first.stdout
+
+
+def test_rerun_script_prints_the_config_argv(tmp_path):
+    # the script the CI reruns go through: a True flag is bare, a False
+    # flag and a None option are left out
+    out = tmp_path / "gap.csv"
+    run_cli("search-gap", "--exhaustive", "--size", "2", "--format", "csv",
+            "--out", str(out))
+    proc = subprocess.run(
+        [sys.executable, str(Path(__file__).parent / "rerun_argv.py"),
+         str(out)], capture_output=True, text=True, check=True)
+    argv = proc.stdout.split()
+    assert argv[0] == "search-gap" and "--exhaustive" in argv
+    assert "--family" not in argv and "--canonicalize" not in argv
+    rerun = run_cli(*argv)
+    assert rerun.stdout == out.read_text()
 
 
 # -- One emit path: JSON and CSV agree ----------------------------------------------

@@ -3,8 +3,11 @@
 Core claims:
     - tensor families sit exactly at gap zero, for any step
     - the 4-letter block family diag(J_2, I_2), diag(I_2, J_2) has gap log 2
-    - the exhaustive sweep over two letters finds the same 22 valid pairs
-      as a prefilter-free brute force written here from scratch
+    - the exhaustive sweep over two letters finds the same valid tuples,
+      in the same order, as a prefilter-free brute force written here
+      from scratch, at ranks 2, 3 and 4; it validates only the tuples the
+      pair walk grows, and refuses an oversized sweep before building it
+    - the gap stays finite once a radius leaves float range
     - every recorded gap over the small alphabets is zero to rounding,
       and never negative
     - a sweep computes the spectral radius of each distinct matrix once
@@ -18,7 +21,7 @@ import random
 
 import pytest
 
-from rankshift import gapsearch
+from rankshift import gapsearch, matrices
 from pytest import approx
 
 from rankshift.budget import Budget
@@ -53,6 +56,15 @@ def test_tensor_gap_is_zero(g3):
     assert gap(g3, Shape.of(2, 1)) == approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("n", [1000, 2000])
+def test_tensor_gap_is_zero_past_float_range(g3, n):
+    # the product radius (and at 2000 each factor radius) exceeds float
+    # range; the logs of those radii come from the log-domain kernel
+    radii, prod_radius, value = gap_parts(g3, Shape.of(n, n))
+    assert prod_radius == math.inf
+    assert value == approx(0.0, abs=1e-9)
+
+
 def test_gap_guards(g1, g3):
     with pytest.raises(RankOneError):
         gap(g1)
@@ -84,30 +96,57 @@ def test_block_family_has_gap_log_two():
 
 # -- Exhaustive sweep vs independent brute force -------------------------------
 
-def _brute_force_pairs(size):
-    """All matrix pairs, no prefilter, validity straight from the checker."""
+def _brute_force_tuples(size, rank):
+    """All matrix tuples, no prefilter, validity straight from the checker."""
     alphabet = Alphabet(tuple(str(i) for i in range(size)))
     rows = list(itertools.product((0, 1), repeat=size))
     mats = [m for m in itertools.product(rows, repeat=size)]
     found = []
-    for m1 in mats:
-        for m2 in mats:
-            fam = MatrixFamily(2, alphabet, (m1, m2))
-            if validate_family(fam).ok:
-                found.append(fam)
+    for combo in itertools.product(mats, repeat=rank):
+        fam = MatrixFamily(rank, alphabet, combo)
+        if validate_family(fam).ok:
+            found.append(fam)
     return found
 
 
-def test_exhaustive_matches_brute_force():
-    records = exhaustive_search(2)
-    brute = _brute_force_pairs(2)
-    assert len(records) == len(brute) == 22
-    assert {r.fingerprint for r in records} == \
-        {family_fingerprint(f) for f in brute}
+@pytest.mark.parametrize("rank, survivors", [(2, 22), (3, 46), (4, 94)])
+def test_exhaustive_matches_brute_force(rank, survivors):
+    records = exhaustive_search(2, rank=rank)
+    brute = _brute_force_tuples(2, rank)
+    assert len(records) == len(brute) == survivors
+    # the same families in the same (product) order
+    assert [r.family for r in records] == brute
     for rec in records:
         assert validate_family(rec.family).ok
         assert rec.value == approx(0.0, abs=1e-12)
         assert rec.value >= -1e-12
+
+
+def test_exhaustive_validates_only_grown_tuples(monkeypatch):
+    # the pair walk leaves 22 of the 81 nonzero-row pairs to validate
+    calls = []
+    real = matrices.validate_family
+    monkeypatch.setattr(matrices, "validate_family",
+                        lambda family: calls.append(family) or real(family))
+    assert len(exhaustive_search(2)) == len(calls) == 22
+
+
+def test_exhaustive_three_letters_rank_three():
+    # 343 matrices; the walk guards 1137 pairs x 343, not 343 ** 3
+    records = exhaustive_search(3, rank=3)
+    assert len(records) == 3243
+    assert all(validate_family(r.family).ok for r in records)
+
+
+def test_exhaustive_refuses_before_building_matrices(monkeypatch):
+    # 31 ** 5 five-letter matrices exceed the node budget on their own
+    calls = []
+    monkeypatch.setattr(gapsearch, "bit_rows",
+                        lambda m: calls.append(m) or matrices.bit_rows(m))
+    with pytest.raises(BudgetExceededError) as info:
+        exhaustive_search(5)
+    assert info.value.details["candidates"] == 31 ** 5
+    assert calls == []
 
 
 def test_exhaustive_single_letter():
