@@ -125,8 +125,9 @@ def bowen_entropy_estimate(family, k, p, n_max, budget=None):
 
     One pass yields every stage: the exact stages carry one count vector
     M^l e (log_word_count_series), stepped by p from stage to stage, so
-    the exact work is p.total vector steps per stage and no matrix
-    product is formed.
+    the exact work is p.total vector steps per stage; no matrix product
+    is formed, and no Shape is built per stage (the digit guard reads the
+    stage's total).
     """
     require_valid(family)
     check_scale(k, p)

@@ -7,6 +7,14 @@ the standard encoder runs in pure Python once ``indent`` is set and needs
 the rounded copy first.  Each container joins its own members, so no flat
 list of every fragment is held.
 
+A finite float prints as ``repr(float(f"{x:.12g}"))``.  When the 12-digit
+text has a "." and no "e", it is that repr already and prints as it is:
+the text has at most 12 significant digits and no trailing zero, and
+doubles separate decimals of up to 15 digits (DBL_DIG), so no shorter
+string reads back as the same float; and the text's decimal exponent,
+-4 to 11, is one for which repr also writes fixed notation.  Any other
+text (an integer value, -0, an exponent) takes the round trip.
+
 Within one call, a container met a second time at one depth keeps its
 text for every later meeting there; one met once keeps only its id.  So
 a shared list or dict is encoded at most twice per depth, and text that
@@ -65,7 +73,10 @@ def _encode(obj, newline, memo):
         return int.__repr__(obj)
     if kind is float:
         if isfinite(obj):
-            return float.__repr__(float(f"{obj:.12g}"))
+            text = f"{obj:.12g}"
+            if "." in text and "e" not in text:  # the repr already
+                return text
+            return float.__repr__(float(text))
         raise NonFiniteResultError("result holds a non-finite number",
                                    path=[], value=repr(obj))
     if kind is bool or obj is None:

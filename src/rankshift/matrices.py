@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, permutations
+from operator import mul
 
 from .budget import DEFAULT as DEFAULT_BUDGET
 from .errors import (
@@ -46,9 +47,7 @@ def matrix_mul(a, b):
     dim_inner = len(b)
     cols = range(len(b[0])) if b else ()
     bt = tuple(tuple(b[i][j] for i in range(dim_inner)) for j in cols)
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
+    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
 
 
 def matrix_power(m, k):
@@ -74,6 +73,12 @@ def mask_bits(mask):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _index_lists(rows):
+    """Successor index lists of a matrix's row bitmasks: entry a lists the
+    b with bit b of rows[a] set, ascending."""
+    return [tuple(mask_bits(row)) for row in rows]
 
 
 # entry bytes 0 and 1 become the digits "0" and "1", any other byte "x"
@@ -264,9 +269,11 @@ def validate_family(family):
     # C1+C2 do not force this: families/cube_fail.json passes them pairwise
     # and fails here, with 8 words of shape (1,1,1) against 10 in M1 M2 M3.
     if family.rank >= 3:
-        pred = tuple(map(_columns, succ))
+        lists = list(map(_index_lists, succ))
+        tables = {(s, t): _completion_table(lists, s, t)
+                  for s, t in permutations(range(family.rank), 2)}
         for i, j, k in permutations(range(family.rank), 3):
-            v = _check_cubes(succ, pred, i, j, k)
+            v = _check_cubes(lists, tables, i, j, k)
             if v is not None:
                 violations.append(v)
     return ValidationReport(tuple(violations))
@@ -291,41 +298,70 @@ def commutation_witness(si, sj):
     return None
 
 
-def _check_cubes(succ, pred, i, j, k):
-    """First cube-consistency violation for the ordered triple (i, j, k)."""
+def _not_unique():
+    # unreachable once C1/C2 passed: each (M_s M_t)(p0, p2) is then 0 or 1
+    # and equals (M_t M_s)(p0, p2)
+    return AssertionError("square filling not unique after C1/C2")
 
-    def fill(s, t, p0, p2):
-        # the missing corner p0 + e_t of the square on the path
-        # p0 -(s)-> p1 -(t)-> p2: exactly one letter once C1/C2 passed
-        cand = succ[t][p0] & pred[s][p2]
-        if not cand or cand & (cand - 1):  # unreachable once C1/C2 passed
-            raise AssertionError("square filling not unique after C1/C2")
-        return cand.bit_length() - 1
 
-    for a, row in enumerate(succ[i]):
-        for b in mask_bits(row):
-            for c in mask_bits(succ[j][b]):
-                for d in mask_bits(succ[k][c]):
-                    x = fill(i, j, a, c)          # corner e_j
-                    z_a = fill(i, k, x, d)        # corner e_j + e_k
-                    w_a = fill(j, k, a, z_a)      # corner e_k, first order
-                    y = fill(j, k, b, d)          # corner e_i + e_k
-                    w_b = fill(i, k, a, y)        # corner e_k, second order
-                    z_b = fill(i, j, w_b, d)      # corner e_j + e_k again
-                    if (w_a, z_a) != (w_b, z_b):
-                        return Violation("CubeInconsistency", (
-                            ("i", i + 1), ("j", j + 1), ("k", k + 1),
-                            ("chain", [a, b, c, d]),
-                            ("first_order", [x, z_a, w_a]),
-                            ("second_order", [y, w_b, z_b])))
+def _completion_table(lists, s, t):
+    """The square completions along t then s, as one flat list: entry
+    p0*dim + p2 is the letter x on the path p0 -(t)-> x -(s)-> p2, None
+    where there is none.  A path p0 -(s)-> p1 -(t)-> p2 reads the missing
+    corner p0 + e_t of its square at that entry."""
+    dim = len(lists[s])
+    table = [None] * (dim * dim)
+    for p0, row in enumerate(lists[t]):
+        base = p0 * dim
+        for x in row:
+            for p2 in lists[s][x]:
+                if table[base + p2] is not None:
+                    raise _not_unique()
+                table[base + p2] = x
+    return table
+
+
+def _check_cubes(lists, tables, i, j, k):
+    """First cube-consistency violation for the ordered triple (i, j, k),
+    chains a -(i)-> b -(j)-> c -(k)-> d in ascending order.  Each corner is
+    one read of a completion table; an empty entry is None, which fails
+    the next index it enters or, for w_a and z_b, the comparison."""
+    ij, ik, jk = tables[i, j], tables[i, k], tables[j, k]
+    succ_j, succ_k = lists[j], lists[k]
+    dim = len(succ_j)
+    try:
+        for a, row in enumerate(lists[i]):
+            at = a * dim
+            for b in row:
+                bt = b * dim
+                for c in succ_j[b]:
+                    x = ij[at + c]                # corner e_j
+                    xt = x * dim
+                    for d in succ_k[c]:
+                        z_a = ik[xt + d]          # corner e_j + e_k
+                        w_a = jk[at + z_a]        # corner e_k, first order
+                        y = jk[bt + d]            # corner e_i + e_k
+                        w_b = ik[at + y]          # corner e_k, second order
+                        z_b = ij[w_b * dim + d]   # corner e_j + e_k again
+                        if w_a != w_b or z_a != z_b:
+                            if w_a is None or z_b is None:
+                                raise _not_unique()
+                            return Violation("CubeInconsistency", (
+                                ("i", i + 1), ("j", j + 1), ("k", k + 1),
+                                ("chain", [a, b, c, d]),
+                                ("first_order", [x, z_a, w_a]),
+                                ("second_order", [y, w_b, z_b])))
+    except TypeError:  # None entered an index
+        raise _not_unique() from None
     return None
 
 
 # -- Powers, counts, radii ----------------------------------------------------
 
-def _digits_estimate(family, l):
-    """Upper bound on decimal digits of entries of the power product."""
-    return l.total * math.log10(max(len(family.alphabet), 2)) + 1
+def _digits_estimate(family, total):
+    """Upper bound on decimal digits of entries of the power product M^l
+    of a shape l with l.total = total."""
+    return total * math.log10(max(len(family.alphabet), 2)) + 1
 
 
 def _check_exact(family, l, budget):
@@ -335,7 +371,7 @@ def _check_exact(family, l, budget):
     budget = budget or DEFAULT_BUDGET
     if l.rank != family.rank:
         raise ValueError(f"shape rank {l.rank} != family rank {family.rank}")
-    est = _digits_estimate(family, l)
+    est = _digits_estimate(family, l.total)
     if est > budget.max_exact_digits:
         raise BudgetExceededError(
             "exact power product too large",
@@ -356,9 +392,9 @@ def matrix_power_product(family, l, budget=None):
 
 
 def _successor_lists(family, l):
-    """Per direction j, the successor index lists of M_j (entry a lists
-    the b with M_j(a, b) = 1, ascending), or () where l_j = 0."""
-    return [[tuple(mask_bits(row)) for row in rows] if e else ()
+    """Per direction j, the successor index lists of M_j, or () where
+    l_j = 0."""
+    return [_index_lists(rows) if e else ()
             for rows, e in zip(family.masks[0], l.coords)]
 
 
@@ -368,7 +404,8 @@ def _step_vector(lists, l, v):
     per call, not once per step or stage."""
     for succ_lists, e in zip(lists, l.coords):
         for _ in range(e):
-            v = [sum(v[b] for b in succ) for succ in succ_lists]
+            get = v.__getitem__
+            v = [sum(map(get, succ)) for succ in succ_lists]
     return v
 
 
@@ -388,8 +425,7 @@ def word_count(family, l, budget=None):
 def _float_mul(a, b):
     """Product of two float matrices, each entry an fsum."""
     bt = list(zip(*b))
-    return [[math.fsum(x * y for x, y in zip(row, col)) for col in bt]
-            for row in a]
+    return [[math.fsum(map(mul, row, col)) for col in bt] for row in a]
 
 
 def log_word_count(family, l, budget=None):
@@ -403,7 +439,7 @@ def log_word_count(family, l, budget=None):
     """
     require_valid(family)
     budget = budget or DEFAULT_BUDGET
-    if _digits_estimate(family, l) <= budget.max_exact_digits:
+    if _digits_estimate(family, l.total) <= budget.max_exact_digits:
         return math.log(word_count(family, l, budget)), True
 
     dim = len(family.alphabet)
@@ -438,21 +474,26 @@ def log_word_count_series(family, base, step, n_max, budget=None):
     Stages under the digit guard carry one exact vector, v_n = M^step
     v_{n-1} with v_1 = origin_counts of the first shape, so each exact
     stage costs step.total unit steps of a vector; the counts are the same
-    integers, hence the same logs.  The successor lists of step are built
-    once per call, not once per stage.  Stages over the guard take
-    log_word_count's float route, one by one.
+    integers, hence the same logs.  The guard reads the stage's total,
+    base.total + n*step.total, so no Shape is built per stage: only the
+    first exact stage and each stage over the guard build theirs.  The
+    successor lists of step are built once per call.  Stages over the
+    guard take log_word_count's float route, one by one.  M^step itself is
+    never formed: its product costs O(r dim^3), more than the stages save
+    on large alphabets.
     """
     require_valid(family)
     budget = budget or DEFAULT_BUDGET
     out = []
     counts = None
+    base_total, step_total = base.total, step.total
     for n in range(1, n_max + 1):
-        shape = base + step.scaled(n)
-        if _digits_estimate(family, shape) > budget.max_exact_digits:
-            out.append(log_word_count(family, shape, budget))
+        total = base_total + n * step_total
+        if _digits_estimate(family, total) > budget.max_exact_digits:
+            out.append(log_word_count(family, base + step.scaled(n), budget))
             continue
         if counts is None:
-            counts = origin_counts(family, shape, budget)
+            counts = origin_counts(family, base + step.scaled(n), budget)
             lists = _successor_lists(family, step)
         else:
             counts = _step_vector(lists, step, counts)

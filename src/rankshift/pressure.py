@@ -148,11 +148,12 @@ def _birkhoff_sum(labels, sites, table, default):
     partial sum leaves float range the exact sum decides: below it, the
     word weighs exp(-inf) = 0; above it, NonFiniteResult, as the transfer
     route's infinite log sum is when emitted."""
+    label = labels.__getitem__
     try:
-        return fsum(table.get(tuple(labels[i] for i in site), default)
+        return fsum(table.get(tuple(map(label, site)), default)
                     for site in sites)
     except OverflowError:
-        exact = sum(Fraction(table.get(tuple(labels[i] for i in site), default))
+        exact = sum(Fraction(table.get(tuple(map(label, site)), default))
                     for site in sites)
     try:
         return float(exact)
@@ -218,7 +219,8 @@ def _chain_log_sums(in_edges, weight_logs, n):
     acc = top
     logs = [acc + log(fsum(v))]
     for stage in range(1, n + 1):
-        w = [fsum(v[row] for row in rows) * dvals[col]
+        get = v.__getitem__
+        w = [fsum(map(get, rows)) * dvals[col]
              for col, rows in enumerate(in_edges)]
         peak = max(w)
         if peak == 0.0:

@@ -607,6 +607,47 @@ def test_search_gap_bytes_are_pinned(capsys, options):
         == SEARCH_GAP_DIGESTS[options]
 
 
+# Digests of the long-series routes and of C3's witnesses, taken before
+# the Bowen series stopped building a Shape per stage, the float products
+# and the chain summed in C, C3 read square-completion tables and the
+# emitter printed a finite float's 12-digit text without a round trip:
+# none may change a byte.  The pressure runs read a vertex potential
+# (letter 1 weighs 0.5) from a file that the config names by its relative
+# path, so they run in a directory holding copies of both inputs.
+SERIES_DIGESTS = {
+    "entropy -f families/t3.json --p 1,1,1 --n-max 60":
+        "1a9611bf754d1b0b9555e091f82e1806c44a3f320b0cc1ace08962d0f7f47e96",
+    "validate -f families/cube_fail.json":
+        "998c0cc5e796d8d5a787048eb154bbb6a1d2772d93665c17729f513f18cadf4d",
+}
+PRESSURE_DIGESTS = {
+    "json": "d9c01849e25734511d34d7b7f906aeb36a98528f282ff090c6e6ecc446336a2b",
+    "csv": "5361bc90d522e87fdba2d7f849bdb120ddbc1e34c412fe4aea8154932885c56f",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(SERIES_DIGESTS))
+def test_series_and_cube_bytes_are_pinned(capsys, monkeypatch, argv):
+    monkeypatch.chdir(REPO)
+    assert main(argv.split()) == 0
+    text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode()).hexdigest() == SERIES_DIGESTS[argv]
+
+
+@pytest.mark.parametrize("fmt", sorted(PRESSURE_DIGESTS))
+def test_pressure_oracle_bytes_are_pinned(capsys, monkeypatch, tmp_path,
+                                          pot_path, fmt):
+    (tmp_path / "families").mkdir()
+    (tmp_path / "families" / "g1.json").write_bytes(
+        (FAMILIES / "g1.json").read_bytes())
+    monkeypatch.chdir(tmp_path)
+    assert main(["pressure", "-f", "families/g1.json", "--p", "1",
+                 "--n-max", "200", "--oracle", "--potential", "pot.json",
+                 "--format", fmt]) == 0
+    text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode()).hexdigest() == PRESSURE_DIGESTS[fmt]
+
+
 # -- One parser per process ----------------------------------------------------------
 
 def test_main_builds_no_parser(capsys, monkeypatch, g1_path):

@@ -4,6 +4,9 @@ Core claims:
     - dumps gives the bytes of json.dumps(round12(x), indent=2) plus a
       newline for any payload of nested dicts, lists and tuples over
       strings, bools, None, ints of any size and finite floats
+    - in particular for a lone finite float, of any size, on both sides
+      of the decades where the 12-digit text changes notation, subnormal
+      or signed zero: the text printed without a round trip is the repr
     - the same holds when one dict, list or tuple object sits in several
       places, at any depth and however it nests (the emitter reuses the
       text of a container within one call only), and for subclasses of
@@ -21,7 +24,7 @@ import math
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rankshift.jsonout import _encode, dumps, round12
 from rankshift.errors import DomainError, NonFiniteResultError
@@ -56,6 +59,35 @@ payloads = st.recursive(
 @given(payloads)
 def test_emitter_matches_json_dumps(payload):
     assert dumps(payload) == json.dumps(round12(payload), indent=2) + "\n"
+
+
+# Most draws of st.floats print with an exponent; the quotients n / 10**k
+# mostly print in fixed notation with a ".", the text printed as it is.
+# At 1e-5 and 1e12 the 12-digit text turns to exponent notation; the
+# 9.99...e-05 and 999999999999.96 round across those decades, and the
+# 0.000123... and 99999999999.5 print 12 digits in fixed notation.
+decimal_floats = st.builds(lambda n, k: n / 10 ** k,
+                           st.integers(-10**13, 10**13), st.integers(0, 17))
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False) | decimal_floats)
+@example(1e-5)
+@example(1e-4)
+@example(9.99999999999995e-05)
+@example(0.000123456789012345)
+@example(99999999999.5)
+@example(999999999999.5)
+@example(999999999999.96)
+@example(1e11)
+@example(1e12)
+@example(123456789012.5)
+@example(1e16)
+@example(-0.0)
+@example(5e-324)
+@example(2.5e-310)
+def test_float_text_matches_json_dumps(x):
+    assert dumps([x]) == json.dumps(round12([x]), indent=2) + "\n"
 
 
 @pytest.mark.parametrize("payload", [{}, [], (), {"a": {}}, [[], {}, ()],

@@ -5,8 +5,10 @@ random-search survivors at alphabet size 3:
     - validate_family gives the reports (codes and witnesses) of a dense
       reference built from exact matrix products and list scans, also on
       arbitrary, mostly invalid, families of up to 5 letters with entries
-      of other values and types, and on families that fail C1/C2 only in
-      a later row
+      of other values and types, on families that fail C1/C2 only in a
+      later row, and on letter-permuted rank-4 tensor products, which
+      reach C3's completion tables (those of families/cube_fail.json
+      fail it); a completion table written twice or read empty is refused
     - word_count equals the entry sum of the exact power product, and
       origin_counts (also the value of check_enum_budget) its row sums
     - a words run and each count-check shape compute M^l e once
@@ -38,7 +40,7 @@ import json
 import math
 import subprocess
 import sys
-from itertools import islice, product
+from itertools import islice, permutations, product
 from math import fsum
 from pathlib import Path
 
@@ -276,6 +278,31 @@ def rank3_families(draw):
     return _permuted(family, draw(st.permutations(range(family.dim))))
 
 
+CUBE_FAIL = matrices.load_family(FAMILIES / "cube_fail.json")
+RANK1 = (families.golden_mean(), families.full_shift(),
+         families.identity_family(letters=1, rank=1))
+
+
+@st.composite
+def rank4_families(draw):
+    """Letter-permuted rank-4 tensor products of at most 8 letters: a
+    rank-2 one- or two-letter survivor or g1 (x) g1 with a rank-2 survivor,
+    or a rank-3 survivor or families/cube_fail.json with a rank-1 base,
+    either factor first.  Every pair passes C1/C2, so validation reaches
+    C3; the cube_fail products fail it."""
+    if draw(st.booleans()):
+        left = draw(st.sampled_from(SMALL_VALID[2]
+                                    + (families.tensor_golden(),)))
+        right = draw(st.sampled_from(SMALL_VALID[2]))
+    else:
+        left = draw(st.sampled_from(SMALL_VALID[3] + (CUBE_FAIL,)))
+        right = draw(st.sampled_from(RANK1))
+    if draw(st.booleans()):
+        left, right = right, left
+    family = families.tensor_product(left, right)
+    return _permuted(family, draw(st.permutations(range(family.dim))))
+
+
 @st.composite
 def late_failing_families(draw):
     """Block-diagonal families diag(V_i, A_i), V valid and A arbitrary 0-1:
@@ -328,14 +355,51 @@ ODD_INTEGERS = MatrixFamily(2, Alphabet(("0", "1")), (
 
 
 @settings(PROPERTY, max_examples=300)
-@given(st.one_of(any_families(), valid_families(), late_failing_families()))
+@given(st.one_of(any_families(), valid_families(), late_failing_families(),
+                 rank4_families()))
 @example(TWO_CELLS)
 @example(LAST_ROW_UNION)
 @example(LAST_ROWS_OVERLAP)
 @example(PAIRS_IN_TWO_ROWS)
 @example(ODD_INTEGERS)
+@example(CUBE_FAIL)
 def test_validation_matches_dense_reference(family):
     assert validate_family(family).violations == _dense_validate(family)
+
+
+def test_rank4_pool_reaches_cube_violations():
+    # the rank-4 strategy feeds C3 both ways: cube_fail (x) g1 fails it on
+    # the triples among its first three directions, the rest pass
+    family = families.tensor_product(CUBE_FAIL, families.golden_mean())
+    violations = _dense_validate(family)
+    assert {v.code for v in violations} == {"CubeInconsistency"}
+    assert {tuple(dict(v.witness)[x] for x in "ijk") for v in violations} \
+        == set(permutations((1, 2, 3)))
+    assert validate_family(family).violations == violations
+
+
+def test_completion_table_refuses_a_second_filling():
+    # the full shift twice over fails C1: its squares complete two ways
+    full = ((0, 1), (0, 1))  # successor lists of the full 2-shift
+    with pytest.raises(AssertionError):
+        matrices._completion_table([full, full], 0, 1)
+
+
+# The one chain 0 -(i)-> 1 -(j)-> 0 -(k)-> 1 reads x = ij[0], z_a = ik[1],
+# w_a = jk[1], y = jk[3], w_b = ik[1] and z_b = ij[3], all 0 or 1, and
+# its cube closes.  Emptying the entry of x, w_a or z_b is refused.
+CHAIN_LISTS = [((1,), ()), ((), (0,)), ((1,), ())]
+
+
+@pytest.mark.parametrize("pair, entry", [((0, 1), 0), ((1, 2), 1),
+                                         ((0, 1), 3)])
+def test_cube_check_refuses_an_empty_entry(pair, entry):
+    tables = {(0, 1): [0, None, None, 1], (0, 2): [None, 1, None, None],
+              (1, 2): [None, 1, None, 1]}
+    assert matrices._check_cubes(CHAIN_LISTS, tables, 0, 1, 2) is None
+    tables[pair][entry] = None
+    with pytest.raises(AssertionError):
+        matrices._check_cubes(CHAIN_LISTS, tables, 0, 1, 2)
 
 
 def test_commutation_witnesses_in_later_rows():
