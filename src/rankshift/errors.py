@@ -49,10 +49,6 @@ class NoFillingError(DomainError):
     code = "NoFilling"
 
 
-class NonUniqueFillingError(DomainError):
-    code = "NonUniqueFilling"
-
-
 class BudgetExceededError(DomainError):
     code = "BudgetExceeded"
 

@@ -13,8 +13,8 @@ carry full matrices and provenance so any reported gap can be reproduced
 from the CSV line alone.
 
 The survivors of a sweep share few distinct factors and products, so
-each sweep keeps one functools.cache of spectral_radius for the length
-of the call and computes each distinct radius once.
+each sweep keeps one functools.cache of log_spectral_radius for the
+length of the call and computes each distinct radius once.
 """
 
 import functools
@@ -22,7 +22,7 @@ import hashlib
 import itertools
 import random
 from dataclasses import dataclass
-from math import fsum, inf, log
+from math import fsum
 
 from .budget import DEFAULT as DEFAULT_BUDGET
 from .errors import BudgetExceededError, RankOneError, ZeroDirectionError
@@ -33,11 +33,12 @@ from .matrices import (
     canonical_family_json,
     commutation_witness,
     family_to_dict,
+    float_radius,
     log_spectral_radius,
     matrix_power,
     matrix_power_product,
+    radius_log,
     require_valid,
-    spectral_radius,
 )
 from .shapes import Shape
 
@@ -63,11 +64,14 @@ def canonical_form(family):
     return MatrixFamily(family.rank, family.alphabet, best)
 
 
-def gap_parts(family, p=None, budget=None, radius=None):
+def gap_parts(family, p=None, budget=None, log_radius=None):
     """Per-factor spectral radii, product radius, and the gap itself.
 
-    radius, when given, stands in for spectral_radius: a sweep passes one
-    functools.cache of it, so each distinct matrix is taken once.
+    Each matrix takes one log_spectral_radius: its radius is float_radius
+    of that log (inf past float range) and its term of the gap radius_log
+    of it, which stays finite.  log_radius, when given, stands in for
+    log_spectral_radius: a sweep passes one functools.cache of it, so each
+    distinct matrix is taken once.
     """
     require_valid(family)
     if family.rank < 2:
@@ -77,13 +81,11 @@ def gap_parts(family, p=None, budget=None, radius=None):
         p = Shape.cube(1, family.rank)
     if p.is_zero:
         raise ZeroDirectionError("step direction must be nonzero")
-    radius = radius or spectral_radius
     mats = [matrix_power(m, c) for m, c in zip(family.matrices, p.coords)]
     mats.append(matrix_power_product(family, p, budget))
-    radii = [radius(m) for m in mats]
-    # a radius past float range reads inf; its log is still finite
-    logs = [log(r) if r < inf else log_spectral_radius(m)
-            for r, m in zip(radii, mats)]
+    exact = list(map(log_radius or log_spectral_radius, mats))
+    radii = list(map(float_radius, exact))
+    logs = list(map(radius_log, exact))
     return tuple(radii[:-1]), radii[-1], fsum(logs[:-1]) - logs[-1]
 
 
@@ -111,8 +113,8 @@ class GapRecord:
         }
 
 
-def _record(family, provenance, budget, radius):
-    factors, prod_radius, value = gap_parts(family, None, budget, radius)
+def _record(family, provenance, budget, log_radius):
+    factors, prod_radius, value = gap_parts(family, None, budget, log_radius)
     return GapRecord(family_fingerprint(family), family, factors, prod_radius,
                      value, tuple(provenance.items()))
 
@@ -162,8 +164,8 @@ def exhaustive_search(alphabet_size, rank=2, canonicalize=False, budget=None):
     if canonicalize:  # one per relabeling class, in order of first sight
         survivors = list({family_fingerprint(f): f for f in
                           map(canonical_form, survivors)}.values())
-    radius = functools.cache(spectral_radius)
-    return [_record(f, {"source": "exhaustive"}, budget, radius)
+    log_radius = functools.cache(log_spectral_radius)
+    return [_record(f, {"source": "exhaustive"}, budget, log_radius)
             for f in survivors]
 
 
@@ -175,7 +177,7 @@ def random_search(alphabet_size, density, trials, seed, rank=2, budget=None):
     if not 0 < density < 1:
         raise ValueError("density must be strictly between 0 and 1")
     alphabet = _digit_alphabet(alphabet_size)
-    records, radius = [], functools.cache(spectral_radius)
+    records, log_radius = [], functools.cache(log_spectral_radius)
     rng = random.Random(seed)
     for trial in range(trials):
         combo = tuple(
@@ -185,7 +187,7 @@ def random_search(alphabet_size, density, trials, seed, rank=2, budget=None):
             continue
         records.append(_record(
             family, {"source": "random", "seed": seed, "trial": trial},
-            budget, radius))
+            budget, log_radius))
     return records
 
 

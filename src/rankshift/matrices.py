@@ -75,12 +75,6 @@ def mask_bits(mask):
         mask ^= low
 
 
-def _index_lists(rows):
-    """Successor index lists of a matrix's row bitmasks: entry a lists the
-    b with bit b of rows[a] set, ascending."""
-    return [tuple(mask_bits(row)) for row in rows]
-
-
 # entry bytes 0 and 1 become the digits "0" and "1", any other byte "x"
 _BINARY_DIGITS = b"01" + b"x" * 254
 
@@ -90,12 +84,6 @@ def bit_rows(m):
     ValueError or TypeError for an entry that is not an integer 0 or 1."""
     return tuple(int(bytes(row[::-1]).translate(_BINARY_DIGITS), 2)
                  for row in m)
-
-
-def _columns(rows):
-    """Column bitmasks: bit a of column b is bit b of row a."""
-    return tuple(sum((row >> b & 1) << a for a, row in enumerate(rows))
-                 for b in range(len(rows)))
 
 
 def _image(rows, mask):
@@ -181,13 +169,26 @@ class MatrixFamily:
     def validation(self):
         return validate_family(self)
 
+    # The 0-1 structure, built once per family and read by every layer;
+    # meaningful once validation's structure stage (squares: C1/C2) passed.
+
     @cached_property
-    def masks(self):
-        """Row bitmasks (succ, pred): bit b of succ[j][a] and bit a of
-        pred[j][b] are set when M_j(a, b) = 1.  Meaningful once the
-        structure stage of validation has passed (square 0-1 matrices)."""
-        succ = tuple(map(bit_rows, self.matrices))
-        return succ, tuple(map(_columns, succ))
+    def succ(self):
+        """Row bitmasks: bit b of succ[j][a] is M_j(a, b)."""
+        return tuple(map(bit_rows, self.matrices))
+
+    @cached_property
+    def lists(self):
+        """Successor index lists: lists[j][a], the bits of succ[j][a]."""
+        return tuple(tuple(tuple(mask_bits(row)) for row in rows)
+                     for rows in self.succ)
+
+    @cached_property
+    def squares(self):
+        """Completion tables keyed by ordered direction pairs (s, t)."""
+        lists = self.lists
+        return {(s, t): _completion_table(lists, s, t)
+                for s, t in permutations(range(self.rank), 2)}
 
     @property
     def is_valid(self):
@@ -218,7 +219,9 @@ def validate_family(family):
     dim = len(family.alphabet)
 
     # structure: rank, squareness, binary entries; a matrix whose bit rows
-    # cannot be built is scanned for its first cell that is not an int 0 or 1
+    # cannot be built is scanned for its first cell that is not an int 0 or 1.
+    # Not family.succ: reading a cached_property (a lock under Python 3.11)
+    # made validating 300 rejected 4-letter sweep candidates 10% slower
     if family.rank < 1 or len(family.matrices) != family.rank:
         violations.append(Violation("ShapeMismatch", (
             ("rank", family.rank), ("matrices", len(family.matrices)))))
@@ -269,11 +272,9 @@ def validate_family(family):
     # C1+C2 do not force this: families/cube_fail.json passes them pairwise
     # and fails here, with 8 words of shape (1,1,1) against 10 in M1 M2 M3.
     if family.rank >= 3:
-        lists = list(map(_index_lists, succ))
-        tables = {(s, t): _completion_table(lists, s, t)
-                  for s, t in permutations(range(family.rank), 2)}
+        lists, squares = family.lists, family.squares
         for i, j, k in permutations(range(family.rank), 3):
-            v = _check_cubes(lists, tables, i, j, k)
+            v = _check_cubes(lists, squares, i, j, k)
             if v is not None:
                 violations.append(v)
     return ValidationReport(tuple(violations))
@@ -391,17 +392,9 @@ def matrix_power_product(family, l, budget=None):
     return matrix_identity(len(family.alphabet)) if out is None else out
 
 
-def _successor_lists(family, l):
-    """Per direction j, the successor index lists of M_j, or () where
-    l_j = 0."""
-    return [_index_lists(rows) if e else ()
-            for rows, e in zip(family.masks[0], l.coords)]
-
-
 def _step_vector(lists, l, v):
     """M^l v, exact: v takes one unit step at a time, v <- M_j v, over
-    lists = _successor_lists(family, l), which each caller builds once
-    per call, not once per step or stage."""
+    the family's successor lists."""
     for succ_lists, e in zip(lists, l.coords):
         for _ in range(e):
             get = v.__getitem__
@@ -413,8 +406,7 @@ def origin_counts(family, l, budget=None):
     """M^l e, exact: entry a counts the words of shape l with origin
     letter a."""
     _check_exact(family, l, budget)
-    return _step_vector(_successor_lists(family, l), l,
-                        [1] * len(family.alphabet))
+    return _step_vector(family.lists, l, [1] * len(family.alphabet))
 
 
 def word_count(family, l, budget=None):
@@ -477,10 +469,10 @@ def log_word_count_series(family, base, step, n_max, budget=None):
     integers, hence the same logs.  The guard reads the stage's total,
     base.total + n*step.total, so no Shape is built per stage: only the
     first exact stage and each stage over the guard build theirs.  The
-    successor lists of step are built once per call.  Stages over the
-    guard take log_word_count's float route, one by one.  M^step itself is
-    never formed: its product costs O(r dim^3), more than the stages save
-    on large alphabets.
+    steps read the family's successor lists.  Stages over the guard take
+    log_word_count's float route, one by one.  M^step itself is never
+    formed: its product costs O(r dim^3), more than the stages save on
+    large alphabets.
     """
     require_valid(family)
     budget = budget or DEFAULT_BUDGET
@@ -494,20 +486,32 @@ def log_word_count_series(family, base, step, n_max, budget=None):
             continue
         if counts is None:
             counts = origin_counts(family, base + step.scaled(n), budget)
-            lists = _successor_lists(family, step)
         else:
-            counts = _step_vector(lists, step, counts)
+            counts = _step_vector(family.lists, step, counts)
         out.append((math.log(sum(counts)), True))
     return out
 
 
 def spectral_radius(m):
     """Spectral radius of a square nonnegative matrix (integer or float
-    entries; exact big integers welcome): exp of log_spectral_radius, so
-    math.inf once the radius leaves float range and 0.0 for a nilpotent
-    matrix."""
-    acc = log_spectral_radius(m)
-    return math.exp(acc) if acc < 700 else math.inf
+    entries; exact big integers welcome): float_radius of
+    log_spectral_radius, so math.inf once the radius leaves float range
+    and 0.0 for a nilpotent matrix."""
+    return float_radius(log_spectral_radius(m))
+
+
+def float_radius(log_radius):
+    """The radius of a log radius as a float: math.inf from 700 on."""
+    return math.exp(log_radius) if log_radius < 700 else math.inf
+
+
+def radius_log(log_radius):
+    """The reported log of a radius: the log of its finite float_radius
+    (its last bits reach printed digits), else log_radius itself."""
+    radius = float_radius(log_radius)
+    if radius == math.inf:
+        return log_radius
+    return math.log(radius) if radius else -math.inf
 
 
 def log_spectral_radius(m):
@@ -579,21 +583,16 @@ def log_spectral_radius(m):
 
 def entropy_exact(family, p, budget=None):
     """log of the spectral radius of M^p: the entropy of the direction-p
-    shift on the validated family.  Taken in the log domain, so it stays
-    finite for any p whose exact power product fits the budget; while the
-    radius fits a float the value is the log of that float, rounded as it
-    always was."""
+    shift on the validated family.  Taken in the log domain and reported
+    by radius_log, so it stays finite for any p whose exact power product
+    fits the budget."""
     require_valid(family)
     if p.rank != family.rank:
         raise ValueError(f"shape rank {p.rank} != family rank {family.rank}")
     if p.is_zero:
         raise ZeroDirectionError("direction vector must be nonzero")
-    log_radius = log_spectral_radius(matrix_power_product(family, p, budget))
-    if log_radius < 700:
-        # log of the float radius: differs from log_radius in the last
-        # bits, which reach the printed digits of the tiny abs_error
-        return math.log(math.exp(log_radius))
-    return log_radius
+    return radius_log(
+        log_spectral_radius(matrix_power_product(family, p, budget)))
 
 
 # -- Serialization ------------------------------------------------------------

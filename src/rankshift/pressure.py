@@ -17,7 +17,7 @@ series costs n_max chain steps, linear in n_max.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import exp, fsum, inf, log
+from math import ceil, exp, fsum, inf, log
 from sys import float_info
 
 from .dynamics import Series, check_scale
@@ -32,8 +32,8 @@ from .errors import (
 from .matrices import (
     log_spectral_radius,
     matrix_power_product,
+    radius_log,
     require_valid,
-    spectral_radius,
 )
 from .shapes import Shape
 from .words import (
@@ -252,9 +252,12 @@ def pressure_estimate(family, potential, k, p, n_max, method="transfer",
 
 def pressure_oracle_vertex(family, values, p, budget=None):
     """Independent check for vertex potentials: log spectral radius of the
-    letter-weighted step matrix diag(exp g) * M^p.  A top value beyond
-    +-700 is factored out first, so exp neither overflows nor underflows
-    every weight.  Weights that underflow on every cycle leave a nilpotent
+    letter-weighted step matrix diag(exp g) * M^p, reported by radius_log
+    as entropy_exact is.  A top value beyond +-700 is factored out first
+    and added back to the log-domain radius, so exp neither overflows nor
+    underflows every weight.  Where a row sum of M^p, weighted or not,
+    would leave float range, M^p is scaled by a power of two whose log is
+    added back.  Weights that underflow on every cycle leave a nilpotent
     matrix: RadiusUnderflow."""
     require_valid(family)
     if p.is_zero:
@@ -266,15 +269,18 @@ def pressure_oracle_vertex(family, values, p, budget=None):
         g[letter_index(family, key)] = float(val)
     top = max(g)
     shift = top if abs(top) > 700 else 0.0
+    # e^709: a margin of 2 below the largest float, for rounding
+    excess = max(log(sum(row)) + max(w - shift, 0.0)
+                 for w, row in zip(g, step_matrix)) - 709
+    bits = ceil(excess / log(2)) if excess > 0 else 0
+    if bits:
+        step_matrix = [[x / (1 << bits) for x in row] for row in step_matrix]
     weighted = tuple(
         tuple(exp(g[a] - shift) * step_matrix[a][b] for b in range(dim))
         for a in range(dim)
     )
-    if shift:
-        value = shift + log_spectral_radius(weighted)
-    else:
-        radius = spectral_radius(weighted)
-        value = log(radius) if radius else -inf
+    log_radius = log_spectral_radius(weighted) + bits * log(2)
+    value = shift + log_radius if shift else radius_log(log_radius)
     if value == -inf:
         # M^p of a valid family is never nilpotent: the weights underflowed
         raise RadiusUnderflowError(

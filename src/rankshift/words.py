@@ -20,13 +20,12 @@ from .budget import DEFAULT as DEFAULT_BUDGET
 from .errors import (
     BudgetExceededError,
     NoFillingError,
-    NonUniqueFillingError,
     OriginMismatchError,
     ShapeMismatchError,
     ShapeNotDominatedError,
     UnknownLetterError,
 )
-from .matrices import mask_bits, origin_counts, require_valid
+from .matrices import origin_counts, require_valid
 from .shapes import Shape
 
 
@@ -87,7 +86,7 @@ def make_word(family, shape, labels):
 def _first_bad_edge(family, word):
     """(point, j) of the first edge that M_j forbids, in row-major order
     of its start point and then of j; None when every edge is allowed."""
-    m, labels, succ = word.shape.coords, word.labels, family.masks[0]
+    m, labels, succ = word.shape.coords, word.labels, family.succ
     strides = [prod(c + 1 for c in m[j + 1:]) for j in range(len(m))]
     for a, point in enumerate(word.shape.box()):
         for j, step in enumerate(strides):
@@ -138,7 +137,7 @@ def _dfs_words(family, m, fixed):
     The candidates at a point are the AND of its predecessors' successor
     masks (and the forced letter's bit), tried low bit first.
     """
-    succ = family.masks[0]
+    succ = family.succ
     n = m.volume
     allowed = [(1 << len(family.alphabet)) - 1] * n
     for t, letter in fixed.items():
@@ -219,9 +218,9 @@ def compose(family, u, v):
     the shared corner is checked.  Any other point q has some q_j > c_j and
     some q_i < c_i: it follows q - e_j and precedes q + e_i, both one step
     nearer to c, so one pass in order of L1 distance from c fills each
-    point once.  A fill without exactly one candidate, or a broken edge in
-    the result, signals a family that wrongly passed validation and
-    surfaces as a hard error.
+    point once.  An empty square completion, or a broken edge in the
+    result, signals a family that wrongly passed validation and surfaces
+    as a hard error.
     """
     require_valid(family)
     if u.shape.rank != v.shape.rank:
@@ -242,7 +241,7 @@ def compose(family, u, v):
     rest = [q for q, x in known.items() if x is None]
     rest.sort(key=lambda q: sum(abs(a - c) for a, c in zip(q, corner)))
     for q in rest:
-        known[q] = _fill(family.masks, known, q, corner)
+        known[q] = _fill(family, known, q, corner)
 
     result = Word(total, tuple(known.values()))
     bad = _first_bad_edge(family, result)
@@ -254,24 +253,21 @@ def compose(family, u, v):
     return result
 
 
-def _fill(masks, known, q, corner):
+def _fill(family, known, q, corner):
     """The letter at q, a point in neither box of compose: the one letter
-    after base = q - e_j in direction j and before top = q + e_i in
-    direction i, for the first j with q_j > c_j and i with q_i < c_i."""
-    succ, pred = masks
+    on the path base -(j)-> q -(i)-> top, with base = q - e_j and top =
+    q + e_i for the first j with q_j > c_j and i with q_i < c_i, read from
+    the family's completion table of (i, j).  The table was built once,
+    and a second completion is refused there."""
     j = next(j for j, c in enumerate(corner) if q[j] > c)
     i = next(i for i, c in enumerate(corner) if q[i] < c)
     base = q[:j] + (q[j] - 1,) + q[j + 1:]
     top = q[:i] + (q[i] + 1,) + q[i + 1:]
-    cand = succ[j][known[base]] & pred[i][known[top]]
-    if not cand:
+    x = family.squares[i, j][known[base] * family.dim + known[top]]
+    if x is None:
         raise NoFillingError(
             "square completion has no solution", point=list(q))
-    if cand & (cand - 1):
-        raise NonUniqueFillingError(
-            "square completion not unique",
-            point=list(q), candidates=list(mask_bits(cand)))
-    return cand.bit_length() - 1
+    return x
 
 
 # -- Count cross-check ---------------------------------------------------------

@@ -10,8 +10,8 @@ Core claims:
       log_word_count calls, across the exact-to-float switch, on g1/g3/t3
       and on the generated valid families of test_kernel (ranks 2 and 3,
       steps with zero coordinates)
-    - the series builds its successor lists a fixed number of times,
-      whatever n_max
+    - the series reads the family's successor lists, which a family
+      builds once, whatever n_max and however many series
     - the lattice-action probe decays like 1/n^rank
 """
 
@@ -22,7 +22,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 from pytest import approx
 
-from rankshift import matrices
+from rankshift import families, matrices
 from rankshift.budget import Budget
 from rankshift.errors import (
     RankOneError,
@@ -207,9 +207,9 @@ def test_bowen_series_bit_identical_on_generated_families(case):
     assert est.sequence == tuple(logs[n - 1] / n for n in range(1, n_max + 1))
 
 
-def test_series_builds_successor_lists_once_per_call(monkeypatch, g3):
-    # each successor list is built by one mask_bits call; the series
-    # builds the lists of its first shape and of its step, whatever n_max
+def test_series_builds_successor_lists_once_per_family(monkeypatch):
+    # each successor list is built by one mask_bits call, once per row of
+    # each matrix of the family, however many series read them
     calls = []
     real = matrices.mask_bits
 
@@ -218,12 +218,10 @@ def test_series_builds_successor_lists_once_per_call(monkeypatch, g3):
         return real(mask)
 
     monkeypatch.setattr(matrices, "mask_bits", counted)
-    built = []
+    family = families.tensor_golden()
     for n_max in (10, 200):
-        calls.clear()
-        bowen_entropy_estimate(g3, 1, Shape.of(1, 1), n_max)
-        built.append(len(calls))
-    assert built[0] == built[1] == 2 * 2 * g3.dim
+        bowen_entropy_estimate(family, 1, Shape.of(1, 1), n_max)
+    assert len(calls) == family.rank * family.dim
 
 
 def test_bowen_needs_two_terms(g1):

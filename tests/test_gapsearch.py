@@ -7,7 +7,8 @@ Core claims:
       in the same order, as a prefilter-free brute force written here
       from scratch, at ranks 2, 3 and 4; it validates only the tuples the
       pair walk grows, and refuses an oversized sweep before building it
-    - the gap stays finite once a radius leaves float range
+    - the gap stays finite once a radius leaves float range, and below
+      exp's range it is taken from the logs of the float radii
     - every recorded gap over the small alphabets is zero to rounding,
       and never negative
     - a sweep computes the spectral radius of each distinct matrix once
@@ -54,6 +55,13 @@ def test_tensor_gap_is_zero(g3):
     assert prod_radius == approx(PHI ** 2, abs=1e-9)
     assert value == approx(0.0, abs=1e-12)
     assert gap(g3, Shape.of(2, 1)) == approx(0.0, abs=1e-12)
+
+
+def test_gap_is_the_logs_of_the_float_radii():
+    # one of the 16 random records has a log radius that exp moves
+    for rec in random_search(3, 0.3, 200, seed=5) + exhaustive_search(2):
+        logs = [math.log(r) for r in rec.radii]
+        assert rec.value == math.fsum(logs) - math.log(rec.prod_radius)
 
 
 @pytest.mark.parametrize("n", [1000, 2000])
@@ -157,15 +165,15 @@ def test_exhaustive_single_letter():
 
 
 def _count_radii(monkeypatch):
-    """Count the spectral_radius calls that gap_parts makes."""
+    """Count the log_spectral_radius calls that gap_parts makes."""
     calls = []
-    real = gapsearch.spectral_radius
+    real = gapsearch.log_spectral_radius
 
     def counted(m):
         calls.append(m)
         return real(m)
 
-    monkeypatch.setattr(gapsearch, "spectral_radius", counted)
+    monkeypatch.setattr(gapsearch, "log_spectral_radius", counted)
     return calls
 
 

@@ -14,8 +14,9 @@ random-search survivors at alphabet size 3:
     - a words run and each count-check shape compute M^l e once
     - enumeration yields word_count words, in lexicographic label order
     - split then compose is the identity on words, and compose then split
-      gives back the factors, also on rank-3 families; compose fills each
-      point outside both factor boxes exactly once
+      gives back the factors, also on rank-3 and rank-4 families; compose
+      fills each point outside both factor boxes exactly once, by one read
+      of the family's completion tables, which a family builds once
     - the box-index kernel Shape.indices, the prefix and tail restrictions
       and the first forbidden edge equal their point-by-point definitions,
       the edge in the order of a row-major scan that make_word names
@@ -29,11 +30,11 @@ random-search survivors at alphabet size 3:
       big-int and float matrices and on power products, and skips the
       replayed squarings; where the reference's iterate underflows it
       gives -inf exactly for nilpotent matrices and RadiusUnderflow else
-plus the coded errors around the kernel: unknown letters, the
-non-unique square filling's candidates, the oracle above exp's range, the
-oracle's weights underflowing on every cycle, an enumerated Birkhoff sum
-beyond float range (below it, the word weighs nothing) and a non-finite
-CSV config line.
+plus the coded errors around the kernel: unknown letters, an empty
+square completion, the oracle above exp's range, the oracle's weights
+underflowing on every cycle, an enumerated Birkhoff sum beyond float
+range (below it, the word weighs nothing) and a non-finite CSV config
+line.
 """
 
 import json
@@ -53,8 +54,8 @@ from rankshift import families, matrices, words
 from rankshift.budget import Budget
 from rankshift.cli import main
 from rankshift.errors import (
+    NoFillingError,
     NonFiniteResultError,
-    NonUniqueFillingError,
     RadiusUnderflowError,
     UnknownLetterError,
 )
@@ -488,7 +489,10 @@ def test_enumeration_count_is_word_count(data):
 @PROPERTY
 @given(st.data())
 def test_split_and_compose_are_inverse(data):
-    family = data.draw(st.one_of(valid_families(), rank3_families()))
+    # rank 4 reads all 12 completion tables of a family
+    family = data.draw(st.one_of(
+        valid_families(), rank3_families(),
+        rank4_families().filter(lambda f: f.is_valid)))
     a, b = data.draw(_shapes(family, 1)), data.draw(_shapes(family, 1))
     for w in islice(enumerate_words(family, a + b), 32):
         assert compose(family, restrict_prefix(w, a), restrict_tail(w, a)) == w
@@ -521,6 +525,29 @@ def test_compose_fills_each_point_once(monkeypatch, family, a, b, fills):
                if not (Shape(q) <= a or a <= Shape(q))}
     assert len(filled) == len(outside) == fills
     assert set(filled) == outside
+
+
+@pytest.mark.parametrize("family, validated", [
+    (families.tensor_golden(), 0),
+    (families.tensor_product(families.tensor_golden(),
+                             families.golden_mean()), 6),
+], ids=["g3", "t3"])
+def test_completion_tables_are_built_once_per_family(monkeypatch, family,
+                                                      validated):
+    # C3 builds the r(r-1) tables of a rank-3 family; compose reads them,
+    # and a rank-2 family builds its 2 at the first compose
+    built = []
+    real = matrices._completion_table
+    monkeypatch.setattr(
+        matrices, "_completion_table",
+        lambda lists, s, t: built.append((s, t)) or real(lists, s, t))
+    assert family.is_valid and len(built) == validated
+    shape = Shape.cube(1, family.rank)
+    for _ in range(2):
+        u = next(enumerate_words(family, shape))
+        v = next(enumerate_words(family, shape, origin=u.terminal))
+        compose(family, u, v)
+    assert sorted(built) == list(permutations(range(family.rank), 2))
 
 
 @st.composite
@@ -560,7 +587,7 @@ def test_restrictions_are_pointwise(data):
 def _scanned_bad_edge(family, word):
     """The first forbidden edge of a row-major scan over start points,
     then directions."""
-    m, succ = word.shape, family.masks[0]
+    m, succ = word.shape, family.succ
     for point in m.box():
         for j in range(m.rank):
             if point[j] < m[j]:
@@ -801,16 +828,16 @@ def test_unknown_origin_cli_exit_1():
     assert payload["details"]["letter"] == "7"
 
 
-def test_non_unique_filling_lists_candidates_ascending():
-    # the full shift twice over fails C1, so its squares fill two ways
-    ones = ((1, 1), (1, 1))
-    family = MatrixFamily(2, Alphabet(("0", "1")), (ones, ones))
-    # u = 0 1 on [0, (1, 0)], v = 1 0 on [(1, 0), (1, 1)]: (0, 1) lies
-    # after (0, 0) in direction 1 and before (1, 1) in direction 0
-    known = {(0, 0): 0, (1, 0): 1, (1, 1): 0}
-    with pytest.raises(NonUniqueFillingError) as info:
-        _fill(family.masks, known, (0, 1), (1, 0))
-    assert info.value.details == {"point": [0, 1], "candidates": [0, 1]}
+def test_empty_square_completion_is_no_filling(g3):
+    # compose meets none on a valid family; a fill that did is refused.
+    # (0, 1) follows (0, 0) in direction 1 and precedes (1, 1) in direction 0
+    m1, m2 = g3.matrices
+    prod = matrix_mul(m2, m1)
+    base, top = next((b, t) for b in range(g3.dim) for t in range(g3.dim)
+                     if not prod[b][t])
+    with pytest.raises(NoFillingError) as info:
+        _fill(g3, {(0, 0): base, (1, 1): top}, (0, 1), (1, 0))
+    assert info.value.details == {"point": [0, 1]}
 
 
 def _refused_pressure(tmp_path, value, *options):
@@ -860,10 +887,12 @@ def test_oracle_weights_underflowing_every_cycle(g1, tmp_path):
 
 
 def test_masks_are_rows_and_columns(g3):
-    succ, pred = g3.masks
+    # the row bitmasks and the ascending successor lists of each matrix
     for j, m in enumerate(g3.matrices):
-        for a, b in product(range(g3.dim), repeat=2):
-            assert (succ[j][a] >> b & 1) == (pred[j][b] >> a & 1) == m[a][b]
+        for a, row in enumerate(m):
+            ones = tuple(b for b, x in enumerate(row) if x)
+            assert g3.lists[j][a] == ones
+            assert g3.succ[j][a] == sum(1 << b for b in ones)
 
 
 def test_oracle_above_exp_range(g1):

@@ -11,7 +11,8 @@ Core claims:
     - a radius lost to float underflow is a coded RadiusUnderflow unless
       the matrix is nilpotent, which still reads 0.0
     - entropy_exact reproduces log phi / log 2 / additive tensor values,
-      and stays finite when the radius of M^p leaves float range
+      and stays finite when the radius of M^p leaves float range; below
+      exp's range a reported log radius is the log of the float radius
     - the counting inequalities w_l <= w_{l+m} <= |B| w_l w_m hold
 """
 
@@ -43,6 +44,7 @@ from rankshift.matrices import (
     matrix_mul,
     log_word_count,
     matrix_power_product,
+    radius_log,
     require_valid,
     spectral_radius,
     validate_family,
@@ -309,6 +311,20 @@ def test_entropy_exact_beyond_float_range(g1):
                                                        rel=1e-12)
     assert entropy_exact(g1, Shape.of(1000)) == approx(1000 * math.log(PHI),
                                                        rel=1e-12)
+
+
+def test_radius_log_is_the_log_of_the_float_radius(g1):
+    # the rounding through exp is real: it moves the last bits of some logs
+    logs = [k / 7 for k in range(1, 100)] + [699.9]
+    assert [radius_log(a) for a in logs] == [math.log(math.exp(a))
+                                              for a in logs]
+    assert any(radius_log(a) != a for a in logs)
+    assert radius_log(702.5) == 702.5
+    assert radius_log(-800.0) == radius_log(-math.inf) == -math.inf
+    for n in (1, 7, 100):
+        power = matrix_power_product(g1, Shape.of(n))
+        assert entropy_exact(g1, Shape.of(n)) == math.log(
+            spectral_radius(power))
 
 
 def test_radius_underflow_is_coded_unless_nilpotent():

@@ -13,11 +13,15 @@ Core claims:
       partition sums
     - potential files with non-finite or non-numeric values are rejected
     - a transfer chain with no admissible continuation is a coded error
+    - with the zero potential the vertex oracle is entropy_exact: exactly
+      while M^p and its row sums are exact in float, within 1e-12 past
+      exp's range and past float range, where it stays finite and coded
 """
 
 import math
 
 import pytest
+from hypothesis import assume, given, strategies as st
 from pytest import approx
 
 from rankshift.errors import (
@@ -29,7 +33,8 @@ from rankshift.errors import (
     ZeroDirectionError,
 )
 from rankshift.families import tensor_product
-from rankshift.matrices import log_word_count
+from rankshift.matrices import (
+    entropy_exact, log_word_count, matrix_power_product)
 from rankshift.pressure import (
     Potential,
     birkhoff_sum_on_cylinder,
@@ -43,6 +48,7 @@ from rankshift.pressure import (
 )
 from rankshift.shapes import Shape
 from rankshift.words import enumerate_words
+from test_kernel import PROPERTY, rank3_families, valid_families
 
 
 G1_VALUES = {"1": 0.5}  # g(0) = 0, g(1) = 1/2 on the golden mean
@@ -190,6 +196,38 @@ def test_constant_shift_moves_pressure_by_c(g1):
     assert shifted.estimate == approx(base.estimate + c, abs=1e-9)
     assert pressure_oracle_vertex(g1, shifted_values, Shape.of(1)) == \
         approx(pressure_oracle_vertex(g1, G1_VALUES, Shape.of(1)) + c, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 7])
+def test_zero_potential_oracle_is_entropy_exact(g1, n):
+    p = Shape.of(n)
+    assert pressure_oracle_vertex(g1, {}, p) == entropy_exact(g1, p)
+
+
+@pytest.mark.parametrize("n", [1460, 2000])
+def test_zero_potential_oracle_past_float_range(g1, n):
+    # the radius of M^1460 leaves exp's range; the entries of M^2000 leave
+    # float range and are scaled down by a power of two
+    p = Shape.of(n)
+    exact = entropy_exact(g1, p)
+    assert exact > 700
+    assert pressure_oracle_vertex(g1, {}, p) == approx(exact, rel=1e-12)
+    # a constant potential c moves the value by c, here with weighted row
+    # sums past float range while M^1460 itself fits
+    assert pressure_oracle_vertex(g1, {0: 300.0, 1: 300.0}, p) \
+        == approx(exact + 300, rel=1e-12)
+
+
+@PROPERTY
+@given(st.data())
+def test_zero_potential_oracle_is_entropy_exact_on_generated_families(data):
+    family = data.draw(st.one_of(valid_families(), rank3_families()))
+    p = data.draw(st.tuples(*[st.integers(0, 8)] * family.rank)
+                  .map(Shape).filter(lambda p: not p.is_zero))
+    # the float step matrix holds the exact entries and row sums, so the
+    # oracle's radius loop sees the floats of entropy_exact's
+    assume(max(map(sum, matrix_power_product(family, p))) < 2 ** 53)
+    assert pressure_oracle_vertex(family, {}, p) == entropy_exact(family, p)
 
 
 def test_table_order_is_irrelevant(g3):
