@@ -84,10 +84,14 @@ class NonFiniteResultError(DomainError):
 
 
 class TransferChainDeadEndError(DomainError, ArithmeticError):
-    """No admissible continuation: every weight of a transfer-chain stage
-    underflowed to zero.  Also an ArithmeticError, as the chain's failure
-    always was."""
+    """No admissible continuation: the chain's 0-1 structure has no path
+    of the stage's length (where it has one, the weights underflowed:
+    TransferChainUnderflow).  Also an ArithmeticError, as both are."""
     code = "TransferChainDeadEnd"
+
+
+class TransferChainUnderflowError(DomainError, ArithmeticError):
+    code = "TransferChainUnderflow"
 
 
 class UnknownLetterError(DomainError):

@@ -12,6 +12,12 @@ sweeps gather such families and the distribution of gaps.  Records
 carry full matrices and provenance so any reported gap can be reproduced
 from the CSV line alone.
 
+Both sweeps hold candidates as row bitmasks (the random sweep samples
+straight into them) and test each pair with one kernel,
+matrices.commutes (C1/C2).  Only a candidate that passes every pair
+becomes a MatrixFamily, and validate_family, which catches C3, runs on
+it.
+
 The survivors of a sweep share few distinct factors and products, so
 each sweep keeps one functools.cache of log_spectral_radius for the
 length of the call and computes each distinct radius once.
@@ -31,7 +37,7 @@ from .matrices import (
     MatrixFamily,
     bit_rows,
     canonical_family_json,
-    commutation_witness,
+    commutes,
     family_to_dict,
     float_radius,
     log_spectral_radius,
@@ -128,10 +134,11 @@ def exhaustive_search(alphabet_size, rank=2, canonicalize=False, budget=None):
     validates, one GapRecord each, in product order.
 
     A zero row never validates, so only nonzero-row matrices are tried.
-    A tuple grows by a matrix only when that matrix passes validation's
-    row test (C1/C2) with every earlier member, each ordered pair tested
-    once; validate_family checks the grown tuples, which catches C3.  The
-    enumeration budget guards each growth step: tuples times matrices.
+    A tuple grows by a matrix only when that matrix passes the pair test
+    (matrices.commutes) with every earlier member, each ordered pair
+    tested once; validate_family checks the grown tuples, which catches
+    C3.  The enumeration budget guards each growth step: tuples times
+    matrices.
     """
     budget = budget or DEFAULT_BUDGET
     count = (2 ** alphabet_size - 1) ** alphabet_size  # nonzero-row matrices
@@ -150,7 +157,7 @@ def exhaustive_search(alphabet_size, rank=2, canonicalize=False, budget=None):
 
     @functools.cache
     def commute(i, j):
-        return commutation_witness(masks[i], masks[j]) is None
+        return commutes(masks[i], masks[j])
 
     tuples = [(j,) for j in range(count)]
     for _ in range(rank - 1):
@@ -173,16 +180,27 @@ def random_search(alphabet_size, density, trials, seed, rank=2, budget=None):
     """Entry-wise Bernoulli(density) samples with zero rows repaired by one
     uniform 1, validity-filtered.  A single sequential generator drives
     everything, so a fixed seed fixes the record stream exactly.
+
+    Matrices are drawn as row bitmasks with the generator calls of the
+    tuple sampler this replaced: one rng.random() per entry in row-major
+    order, then one rng.randrange(size) per zero row.  After that repair
+    only C1/C2 can fail, so a family is built and validated only once
+    every pair passes matrices.commutes.
     """
     if not 0 < density < 1:
         raise ValueError("density must be strictly between 0 and 1")
     alphabet = _digit_alphabet(alphabet_size)
     records, log_radius = [], functools.cache(log_spectral_radius)
     rng = random.Random(seed)
+    cols = range(alphabet_size)
+    bits = [1 << b for b in cols]
     for trial in range(trials):
-        combo = tuple(
-            _sample_matrix(rng, alphabet_size, density) for _ in range(rank))
-        family = MatrixFamily(rank, alphabet, combo)
+        combo = [_sample_rows(rng, bits, density) for _ in range(rank)]
+        pairs = itertools.combinations(combo, 2)
+        if not all(itertools.starmap(commutes, pairs)):
+            continue
+        family = MatrixFamily(rank, alphabet, [
+            [[row >> b & 1 for b in cols] for row in rows] for rows in combo])
         if not family.is_valid:
             continue
         records.append(_record(
@@ -191,13 +209,19 @@ def random_search(alphabet_size, density, trials, seed, rank=2, budget=None):
     return records
 
 
-def _sample_matrix(rng, size, density):
-    mat = [[1 if rng.random() < density else 0 for _ in range(size)]
-           for _ in range(size)]
-    for row in mat:
-        if not any(row):
-            row[rng.randrange(size)] = 1
-    return tuple(tuple(row) for row in mat)
+def _sample_rows(rng, bits, density):
+    rand = rng.random
+    rows = []
+    for _ in bits:
+        row = 0
+        for bit in bits:
+            if rand() < density:
+                row |= bit
+        rows.append(row)
+    for a, row in enumerate(rows):
+        if not row:
+            rows[a] = bits[rng.randrange(len(bits))]
+    return rows
 
 
 # -- Output --------------------------------------------------------------------

@@ -220,8 +220,6 @@ def validate_family(family):
 
     # structure: rank, squareness, binary entries; a matrix whose bit rows
     # cannot be built is scanned for its first cell that is not an int 0 or 1.
-    # Not family.succ: reading a cached_property (a lock under Python 3.11)
-    # made validating 300 rejected 4-letter sweep candidates 10% slower
     if family.rank < 1 or len(family.matrices) != family.rank:
         violations.append(Violation("ShapeMismatch", (
             ("rank", family.rank), ("matrices", len(family.matrices)))))
@@ -258,9 +256,8 @@ def validate_family(family):
     # C1 / C2: commutation with 0-1 products; one witness per pair, first
     # offending cell in row-major order
     for i, j in combinations(range(family.rank), 2):
-        cell = commutation_witness(succ[i], succ[j])
-        if cell is not None:
-            a, b, p = cell
+        if not commutes(succ[i], succ[j]):
+            a, b, p = commutation_witness(succ[i], succ[j])
             violations.append(Violation("UniqueFactorizationViolation", (
                 ("i", i + 1), ("j", j + 1), ("row", a), ("col", b),
                 ("count", p))))
@@ -280,18 +277,25 @@ def validate_family(family):
     return ValidationReport(tuple(violations))
 
 
-def commutation_witness(si, sj):
-    """First cell (a, b, p), row-major, where M_i M_j exceeds 1 or differs
-    from M_j M_i, with p = (M_i M_j)(a, b); None when there is none.
+def commutes(si, sj):
+    """C1/C2 for one pair on row bitmasks: whether M_i M_j = M_j M_i with
+    0-1 entries, decided row by row, with no cell scan.
 
     Row a of M_i M_j sums the M_j rows over succ_i(a).  The two products
     share a 0-1 row a exactly when those rows are pairwise disjoint, so
-    are the M_i rows over succ_j(a), and the two unions agree; only the
-    first row that fails is scanned cell by cell."""
-    for a, (x, y) in enumerate(zip(si, sj)):
+    are the M_i rows over succ_j(a), and the two unions agree."""
+    for x, y in zip(si, sj):
         image = _image(sj, x)
-        if image == _image(si, y) and image[1] == image[0].bit_count():
-            continue
+        if image != _image(si, y) or image[1] != image[0].bit_count():
+            return False
+    return True
+
+
+def commutation_witness(si, sj):
+    """First cell (a, b, p), row-major, where M_i M_j exceeds 1 or differs
+    from M_j M_i, with p = (M_i M_j)(a, b); None when there is none.  A
+    cell scan, run only for a pair that fails commutes."""
+    for a, (x, y) in enumerate(zip(si, sj)):
         for b in range(len(si)):
             p = sum(sj[c] >> b & 1 for c in mask_bits(x))
             if p > 1 or p != sum(si[c] >> b & 1 for c in mask_bits(y)):
@@ -404,9 +408,14 @@ def _step_vector(lists, l, v):
 
 def origin_counts(family, l, budget=None):
     """M^l e, exact: entry a counts the words of shape l with origin
-    letter a."""
+    letter a.  The all-ones vector takes one unit step at a time, at a
+    cost quadratic in the length; past 8 dim^2 steps, where the routes
+    cross (measured), the row sums of matrix_power_product are cheaper."""
     _check_exact(family, l, budget)
-    return _step_vector(family.lists, l, [1] * len(family.alphabet))
+    dim = len(family.alphabet)
+    if l.total > 8 * dim * dim:
+        return [sum(row) for row in matrix_power_product(family, l, budget)]
+    return _step_vector(family.lists, l, [1] * dim)
 
 
 def word_count(family, l, budget=None):

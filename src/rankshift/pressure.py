@@ -26,6 +26,7 @@ from .errors import (
     RadiusUnderflowError,
     ShapeMismatchError,
     TransferChainDeadEndError,
+    TransferChainUnderflowError,
     WindowTooWideError,
     ZeroDirectionError,
 )
@@ -223,7 +224,14 @@ def _chain_log_sums(in_edges, weight_logs, n):
         w = [fsum(map(get, rows)) * dvals[col]
              for col, rows in enumerate(in_edges)]
         peak = max(w)
-        if peak == 0.0:
+        if peak == 0.0:  # a live 0-1 structure means the weights underflowed
+            live = [True] * len(in_edges)
+            for _ in range(stage):
+                live = [any(map(live.__getitem__, rows)) for rows in in_edges]
+            if any(live):
+                raise TransferChainUnderflowError(
+                    "every weight of a live transfer chain underflowed",
+                    stage=stage)
             raise TransferChainDeadEndError(
                 "transfer chain has no admissible continuation", stage=stage)
         v = [x / peak for x in w]

@@ -308,16 +308,26 @@ def test_exact_entropy_beyond_float_range_stays_finite(g1_path):
                                    rel=1e-11)
 
 
-def test_transfer_chain_dead_end_exits_one(g1_path, tmp_path):
+def test_transfer_chain_underflow_exits_one(g1_path, tmp_path):
     # letter 0 weighs exp(-1000) = 0.0 against letter 1, and 1 -> 1 is
-    # forbidden, so the chain has nowhere to go after one step
+    # forbidden, so every weight is 0.0 after one step; the golden-mean
+    # chain itself is live, so this is an underflow, not a dead end
     pot = _potential_file(tmp_path, -1000.0, [(1, 0.0)])
     proc = run_cli("pressure", "-f", g1_path, "--p", "1", "--potential", pot,
                    expect=1)
     payload = json.loads(proc.stdout)
-    assert payload["error"] == "TransferChainDeadEnd"
+    assert payload["error"] == "TransferChainUnderflow"
     assert payload["details"] == {"stage": 1}
     assert proc.stderr == ""
+
+
+def test_overflowing_transfer_chain_is_not_a_dead_end(g1_path, tmp_path):
+    # 1e308 on letter 1: exp(x - top) leaves only letter 1's weight, the
+    # partition sums are too large for a float, and the chain is live
+    pot = _potential_file(tmp_path, 0.0, [(1, 1e308)])
+    proc = run_cli("pressure", "-f", g1_path, "--p", "1", "--n-max", "4",
+                   "--method", "transfer", "--potential", pot, expect=1)
+    assert json.loads(proc.stdout)["error"] == "TransferChainUnderflow"
 
 
 def test_radius_underflow_exits_1():
@@ -589,6 +599,8 @@ def test_search_gap_csv_builds_no_json_records(capsys, monkeypatch):
 # Digests of search-gap CSV outputs, taken before the sweeps shared one
 # radius per distinct matrix and validation tested commutation row by row:
 # neither may change a byte.  The random sweep's 300 candidates all fail.
+# The two sweeps with survivors were taken before the random sweep drew
+# row bitmasks and built a family only for a candidate that passes C1/C2.
 SEARCH_GAP_DIGESTS = {
     "--exhaustive --size 2":
         "ec27944ee68f67c812eb059a1d69e79159aaa1b444161a53d017c17d89fae6d8",
@@ -596,6 +608,10 @@ SEARCH_GAP_DIGESTS = {
         "7dece1b864923f0fa7557c5056b5c3911e62f44ed78c3ef263cbeb506a324bae",
     "--size 4 --density 0.5 --trials 300 --seed 11":
         "23ce5c99cfbb584e2cdb955fba2c3b4da217ec2b329fade067d99030cce34efd",
+    "--size 3 --density 0.3 --trials 600 --seed 5":
+        "7ef9cf4ff67764efc8568cc747a1994e02128d88450bdd32f1b7b39fe4a1f7c0",
+    "--size 3 --density 0.3 --trials 3000 --seed 9 --rank 3":
+        "df605e41c6d428cbd9e1fb44e0f419dff7d408772f5c3014a77a6185b3bc2fae",
 }
 
 

@@ -12,7 +12,10 @@ Core claims:
     - every recorded gap over the small alphabets is zero to rounding,
       and never negative
     - a sweep computes the spectral radius of each distinct matrix once
-    - a fixed seed fixes the random record stream byte for byte
+    - a fixed seed fixes the random record stream byte for byte, and the
+      mask-native sampler gives the records of the tuple sampler it
+      replaced; a candidate that fails the pair test is never built
+    - the boolean pair test agrees with validation's witness search
     - records survive the CSV round trip
 """
 
@@ -21,6 +24,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rankshift import gapsearch, matrices
 from pytest import approx
@@ -40,7 +44,9 @@ from rankshift.gapsearch import (
     sorted_records,
     summarize,
 )
-from rankshift.matrices import Alphabet, MatrixFamily, validate_family
+from rankshift.matrices import (
+    Alphabet, MatrixFamily, bit_rows, commutation_witness, commutes,
+    validate_family)
 from rankshift.shapes import Shape
 
 
@@ -241,6 +247,66 @@ def test_random_stream_is_reproducible():
         assert prov["source"] == "random" and prov["seed"] == 7
         assert validate_family(rec.family).ok
         assert rec.value >= -1e-12
+
+
+def _tuple_sampler_search(size, density, trials, seed, rank):
+    """(trial, family) of each survivor, by the sampler random_search had
+    before it drew row bitmasks: tuple-of-tuples matrices, each candidate
+    built and validated."""
+    alphabet = Alphabet(tuple(str(i) for i in range(size)))
+    rng = random.Random(seed)
+    found = []
+    for trial in range(trials):
+        combo = []
+        for _ in range(rank):
+            mat = [[1 if rng.random() < density else 0 for _ in range(size)]
+                   for _ in range(size)]
+            for row in mat:
+                if not any(row):
+                    row[rng.randrange(size)] = 1
+            combo.append(tuple(tuple(row) for row in mat))
+        family = MatrixFamily(rank, alphabet, combo)
+        if family.is_valid:
+            found.append((trial, family))
+    return found
+
+
+@settings(deadline=None)
+@given(size=st.integers(2, 4),
+       density=st.floats(0, 1, exclude_min=True, exclude_max=True),
+       rank=st.integers(2, 3), seed=st.integers(0, 2 ** 32),
+       trials=st.integers(0, 200))
+def test_mask_sampler_gives_the_tuple_sampler_records(size, density, rank,
+                                                      seed, trials):
+    records = random_search(size, density, trials, seed, rank=rank)
+    assert [(dict(r.provenance)["trial"], r.family) for r in records] \
+        == _tuple_sampler_search(size, density, trials, seed, rank)
+
+
+def test_rejected_candidates_build_no_family(monkeypatch):
+    built = []
+
+    class Counted(MatrixFamily):
+        def __post_init__(self):
+            built.append(self)
+            super().__post_init__()
+
+    monkeypatch.setattr(gapsearch, "MatrixFamily", Counted)
+    # the benchmark's random job: 300 size-4 candidates, none survives
+    assert random_search(4, 0.5, 300, seed=11) == []
+    assert built == []
+    # at rank 2 there is no C3, so every family built is a record
+    assert len(random_search(3, 0.3, 200, seed=5)) == len(built) > 10
+
+
+def test_pair_test_agrees_with_the_witness_search():
+    # every ordered pair of 3-letter matrices without a zero row
+    rows = list(itertools.product((0, 1), repeat=3))[1:]
+    masks = [bit_rows(m) for m in itertools.product(rows, repeat=3)]
+    agree = [commutes(si, sj) == (commutation_witness(si, sj) is None)
+             for si in masks for sj in masks]
+    assert len(agree) == 343 ** 2 and all(agree)
+    assert 0 < sum(map(commutes, masks, masks[1:] + masks[:1])) < 343
 
 
 def test_random_density_guard():

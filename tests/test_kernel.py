@@ -10,7 +10,8 @@ random-search survivors at alphabet size 3:
       reach C3's completion tables (those of families/cube_fail.json
       fail it); a completion table written twice or read empty is refused
     - word_count equals the entry sum of the exact power product, and
-      origin_counts (also the value of check_enum_budget) its row sums
+      origin_counts (also the value of check_enum_budget) its row sums;
+      above 8 dim^2 unit steps origin_counts takes those row sums
     - a words run and each count-check shape compute M^l e once
     - enumeration yields word_count words, in lexicographic label order
     - split then compose is the identity on words, and compose then split
@@ -442,6 +443,28 @@ def test_word_count_is_power_product_entry_sum(data):
     unbounded = Budget(max_enum_bits=math.inf, max_enum_nodes=math.inf)
     assert (check_enum_budget(family, shape, unbounded)
             == origin_counts(family, shape))
+
+
+@pytest.mark.parametrize("name", ["g1", "g3", "t3"])
+def test_long_counts_are_power_product_row_sums(monkeypatch, name):
+    # up to 8 dim^2 unit steps the all-ones vector takes them one at a
+    # time; one step more and the counts are the row sums of the power
+    # product: the same integers on both sides
+    family = matrices.load_family(FAMILIES / f"{name}.json")
+    limit = 8 * family.dim ** 2
+    real = matrices.matrix_power_product
+    products = []
+    monkeypatch.setattr(matrices, "matrix_power_product",
+                        lambda f, l, budget=None: products.append(l.total)
+                        or real(f, l, budget))
+    for total in (limit, limit + 1):
+        first = total - total // family.rank * (family.rank - 1)
+        shape = Shape.of(first, *[total // family.rank] * (family.rank - 1))
+        counts = origin_counts(family, shape)
+        assert counts == [sum(row) for row in real(family, shape)]
+        assert counts == matrices._step_vector(
+            family.lists, shape, [1] * family.dim)
+    assert products == [limit + 1]
 
 
 def _log_origin_counts(monkeypatch):

@@ -12,7 +12,8 @@ Core claims:
     - the one-pass transfer series is bit-identical to stage-by-stage
       partition sums
     - potential files with non-finite or non-numeric values are rejected
-    - a transfer chain with no admissible continuation is a coded error
+    - a transfer chain with no admissible continuation is a coded error,
+      and so is a live chain whose weights underflow, under its own code
     - with the zero potential the vertex oracle is entropy_exact: exactly
       while M^p and its row sums are exact in float, within 1e-12 past
       exp's range and past float range, where it stays finite and coded
@@ -29,6 +30,7 @@ from rankshift.errors import (
     ScaleTooFineError,
     ShapeMismatchError,
     TransferChainDeadEndError,
+    TransferChainUnderflowError,
     WindowTooWideError,
     ZeroDirectionError,
 )
@@ -37,6 +39,7 @@ from rankshift.matrices import (
     entropy_exact, log_word_count, matrix_power_product)
 from rankshift.pressure import (
     Potential,
+    _chain_log_sums,
     birkhoff_sum_on_cylinder,
     log_sum_exp,
     partition_function_log,
@@ -282,12 +285,25 @@ def test_transfer_chain_dead_end_raises(g1):
         partition_function_log(g1, pot, 1, Shape.of(1), 1)
 
 
-def test_transfer_chain_dead_end_is_coded(g1):
+def test_transfer_chain_underflow_is_coded(g1):
+    # the golden-mean chain has paths of every length: only the weights died
     pot = vertex_potential(g1, {"0": -1e6})
-    with pytest.raises(TransferChainDeadEndError) as info:
+    with pytest.raises(TransferChainUnderflowError) as info:
         pressure_estimate(g1, pot, 1, Shape.of(1), 3)
     assert isinstance(info.value, DomainError)
-    assert info.value.to_json()["details"] == {"stage": 1}
+    assert info.value.to_json() == {
+        "error": "TransferChainUnderflow",
+        "message": "every weight of a live transfer chain underflowed",
+        "details": {"stage": 1}}
+
+
+def test_transfer_chain_without_a_path_is_a_dead_end():
+    # state 1 follows state 0 and nothing follows state 1: a path of one
+    # step and none of two, whatever the weights
+    with pytest.raises(TransferChainDeadEndError) as info:
+        _chain_log_sums([[], [0]], [0.0, 0.0], 2)
+    assert info.value.to_json()["details"] == {"stage": 2}
+    assert len(_chain_log_sums([[], [0]], [0.0, 0.0], 1)) == 2
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
