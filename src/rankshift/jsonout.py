@@ -70,7 +70,11 @@ def _encode(obj, newline, memo):
     if kind is str:
         return encode_basestring_ascii(obj)
     if kind is int:
-        return int.__repr__(obj)
+        try:
+            return int.__repr__(obj)
+        except ValueError:  # past the interpreter's int-to-text digit limit
+            from decimal import Decimal
+            return str(Decimal(obj))
     if kind is float:
         if isfinite(obj):
             text = f"{obj:.12g}"

@@ -13,9 +13,9 @@ squarings; once the normalized iterate repeats, the remaining steps
 replay the stored logs of its norms instead of squaring again, which
 gives the same float result bit for bit.
 
-Families are constructed unvalidated.  The validation report is computed
-on first use and cached; all types here are immutable and every operation
-is a pure function of its arguments.
+Families are constructed unvalidated.  The validation report and the
+square-completion tables (read through MatrixFamily.completion) are built
+on first use and cached; all types are immutable, every operation pure.
 """
 
 import json
@@ -185,10 +185,14 @@ class MatrixFamily:
 
     @cached_property
     def squares(self):
-        """Completion tables keyed by ordered direction pairs (s, t)."""
+        """Completion tables by direction pair (s, t); read via completion."""
         lists = self.lists
         return {(s, t): _completion_table(lists, s, t)
                 for s, t in permutations(range(self.rank), 2)}
+
+    def completion(self, s, t, p0, p2):
+        """The letter x on the path p0 -(t)-> x -(s)-> p2, None if none."""
+        return self.squares[s, t].get(p0 * self.dim + p2)
 
     @property
     def is_valid(self):
@@ -310,17 +314,16 @@ def _not_unique():
 
 
 def _completion_table(lists, s, t):
-    """The square completions along t then s, as one flat list: entry
-    p0*dim + p2 is the letter x on the path p0 -(t)-> x -(s)-> p2, None
-    where there is none.  A path p0 -(s)-> p1 -(t)-> p2 reads the missing
-    corner p0 + e_t of its square at that entry."""
+    """The square completions along t then s that exist: key p0*dim + p2
+    holds the x on the path p0 -(t)-> x -(s)-> p2.  A path p0 -(s)-> p1
+    -(t)-> p2 reads the missing corner p0 + e_t of its square there."""
     dim = len(lists[s])
-    table = [None] * (dim * dim)
+    table = {}
     for p0, row in enumerate(lists[t]):
         base = p0 * dim
         for x in row:
             for p2 in lists[s][x]:
-                if table[base + p2] is not None:
+                if base + p2 in table:
                     raise _not_unique()
                 table[base + p2] = x
     return table
@@ -329,8 +332,7 @@ def _completion_table(lists, s, t):
 def _check_cubes(lists, tables, i, j, k):
     """First cube-consistency violation for the ordered triple (i, j, k),
     chains a -(i)-> b -(j)-> c -(k)-> d in ascending order.  Each corner is
-    one read of a completion table; an empty entry is None, which fails
-    the next index it enters or, for w_a and z_b, the comparison."""
+    one read of a completion table; a missing key is refused."""
     ij, ik, jk = tables[i, j], tables[i, k], tables[j, k]
     succ_j, succ_k = lists[j], lists[k]
     dim = len(succ_j)
@@ -349,14 +351,12 @@ def _check_cubes(lists, tables, i, j, k):
                         w_b = ik[at + y]          # corner e_k, second order
                         z_b = ij[w_b * dim + d]   # corner e_j + e_k again
                         if w_a != w_b or z_a != z_b:
-                            if w_a is None or z_b is None:
-                                raise _not_unique()
                             return Violation("CubeInconsistency", (
                                 ("i", i + 1), ("j", j + 1), ("k", k + 1),
                                 ("chain", [a, b, c, d]),
                                 ("first_order", [x, z_a, w_a]),
                                 ("second_order", [y, w_b, z_b])))
-    except TypeError:  # None entered an index
+    except KeyError:  # no completion
         raise _not_unique() from None
     return None
 

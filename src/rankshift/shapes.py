@@ -4,7 +4,7 @@ A Shape is a tuple of r nonnegative integers.  Shapes are ordered
 coordinatewise (a partial order: use .coords as a sort key when a total
 order is needed).  box(m) is the point set {l : 0 <= l <= m}, always
 iterated in row-major order, i.e. lexicographic with the last coordinate
-varying fastest.
+varying fastest; Shape.strides states that layout for flat label lists.
 """
 
 import operator
@@ -77,6 +77,12 @@ class Shape:
     def volume(self):
         """Number of lattice points in box(self)."""
         return prod(c + 1 for c in self.coords)
+
+    @property
+    def strides(self):
+        """Row-major steps: index_of(q + e_j) = index_of(q) + strides[j]."""
+        return tuple(prod(c + 1 for c in self.coords[j + 1:])
+                     for j in range(len(self.coords)))
 
     def __add__(self, other):
         self._check_rank(other)

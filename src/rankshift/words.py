@@ -5,7 +5,8 @@ unit step in direction j is allowed by M_j.  Its restriction to a prefix
 box [0, k] or a tail box [k, m] (rebased to the origin) is again a word,
 and a word is recovered uniquely from any compatible prefix/tail pair by
 filling unit squares: the corner of a square after one known end of its
-diagonal and before the other is forced when the family is valid.
+diagonal and before the other is forced when the family is valid
+(MatrixFamily.completion).  Labels are row-major, stepped by Shape.strides.
 
 Enumeration is depth-first over box points in row-major order, trying
 letters in index order, so words stream in lexicographic order of their
@@ -13,7 +14,7 @@ label sequences.
 """
 
 from dataclasses import dataclass
-from math import log2, prod
+from math import log2
 from typing import NamedTuple
 
 from .budget import DEFAULT as DEFAULT_BUDGET
@@ -87,7 +88,7 @@ def _first_bad_edge(family, word):
     """(point, j) of the first edge that M_j forbids, in row-major order
     of its start point and then of j; None when every edge is allowed."""
     m, labels, succ = word.shape.coords, word.labels, family.succ
-    strides = [prod(c + 1 for c in m[j + 1:]) for j in range(len(m))]
+    strides = word.shape.strides
     for a, point in enumerate(word.shape.box()):
         for j, step in enumerate(strides):
             if point[j] < m[j] and not succ[j][labels[a]] >> labels[a + step] & 1:
@@ -142,11 +143,9 @@ def _dfs_words(family, m, fixed):
     allowed = [(1 << len(family.alphabet)) - 1] * n
     for t, letter in fixed.items():
         allowed[t] &= 1 << letter
-    preds = []
-    for pt in m.box():
-        preds.append(tuple(
-            (succ[j], m.index_of(pt[:j] + (pt[j] - 1,) + pt[j + 1:]))
-            for j in range(m.rank) if pt[j]))
+    strides = m.strides
+    preds = [tuple((rows, t - step) for rows, step, c in zip(succ, strides, pt)
+                   if c) for t, pt in enumerate(m.box())]
     labels = [0] * n
     left = [allowed[0]] + [0] * (n - 1)  # untried candidates per point
     t = 0
@@ -236,14 +235,13 @@ def compose(family, u, v):
     placed = total.indices(u.shape) + total.indices(v.shape, corner)
     for t, x in zip(placed, u.labels + v.labels):
         labels[t] = x
-    known = dict(zip(total.box(), labels))  # row-major, like labels
+    strides = total.strides
+    rest = [(t, q) for t, q in enumerate(total.box()) if labels[t] is None]
+    rest.sort(key=lambda tq: sum(abs(a - c) for a, c in zip(tq[1], corner)))
+    for t, q in rest:
+        labels[t] = _fill(family, labels, q, corner, t, strides)
 
-    rest = [q for q, x in known.items() if x is None]
-    rest.sort(key=lambda q: sum(abs(a - c) for a, c in zip(q, corner)))
-    for q in rest:
-        known[q] = _fill(family, known, q, corner)
-
-    result = Word(total, tuple(known.values()))
+    result = Word(total, tuple(labels))
     bad = _first_bad_edge(family, result)
     if bad is not None:
         point, j = bad
@@ -253,17 +251,13 @@ def compose(family, u, v):
     return result
 
 
-def _fill(family, known, q, corner):
-    """The letter at q, a point in neither box of compose: the one letter
-    on the path base -(j)-> q -(i)-> top, with base = q - e_j and top =
-    q + e_i for the first j with q_j > c_j and i with q_i < c_i, read from
-    the family's completion table of (i, j).  The table was built once,
-    and a second completion is refused there."""
+def _fill(family, labels, q, corner, t, strides):
+    """The letter at q = labels[t], outside both boxes of compose: the x
+    on base -(j)-> x -(i)-> top, base = q - e_j and top = q + e_i for the
+    first j with q_j > c_j and i with q_i < c_i, by family.completion."""
     j = next(j for j, c in enumerate(corner) if q[j] > c)
     i = next(i for i, c in enumerate(corner) if q[i] < c)
-    base = q[:j] + (q[j] - 1,) + q[j + 1:]
-    top = q[:i] + (q[i] + 1,) + q[i + 1:]
-    x = family.squares[i, j][known[base] * family.dim + known[top]]
+    x = family.completion(i, j, labels[t - strides[j]], labels[t + strides[i]])
     if x is None:
         raise NoFillingError(
             "square completion has no solution", point=list(q))

@@ -3,6 +3,7 @@
 Core claims:
     - the documented examples run with the documented outputs and exits
     - exit codes: 0 success, 1 domain error as JSON, 2 usage
+      (a refusal whose details hold a 5230-digit integer prints it)
     - --log-base only rescales the displayed logarithmic quantities
     - rerunning the embedded config of any result reproduces it byte
       for byte, JSON and CSV alike
@@ -22,6 +23,7 @@ import math
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -30,7 +32,7 @@ from pytest import approx
 from rankshift import cli
 from rankshift.cli import main
 from rankshift.jsonout import dumps_line
-from rankshift.matrices import load_family, matrix_power_product
+from rankshift.matrices import load_family, matrix_power_product, word_count
 from rankshift.shapes import Shape
 from rerun_argv import argv_from_config, config_of
 
@@ -271,6 +273,19 @@ def test_exact_entropy_respects_digit_budget(g1_path):
     payload = json.loads(proc.stdout)
     assert payload["error"] == "BudgetExceeded"
     assert payload["details"]["max_exact_digits"] == 5
+
+
+def test_enum_refusal_past_the_int_text_limit(g1_path):
+    # estimated_nodes has 5230 digits, past the 4300 that int.__repr__
+    # prints under Python 3.11
+    proc = run_cli("words", "-f", g1_path, "--shape", "25000", "--limit", "0",
+                   "--max-enum-bits", "1e9", expect=1)
+    payload = json.loads(proc.stdout, parse_int=str)
+    assert payload["error"] == "BudgetExceeded" and proc.stderr == ""
+    nodes = payload["details"]["estimated_nodes"]
+    assert len(nodes) == 5230
+    count = word_count(load_family(FAMILIES / "g1.json"), Shape.of(25000))
+    assert Decimal(nodes) == count * 25001
 
 
 def test_non_finite_result_is_coded_error(g1_path, tmp_path):

@@ -3,7 +3,8 @@
 Core claims:
     - dumps gives the bytes of json.dumps(round12(x), indent=2) plus a
       newline for any payload of nested dicts, lists and tuples over
-      strings, bools, None, ints of any size and finite floats
+      strings, bools, None, ints of any size and finite floats; an int
+      past the interpreter's 4300-digit text limit prints its exact digits
     - in particular for a lone finite float, of any size, on both sides
       of the decades where the 12-digit text changes notation, subnormal
       or signed zero: the text printed without a round trip is the repr
@@ -105,6 +106,13 @@ def test_non_finite_float_is_coded_error(bad):
     data = info.value.to_json()
     assert data["error"] == "NonFiniteResult"
     assert data["details"] == {"path": ["sequence", 1, 1], "value": repr(bad)}
+
+
+def test_int_past_the_text_digit_limit_prints_exactly():
+    # int.__repr__ refuses past 4300 digits under Python 3.11
+    n = 10**5000 + 7
+    assert dumps(n) == "1" + "0" * 4999 + "7\n"
+    assert dumps([-n]) == "[\n  -1" + "0" * 4999 + "7\n]\n"
 
 
 def test_non_string_key_is_refused():

@@ -8,7 +8,9 @@ random-search survivors at alphabet size 3:
       of other values and types, on families that fail C1/C2 only in a
       later row, and on letter-permuted rank-4 tensor products, which
       reach C3's completion tables (those of families/cube_fail.json
-      fail it); a completion table written twice or read empty is refused
+      fail it); a completion table written twice or missing a read key is
+      refused, and each table holds exactly the completions that a dense
+      scan of the matrices finds (g1^6: 4320 in 30 tables)
     - word_count equals the entry sum of the exact power product, and
       origin_counts (also the value of check_enum_budget) its row sums;
       above 8 dim^2 unit steps origin_counts takes those row sums
@@ -18,8 +20,9 @@ random-search survivors at alphabet size 3:
       gives back the factors, also on rank-3 and rank-4 families; compose
       fills each point outside both factor boxes exactly once, by one read
       of the family's completion tables, which a family builds once
-    - the box-index kernel Shape.indices, the prefix and tail restrictions
-      and the first forbidden edge equal their point-by-point definitions,
+    - the box-index kernel Shape.indices and the strides, the prefix and
+      tail restrictions and the first forbidden edge equal their
+      point-by-point definitions,
       the edge in the order of a row-major scan that make_word names
     - build_shift_patterns gives the keys, index and cells of a dense
       reference that decomposes every word of the extension shape, and
@@ -38,6 +41,7 @@ range (below it, the word weighs nothing) and a non-finite CSV config
 line.
 """
 
+import functools
 import json
 import math
 import subprocess
@@ -380,6 +384,40 @@ def test_rank4_pool_reaches_cube_violations():
     assert validate_family(family).violations == violations
 
 
+def _dense_completions(family, s, t):
+    """Entry p0*dim + p2: the one x with M_t(p0, x) M_s(x, p2) = 1, by a
+    scan of the matrices; None where there is none."""
+    dim, ms, mt = family.dim, family.matrices[s], family.matrices[t]
+    dense = [None] * (dim * dim)
+    for p0, x, p2 in product(range(dim), repeat=3):
+        if mt[p0][x] and ms[x][p2]:
+            assert dense[p0 * dim + p2] is None
+            dense[p0 * dim + p2] = x
+    return dense
+
+
+@PROPERTY
+@given(st.one_of(valid_families(), rank3_families(), rank4_families()))
+@example(CUBE_FAIL)
+def test_completion_tables_hold_the_existing_completions(family):
+    dim = family.dim
+    for s, t in permutations(range(family.rank), 2):
+        dense = _dense_completions(family, s, t)
+        assert family.squares[s, t] == {
+            key: x for key, x in enumerate(dense) if x is not None}
+        assert [family.completion(s, t, p0, p2) for p0 in range(dim)
+                for p2 in range(dim)] == dense
+
+
+def test_rank_six_tables_hold_only_the_two_step_paths():
+    # g1^(x)6: 64 letters, 30 tables of 144 two-step paths each, where a
+    # dense table would have 4096 slots
+    family = functools.reduce(families.tensor_product,
+                              [families.golden_mean()] * 6)
+    assert family.is_valid and len(family.squares) == 30
+    assert sum(map(len, family.squares.values())) == 4320
+
+
 def test_completion_table_refuses_a_second_filling():
     # the full shift twice over fails C1: its squares complete two ways
     full = ((0, 1), (0, 1))  # successor lists of the full 2-shift
@@ -389,17 +427,16 @@ def test_completion_table_refuses_a_second_filling():
 
 # The one chain 0 -(i)-> 1 -(j)-> 0 -(k)-> 1 reads x = ij[0], z_a = ik[1],
 # w_a = jk[1], y = jk[3], w_b = ik[1] and z_b = ij[3], all 0 or 1, and
-# its cube closes.  Emptying the entry of x, w_a or z_b is refused.
+# its cube closes.  Deleting the key of x, w_a or z_b is refused.
 CHAIN_LISTS = [((1,), ()), ((), (0,)), ((1,), ())]
 
 
 @pytest.mark.parametrize("pair, entry", [((0, 1), 0), ((1, 2), 1),
                                          ((0, 1), 3)])
 def test_cube_check_refuses_an_empty_entry(pair, entry):
-    tables = {(0, 1): [0, None, None, 1], (0, 2): [None, 1, None, None],
-              (1, 2): [None, 1, None, 1]}
+    tables = {(0, 1): {0: 0, 3: 1}, (0, 2): {1: 1}, (1, 2): {1: 1, 3: 1}}
     assert matrices._check_cubes(CHAIN_LISTS, tables, 0, 1, 2) is None
-    tables[pair][entry] = None
+    del tables[pair][entry]
     with pytest.raises(AssertionError):
         matrices._check_cubes(CHAIN_LISTS, tables, 0, 1, 2)
 
@@ -590,6 +627,11 @@ def test_box_indices_are_pointwise_index_of(box):
     assert m.indices(sub, offset) == [m.index_of((offset + Shape(l)).coords)
                                       for l in sub.box()]
     assert m.indices(sub) == [m.index_of(l) for l in sub.box()]
+    for q in m.box():
+        for j, step in enumerate(m.strides):
+            if q[j] < m[j]:
+                up = q[:j] + (q[j] + 1,) + q[j + 1:]
+                assert m.index_of(up) - m.index_of(q) == step
 
 
 @PROPERTY
@@ -858,8 +900,9 @@ def test_empty_square_completion_is_no_filling(g3):
     prod = matrix_mul(m2, m1)
     base, top = next((b, t) for b in range(g3.dim) for t in range(g3.dim)
                      if not prod[b][t])
+    # box (1, 1) holds (0, 0), (0, 1), (1, 0), (1, 1) at flat indices 0-3
     with pytest.raises(NoFillingError) as info:
-        _fill(g3, {(0, 0): base, (1, 1): top}, (0, 1), (1, 0))
+        _fill(g3, [base, None, None, top], (0, 1), (1, 0), 1, (2, 1))
     assert info.value.details == {"point": [0, 1]}
 
 
