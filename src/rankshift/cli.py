@@ -147,7 +147,7 @@ def _emit(args, payload, header, rows):
 
 def _word_str(word):
     """shape:labels of a Word."""
-    shape = ",".join(str(c) for c in word.shape.coords)
+    shape = ",".join(str(c) for c in word.shape)
     labels = ".".join(str(x) for x in word.labels)
     return f"{shape}:{labels}"
 
@@ -190,7 +190,7 @@ def _cmd_words(args, family):
         total = counts[letter_index(family, args.origin)]
     words = list(itertools.islice(
         enumerate_words(family, shape, origin=args.origin), args.limit))
-    payload = {"shape": list(shape.coords), "total": str(total),
+    payload = {"shape": list(shape), "total": str(total),
                "returned": len(words), "words": list(map(word_to_dict, words))}
     return payload, ["index", "word"], (
         [i, _word_str(w)] for i, w in enumerate(words))
@@ -241,13 +241,13 @@ def _cmd_pressure(args, family):
         pot = Potential(Shape.zero(family.rank), 0.0, {})
     est = pressure_estimate(family, pot, args.k, p, args.n_max,
                             method=args.method, budget=budget)
-    result = {"k": args.k, "step": list(p.coords), "method": args.method,
+    result = {"k": args.k, "step": list(p), "method": args.method,
               **_series(est, factor)}
     if args.oracle:
         if not pot.window.is_zero:
             raise WindowTooWideError(
                 "the spectral oracle applies to single-letter windows only",
-                window=list(pot.window.coords))
+                window=list(pot.window))
         values = {i: pot.table.get(Word(pot.window, (i,)), pot.default)
                   for i in range(len(family.alphabet))}
         oracle = pressure_oracle_vertex(family, values, p, budget)

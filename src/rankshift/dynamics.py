@@ -56,10 +56,10 @@ def separation_threshold(k):
 def check_scale(k, p):
     if p.is_zero:
         raise ZeroDirectionError("step direction must be nonzero")
-    if k < max(p.coords):
+    if k < max(p):
         raise ScaleTooFineError(
             "cube radius must dominate every step coordinate",
-            k=k, step=list(p.coords))
+            k=k, step=list(p))
 
 
 def separated_count(family, k, p, n, mode="formula", budget=None):

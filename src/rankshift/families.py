@@ -15,9 +15,8 @@ def golden_mean():
 
 def full_shift(n=2):
     """Rank 1 full shift on n letters: every transition allowed."""
-    letters = tuple(str(i) for i in range(n))
-    ones = tuple(tuple(1 for _ in letters) for _ in letters)
-    return MatrixFamily(rank=1, alphabet=Alphabet(letters), matrices=(ones,))
+    ones = ((1,) * n,) * n
+    return MatrixFamily(rank=1, alphabet=Alphabet(range(n)), matrices=(ones,))
 
 
 def identity_family(letters=3, rank=2):
@@ -25,7 +24,7 @@ def identity_family(letters=3, rank=2):
     ident = matrix_identity(letters)
     return MatrixFamily(
         rank=rank,
-        alphabet=Alphabet(tuple(str(i) for i in range(letters))),
+        alphabet=Alphabet(range(letters)),
         matrices=tuple(ident for _ in range(rank)),
     )
 
@@ -35,9 +34,8 @@ def tensor_product(fam_a, fam_b, sep="."):
     the first component, directions of fam_b on the second.  The resulting
     rank is rank_a + rank_b and entropies add."""
     na, nb = len(fam_a.alphabet), len(fam_b.alphabet)
-    letters = tuple(
-        f"{a}{sep}{b}" for a in fam_a.alphabet.letters for b in fam_b.alphabet.letters
-    )
+    alphabet = Alphabet(
+        f"{a}{sep}{b}" for a in fam_a.alphabet for b in fam_b.alphabet)
 
     def kron(m, n):
         dim_m, dim_n = len(m), len(n)
@@ -54,7 +52,7 @@ def tensor_product(fam_a, fam_b, sep="."):
         kron(ia, m) for m in fam_b.matrices
     )
     return MatrixFamily(
-        rank=fam_a.rank + fam_b.rank, alphabet=Alphabet(letters), matrices=mats
+        rank=fam_a.rank + fam_b.rank, alphabet=alphabet, matrices=mats
     )
 
 

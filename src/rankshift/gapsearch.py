@@ -24,7 +24,6 @@ length of the call and computes each distinct radius once.
 """
 
 import functools
-import hashlib
 import itertools
 import random
 from dataclasses import dataclass
@@ -41,8 +40,7 @@ from .matrices import (
     family_to_dict,
     float_radius,
     log_spectral_radius,
-    matrix_power,
-    matrix_power_product,
+    matrix_powers,
     radius_log,
     require_valid,
 )
@@ -50,6 +48,7 @@ from .shapes import Shape
 
 
 def family_fingerprint(family):
+    import hashlib  # loads OpenSSL, about 3.7 MB resident: only sweeps need it
     payload = canonical_family_json(family).encode("ascii")
     return hashlib.sha256(payload).hexdigest()
 
@@ -87,8 +86,8 @@ def gap_parts(family, p=None, budget=None, log_radius=None):
         p = Shape.cube(1, family.rank)
     if p.is_zero:
         raise ZeroDirectionError("step direction must be nonzero")
-    mats = [matrix_power(m, c) for m, c in zip(family.matrices, p.coords)]
-    mats.append(matrix_power_product(family, p, budget))
+    mats, product = matrix_powers(family, p, budget)
+    mats.append(product)
     exact = list(map(log_radius or log_spectral_radius, mats))
     radii = list(map(float_radius, exact))
     logs = list(map(radius_log, exact))
@@ -123,10 +122,6 @@ def _record(family, provenance, budget, log_radius):
     factors, prod_radius, value = gap_parts(family, None, budget, log_radius)
     return GapRecord(family_fingerprint(family), family, factors, prod_radius,
                      value, tuple(provenance.items()))
-
-
-def _digit_alphabet(size):
-    return Alphabet(tuple(str(i) for i in range(size)))
 
 
 def exhaustive_search(alphabet_size, rank=2, canonicalize=False, budget=None):
@@ -164,7 +159,7 @@ def exhaustive_search(alphabet_size, rank=2, canonicalize=False, budget=None):
         check(len(tuples) * count)
         tuples = [t + (j,) for t in tuples for j in range(count)
                   if all(commute(i, j) for i in t)]
-    alphabet = _digit_alphabet(alphabet_size)
+    alphabet = Alphabet(range(alphabet_size))
     families = (MatrixFamily(rank, alphabet, [matrices[j] for j in t])
                 for t in tuples)
     survivors = [f for f in families if f.is_valid]
@@ -189,7 +184,7 @@ def random_search(alphabet_size, density, trials, seed, rank=2, budget=None):
     """
     if not 0 < density < 1:
         raise ValueError("density must be strictly between 0 and 1")
-    alphabet = _digit_alphabet(alphabet_size)
+    alphabet = Alphabet(range(alphabet_size))
     records, log_radius = [], functools.cache(log_spectral_radius)
     rng = random.Random(seed)
     cols = range(alphabet_size)
@@ -277,4 +272,4 @@ def family_from_csv_row(row, rank):
               for a in range(size))
         for block in blocks
     )
-    return MatrixFamily(rank, _digit_alphabet(size), mats)
+    return MatrixFamily(rank, Alphabet(range(size)), mats)

@@ -100,26 +100,22 @@ def _image(rows, mask):
 
 # -- Alphabet and family ------------------------------------------------------
 
-@dataclass(frozen=True)
-class Alphabet:
-    letters: tuple
+class Alphabet(tuple):
+    """The letters, as strings: a tuple, equal to the plain tuple of them."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        letters = tuple(str(x) for x in self.letters)
-        if not letters:
+    def __new__(cls, letters):
+        alphabet = tuple.__new__(cls, map(str, letters))
+        if not alphabet:
             raise ValueError("alphabet must be nonempty")
-        if len(set(letters)) != len(letters):
+        if len(set(alphabet)) != len(alphabet):
             raise ValueError("alphabet letters must be distinct")
-        object.__setattr__(self, "letters", letters)
+        return alphabet
 
-    def index(self, letter):
-        return self.letters.index(letter)
-
-    def __len__(self):
-        return len(self.letters)
-
-    def __getitem__(self, i):
-        return self.letters[i]
+    @property
+    def letters(self):
+        """The letters as a plain tuple."""
+        return tuple(self)
 
 
 @dataclass(frozen=True)
@@ -383,23 +379,28 @@ def _check_exact(family, l, budget):
             estimated_digits=est, max_exact_digits=budget.max_exact_digits)
 
 
-def matrix_power_product(family, l, budget=None):
-    """M_1^{l_1} ... M_r^{l_r}, exact.  Order does not matter for a valid
-    family; the ascending-direction order used here is the canonical one.
-    """
+def matrix_powers(family, l, budget=None):
+    """[M_1^{l_1}, ..., M_r^{l_r}] and their product, exact, each power
+    formed once, after the guards.  Order does not matter for a valid
+    family; the ascending-direction order used here is the canonical one."""
     _check_exact(family, l, budget)
+    powers = list(map(matrix_power, family.matrices, l))
     out = None
-    for m, e in zip(family.matrices, l.coords):
+    for power, e in zip(powers, l):
         if e:
-            power = matrix_power(m, e)
             out = power if out is None else matrix_mul(out, power)
-    return matrix_identity(len(family.alphabet)) if out is None else out
+    return powers, matrix_identity(len(family.alphabet)) if out is None else out
+
+
+def matrix_power_product(family, l, budget=None):
+    """M_1^{l_1} ... M_r^{l_r}, exact (matrix_powers)."""
+    return matrix_powers(family, l, budget)[1]
 
 
 def _step_vector(lists, l, v):
     """M^l v, exact: v takes one unit step at a time, v <- M_j v, over
     the family's successor lists."""
-    for succ_lists, e in zip(lists, l.coords):
+    for succ_lists, e in zip(lists, l):
         for _ in range(e):
             get = v.__getitem__
             v = [sum(map(get, succ)) for succ in succ_lists]
@@ -453,7 +454,7 @@ def log_word_count(family, l, budget=None):
             raise ZeroDivisionError("zero product in log fallback")
         return [[x / top for x in row] for row in m], math.log(top)
 
-    for m, e in zip(family.matrices, l.coords):
+    for m, e in zip(family.matrices, l):
         base = [[float(x) for x in row] for row in m]
         base_log = 0.0
         while e:
@@ -609,7 +610,7 @@ def entropy_exact(family, p, budget=None):
 def family_to_dict(family):
     return {
         "rank": family.rank,
-        "alphabet": list(family.alphabet.letters),
+        "alphabet": list(family.alphabet),
         "matrices": [[list(row) for row in m] for m in family.matrices],
     }
 
@@ -628,7 +629,7 @@ def family_from_dict(data):
         letters = data["alphabet"]
         if type(letters) is not list or any(type(x) is not str for x in letters):
             raise ValueError(f"alphabet {letters!r} is not a list of strings")
-        alphabet = Alphabet(tuple(letters))
+        alphabet = Alphabet(letters)
         matrices = tuple(
             tuple(tuple(_exact_int(x, "matrix entry") for x in row)
                   for row in m)

@@ -119,7 +119,7 @@ def _plan(family, words, u_shape, w_shape, p, m, budget):
     if not p + n <= m:
         raise ShapeTooSmallError(
             "compression shape must dominate step plus generator shapes",
-            m=list(m.coords), needed=list((p + n).coords))
+            m=list(m), needed=list(p + n))
     ext = m + (n - u_shape)
     check_enum_budget(family, ext, budget)
     return PairPlan(n, m, ext, m - p - u_shape, words(m), tuple(
@@ -188,7 +188,7 @@ def reports_to_json(reports):
     depth.  On a g3 sweep at max-shape (1, 0) the 1984 patterns are 80
     distinct dicts over 10 Words, in 18 distinct lists."""
     word_dict = functools.cache(word_to_dict)
-    coords = functools.cache(lambda shape: list(shape.coords))
+    coords = functools.cache(list)
 
     @functools.cache
     def pattern_dict(stat):
@@ -269,7 +269,7 @@ def check_cylinder_separation(family, m, potential, budget=None):
     if not potential.window <= m:
         raise WindowTooWideError(
             "potential window does not fit in the cylinder shape",
-            window=list(potential.window.coords), m=list(m.coords))
+            window=list(potential.window), m=list(m))
     probe = m + Shape.cube(1, m.rank)
     check_enum_budget(family, probe, budget)
     total = sum(1 for _ in enumerate_words(family, probe))

@@ -60,7 +60,7 @@ class Potential:
         if not self.window <= word.shape:
             raise WindowTooWideError(
                 "word does not contain the potential window",
-                window=list(self.window.coords), shape=list(word.shape.coords))
+                window=list(self.window), shape=list(word.shape))
         key = word if word.shape == self.window else restrict_prefix(word, self.window)
         return self.table.get(key, self.default)
 
@@ -78,7 +78,7 @@ def vertex_potential(family, values, default=0.0):
 def potential_to_dict(potential):
     entries = sorted(potential.table.items(), key=lambda kv: kv[0].labels)
     return {
-        "window": list(potential.window.coords),
+        "window": list(potential.window),
         "default": potential.default,
         "entries": [
             {"word": word_to_dict(word), "value": val} for word, val in entries
@@ -125,7 +125,7 @@ def birkhoff_sum_on_cylinder(family, potential, word, step, n):
     if base is None or base != Shape.cube(base.min_coord, base.rank):
         raise ShapeMismatchError(
             "word shape minus n steps must be a cube",
-            shape=list(word.shape.coords), step=list(step.coords), n=n)
+            shape=list(word.shape), step=list(step), n=n)
     _check_stage(family, potential, base.min_coord, step)
     sites = _window_sites(word.shape, potential.window, step, n)
     return _birkhoff_sum(word.labels, sites, _labels_table(potential),
@@ -171,10 +171,10 @@ def _check_stage(family, potential, k, step):
     if step.rank != family.rank or potential.window.rank != family.rank:
         raise ShapeMismatchError("rank mismatch")
     check_scale(k, step)
-    if max(potential.window.coords) > k:
+    if max(potential.window) > k:
         raise WindowTooWideError(
             "potential window does not fit in the stage cube",
-            window=list(potential.window.coords), k=k)
+            window=list(potential.window), k=k)
 
 
 def partition_function_log(family, potential, k, p, n, method="transfer",
@@ -293,5 +293,5 @@ def pressure_oracle_vertex(family, values, p, budget=None):
         # M^p of a valid family is never nilpotent: the weights underflowed
         raise RadiusUnderflowError(
             "the weighted step matrix underflowed to a nilpotent matrix",
-            step=list(p.coords))
+            step=list(p))
     return value

@@ -1,34 +1,30 @@
 """Multidegrees in Z_+^r and the lattice boxes they span.
 
-A Shape is a tuple of r nonnegative integers.  Shapes are ordered
-coordinatewise (a partial order: use .coords as a sort key when a total
-order is needed).  box(m) is the point set {l : 0 <= l <= m}, always
-iterated in row-major order, i.e. lexicographic with the last coordinate
-varying fastest; Shape.strides states that layout for flat label lists.
+A Shape is a tuple of r nonnegative integers, equal to the plain tuple of
+its coordinates.  Shapes are ordered coordinatewise by <= and >= (a
+partial order, so < and > are refused: use key=tuple when a total order
+is needed).  box(m) is the point set {l : 0 <= l <= m}, always iterated
+in row-major order, i.e. lexicographic with the last coordinate varying
+fastest; Shape.strides states that layout for flat label lists.
 """
 
 import operator
-from dataclasses import dataclass
 from itertools import product, repeat
 from math import prod
 
 
-@dataclass(frozen=True)
-class Shape:
-    coords: tuple
+class Shape(tuple):
+    __slots__ = ()
 
-    def __post_init__(self):
-        coords = tuple(self.coords)
-        if any(type(c) is not int for c in coords):
-            raise ValueError(f"shape coordinates must be integers: {coords!r}")
-        if not coords:
+    def __new__(cls, coords):
+        shape = tuple.__new__(cls, coords)
+        if any(type(c) is not int for c in shape):
+            raise ValueError(f"shape coordinates must be integers: {shape.coords!r}")
+        if not shape:
             raise ValueError("rank must be at least 1")
-        if any(c < 0 for c in coords):
+        if any(c < 0 for c in shape):
             raise ValueError("shape coordinates must be nonnegative")
-        object.__setattr__(self, "coords", coords)
-
-    def __hash__(self):
-        return hash(self.coords)
+        return shape
 
     @classmethod
     def of(cls, *coords):
@@ -58,68 +54,81 @@ class Shape:
         return cls(tuple(int(part) for part in parts))
 
     @property
+    def coords(self):
+        """The coordinates as a plain tuple."""
+        return tuple(self)
+
+    @property
     def rank(self):
-        return len(self.coords)
+        return len(self)
 
     @property
     def is_zero(self):
-        return all(c == 0 for c in self.coords)
+        return not any(self)
 
     @property
     def total(self):
-        return sum(self.coords)
+        return sum(self)
 
     @property
     def min_coord(self):
-        return min(self.coords)
+        return min(self)
 
     @property
     def volume(self):
         """Number of lattice points in box(self)."""
-        return prod(c + 1 for c in self.coords)
+        return prod(c + 1 for c in self)
 
     @property
     def strides(self):
         """Row-major steps: index_of(q + e_j) = index_of(q) + strides[j]."""
-        return tuple(prod(c + 1 for c in self.coords[j + 1:])
-                     for j in range(len(self.coords)))
+        return tuple(prod(c + 1 for c in self[j + 1:])
+                     for j in range(len(self)))
+
+    # +, - and sup of two checked Shapes skip the checks of __new__
 
     def __add__(self, other):
         self._check_rank(other)
-        return _trusted(tuple(map(operator.add, self.coords, other.coords)))
+        return tuple.__new__(Shape, map(operator.add, self, other))
 
     def __sub__(self, other):
         self._check_rank(other)
-        diff = tuple(map(operator.sub, self.coords, other.coords))
+        diff = tuple.__new__(Shape, map(operator.sub, self, other))
         if min(diff) < 0:
             raise ValueError(f"{other.coords} does not divide below {self.coords}")
-        return _trusted(diff)
+        return diff
 
     def __le__(self, other):
         """Coordinatewise domination (partial order)."""
         self._check_rank(other)
-        return all(map(operator.le, self.coords, other.coords))
+        return all(map(operator.le, self, other))
 
     def __ge__(self, other):
-        return other.__le__(self)
+        self._check_rank(other)
+        return all(map(operator.ge, self, other))
+
+    def __lt__(self, other):
+        raise TypeError("Shapes are ordered by <= and >= only: sort with key=tuple")
+
+    __gt__ = __lt__
 
     def scaled(self, k):
         if k < 0:
             raise ValueError("scale factor must be nonnegative")
-        return Shape(tuple(k * c for c in self.coords))
+        return Shape(k * c for c in self)
 
     def sup(self, other):
         self._check_rank(other)
-        return _trusted(tuple(map(max, self.coords, other.coords)))
+        return tuple.__new__(Shape, map(max, self, other))
 
     def box(self):
         """All points 0 <= l <= self as plain tuples, row-major order."""
-        return product(*(range(c + 1) for c in self.coords))
+        return product(*(range(c + 1) for c in self))
 
     def index_of(self, point):
         """Row-major index of a box point."""
         idx = 0
-        for c, m in zip(point, self.coords):
+        for c, m in zip(point, self):
             idx = idx * (m + 1) + c
         return idx
 
@@ -127,27 +136,15 @@ class Shape:
         """Row-major indices of the points offset + box(sub) of box(self),
         in the order of box(sub); offset (default the origin) + sub <= self."""
         idx = [0]
-        for m, s, o in zip(self.coords, sub, offset or repeat(0)):
+        for m, s, o in zip(self, sub, offset or repeat(0)):
             idx = [i * (m + 1) + x for i in idx for x in range(o, o + s + 1)]
         return idx
 
     def _check_rank(self, other):
-        if len(self.coords) != len(other.coords):
+        if not isinstance(other, Shape):  # a plain tuple is unchecked
+            raise TypeError(f"not a Shape: {other!r}")
+        if len(self) != len(other):
             raise ValueError(f"rank mismatch: {self.rank} vs {other.rank}")
 
-    def __iter__(self):
-        return iter(self.coords)
-
-    def __getitem__(self, i):
-        return self.coords[i]
-
     def __repr__(self):
-        return f"Shape{self.coords}"
-
-
-def _trusted(coords):
-    """The Shape with coords, unchecked: for results of +, - and sup on two
-    validated Shapes, whose coordinates are nonnegative ints already."""
-    shape = object.__new__(Shape)
-    object.__setattr__(shape, "coords", coords)
-    return shape
+        return f"Shape{tuple.__repr__(self)}"

@@ -54,7 +54,7 @@ class Word(NamedTuple):
 
 
 def word_to_dict(word):
-    return {"shape": list(word.shape.coords), "labels": list(word.labels)}
+    return {"shape": list(word.shape), "labels": list(word.labels)}
 
 
 def word_from_dict(family, data):
@@ -87,9 +87,9 @@ def make_word(family, shape, labels):
 def _first_bad_edge(family, word):
     """(point, j) of the first edge that M_j forbids, in row-major order
     of its start point and then of j; None when every edge is allowed."""
-    m, labels, succ = word.shape.coords, word.labels, family.succ
-    strides = word.shape.strides
-    for a, point in enumerate(word.shape.box()):
+    m, labels, succ = word.shape, word.labels, family.succ
+    strides = m.strides
+    for a, point in enumerate(m.box()):
         for j, step in enumerate(strides):
             if point[j] < m[j] and not succ[j][labels[a]] >> labels[a + step] & 1:
                 return point, j
@@ -99,7 +99,7 @@ def _first_bad_edge(family, word):
 def letter_index(family, letter):
     """Index of a letter given by name or by index; UnknownLetterError when
     the alphabet has no such letter."""
-    letters = family.alphabet.letters
+    letters = family.alphabet
     if isinstance(letter, str):
         if letter in letters:
             return letters.index(letter)
@@ -183,7 +183,7 @@ def enumerate_extensions(family, base, m):
     if not base.shape <= m:
         raise ShapeNotDominatedError(
             "extension shape must dominate the base shape",
-            base=list(base.shape.coords), target=list(m.coords))
+            base=list(base.shape), target=list(m))
     fixed = dict(zip(m.indices(base.shape), base.labels))
     return _dfs_words(family, m, fixed)
 
@@ -195,7 +195,7 @@ def restrict_prefix(word, k):
     if not k <= word.shape:
         raise ShapeNotDominatedError(
             "prefix shape not dominated by word shape",
-            shape=list(word.shape.coords), prefix=list(k.coords))
+            shape=list(word.shape), prefix=list(k))
     return Word(k, tuple(map(word.labels.__getitem__, word.shape.indices(k))))
 
 
@@ -204,7 +204,7 @@ def restrict_tail(word, k):
     if not k <= word.shape:
         raise ShapeNotDominatedError(
             "tail offset not dominated by word shape",
-            shape=list(word.shape.coords), offset=list(k.coords))
+            shape=list(word.shape), offset=list(k))
     rest = word.shape - k
     return Word(rest, tuple(map(word.labels.__getitem__,
                                 word.shape.indices(rest, k))))
@@ -228,7 +228,7 @@ def compose(family, u, v):
         raise OriginMismatchError(
             "terminal letter of u differs from origin letter of v",
             terminal=u.terminal, origin=v.origin)
-    corner = u.shape.coords
+    corner = u.shape
     total = u.shape + v.shape
 
     labels = [None] * total.volume
@@ -278,7 +278,7 @@ class CountCheckRow:
 
     def to_json(self):
         return {
-            "shape": list(self.shape.coords),
+            "shape": list(self.shape),
             "enumerated": str(self.enumerated),
             "matrix_count": str(self.matrix_count),
             "equal": self.equal,

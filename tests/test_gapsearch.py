@@ -17,11 +17,15 @@ Core claims:
       replaced; a candidate that fails the pair test is never built
     - the boolean pair test agrees with validation's witness search
     - records survive the CSV round trip
+    - gap_parts runs the digit guard before it forms any power, and forms
+      each factor power once; only the fingerprint loads hashlib
 """
 
 import itertools
 import math
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -46,7 +50,7 @@ from rankshift.gapsearch import (
 )
 from rankshift.matrices import (
     Alphabet, MatrixFamily, bit_rows, commutation_witness, commutes,
-    validate_family)
+    float_radius, log_spectral_radius, matrix_power_product, validate_family)
 from rankshift.shapes import Shape
 
 
@@ -84,6 +88,34 @@ def test_gap_guards(g1, g3):
         gap(g1)
     with pytest.raises(ZeroDirectionError):
         gap(g3, Shape.of(0, 0))
+
+
+def test_gap_parts_guards_before_forming_each_power_once(monkeypatch, g3):
+    # matrix_power is wrapped in every package module that binds it
+    real, powers = matrices.matrix_power, []
+    for module in (matrices, gapsearch):
+        if getattr(module, "matrix_power", None) is real:
+            monkeypatch.setattr(module, "matrix_power",
+                                lambda m, k: powers.append(k) or real(m, k))
+    # about 1.8 million estimated digits: refused before any power
+    with pytest.raises(BudgetExceededError):
+        gap_parts(g3, Shape.of(3 * 10**6, 1))
+    assert powers == []
+    p = Shape.of(5, 3)
+    _, prod_radius, _ = gap_parts(g3, p)
+    assert powers == [5, 3]
+    assert prod_radius == float_radius(
+        log_spectral_radius(matrix_power_product(g3, p)))
+
+
+def test_only_the_fingerprint_loads_hashlib(g3):
+    # hashlib loads OpenSSL, about 3.7 MB resident: importing the package
+    # (and so every command but search-gap) goes without it
+    code = "import sys, rankshift.cli; print('hashlib' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.stdout == "False\n", proc.stderr
+    assert len(family_fingerprint(g3)) == 64
 
 
 def test_norm_stall_pair_has_no_gap():

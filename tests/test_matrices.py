@@ -14,11 +14,15 @@ Core claims:
       and stays finite when the radius of M^p leaves float range; below
       exp's range a reported log radius is the log of the float radius
     - the counting inequalities w_l <= w_{l+m} <= |B| w_l w_m hold
+    - an Alphabet is the tuple of its letters, and its length runs in C
 """
 
+import copy
 import itertools
 import math
+import pickle
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -416,3 +420,33 @@ def test_family_from_dict_keeps_non_binary_integers():
     data = {"rank": 1, "alphabet": ["0", "1"], "matrices": [[[2, 1], [1, 0]]]}
     report = validate_family(family_from_dict(data))
     assert report.violations[0].code == "NonBinaryEntry"
+
+
+def test_an_alphabet_is_the_tuple_of_its_letters():
+    alphabet = Alphabet((1, 2))
+    assert alphabet == ("1", "2") and hash(alphabet) == hash(("1", "2"))
+    assert type(alphabet.letters) is tuple
+    assert alphabet[1] == "2" and alphabet.index("2") == 1
+    for letters in ((), ("a", "a"), (1, "1")):
+        with pytest.raises(ValueError):
+            Alphabet(letters)
+
+
+def test_alphabet_length_runs_in_c():
+    alphabet = Alphabet("abc")
+    calls = []
+    sys.setprofile(lambda frame, event, arg: event == "call"
+                   and calls.append(frame.f_code.co_name))
+    try:
+        size = len(alphabet)
+    finally:
+        sys.setprofile(None)
+    assert calls == [] and size == 3
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_alphabets_survive_pickle_and_deepcopy(protocol):
+    alphabet = Alphabet(("x", "y"))
+    for twin in (pickle.loads(pickle.dumps(alphabet, protocol)),
+                 copy.deepcopy(alphabet)):
+        assert type(twin) is Alphabet and twin == alphabet

@@ -1,5 +1,10 @@
 """Shape arithmetic and box iteration."""
 
+import copy
+import operator
+import pickle
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -112,3 +117,65 @@ def test_scaled_keeps_its_check():
 def test_rank_mismatch_is_refused(op):
     with pytest.raises(ValueError):
         op(Shape.of(1, 2), Shape.of(1))
+
+
+def test_a_shape_is_the_tuple_of_its_coordinates():
+    shape = Shape.of(1, 2)
+    assert shape == (1, 2) and hash(shape) == hash((1, 2))
+    assert len(Shape.of(1, 2, 3)) == 3
+    assert type(shape.coords) is tuple
+    assert repr(shape) == "Shape(1, 2)"
+
+
+def test_strict_order_is_refused():
+    # <= and >= are the coordinatewise partial order; a lexicographic <
+    # beside it would mislead, so < and > raise as they always did
+    a, b = Shape.of(1, 0), Shape.of(0, 1)
+    for op in (operator.lt, operator.gt):
+        with pytest.raises(TypeError):
+            op(a, b)
+    with pytest.raises(TypeError):
+        sorted([a, b])
+    assert sorted([a, b], key=tuple) == [b, a]
+
+
+@pytest.mark.parametrize("op", [operator.lt, operator.gt, operator.le,
+                                operator.ge, operator.add, operator.sub,
+                                Shape.sup])
+def test_order_and_arithmetic_refuse_plain_tuples(op):
+    # a Shape equals its plain tuple, but a tuple's coordinates are
+    # unchecked and its order lexicographic: the two never mix here
+    with pytest.raises(TypeError):
+        op(Shape.of(1, 0), (0, 1))
+    if op is operator.add:  # the tuple's own +: concatenation, no Shape
+        assert type((0, 1) + Shape.of(1, 0)) is tuple
+    elif op is not Shape.sup:
+        with pytest.raises(TypeError):
+            op((0, 1), Shape.of(1, 0))
+
+
+def test_hash_and_equality_of_words_run_in_c():
+    # Word is a tuple of a Shape and labels: hashing two Words built apart
+    # and comparing them call no Python-level function
+    word = Word(Shape.of(2, 1), (0, 1, 2, 3, 0, 1))
+    twin = Word(Shape.parse("2,1"), tuple([0, 1, 2, 3, 0, 1]))
+    assert word.shape is not twin.shape and word.labels is not twin.labels
+    calls = []
+    sys.setprofile(lambda frame, event, arg: event == "call"
+                   and calls.append(frame.f_code.co_name))
+    try:
+        hashes = hash(word), hash(twin)
+        equal = word == twin
+    finally:
+        sys.setprofile(None)
+    assert calls == []
+    assert equal and hashes[0] == hashes[1]
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_shapes_survive_pickle_and_deepcopy(protocol):
+    shape = Shape.of(3, 0, 2)
+    for twin in (pickle.loads(pickle.dumps(shape, protocol)),
+                 copy.deepcopy(shape)):
+        assert type(twin) is Shape and twin == shape
+        assert twin + Shape.of(1, 1, 1) == Shape.of(4, 1, 3)
