@@ -9,7 +9,6 @@ extends beyond its largest cube.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (
     RankOneError,
@@ -36,8 +35,10 @@ def metric(u, v):
     for k in range(kmax + 1):
         for pt in Shape.cube(k, rank).box():
             if max(pt) == k and u.label_at(pt) != v.label_at(pt):
+                from fractions import Fraction  # loads decimal: only here
                 return Fraction(1, k + 1)
     if u == v and u.shape == Shape.cube(kmax, rank):
+        from fractions import Fraction
         return Fraction(0)
     return None
 
@@ -50,6 +51,7 @@ def shift_truncation(word, offset, k):
 
 def separation_threshold(k):
     """Two words are resolved at scale k when their distance exceeds this."""
+    from fractions import Fraction
     return Fraction(1, k + 2)
 
 

@@ -268,12 +268,23 @@ def validate_family(family):
     # a -(i)-> b -(j)-> c -(k)-> d must label all eight corners identically.
     # C1+C2 do not force this: families/cube_fail.json passes them pairwise
     # and fails here, with 8 words of shape (1,1,1) against 10 in M1 M2 M3.
+    # One order per direction triple decides all six.  Given C1/C2, the
+    # swap s1 of a chain's first two edges and the swap s2 of its last two
+    # are involutive bijections between chains, and the check for (i, j, k)
+    # says s1 s2 s1 = s2 s1 s2, that is (s1 s2)^3 = id, on the (i, j, k)
+    # chains.  For a (j, i, k) chain s1(c), (s1 s2)^3 s1(c) = s1 (s2 s1)^3 c
+    # = s1 (s1 s2)^-3 c = s1(c), and likewise through s2 for (i, k, j): the
+    # check passes for every order one adjacent swap away, so for all six.
+    # Only a failing triple is rescanned in every order, for the witnesses.
     if family.rank >= 3:
         lists, squares = family.lists, family.squares
+        failed = {t for t in combinations(range(family.rank), 3)
+                  if _check_cubes(lists, squares, *t) is not None}
         for i, j, k in permutations(range(family.rank), 3):
-            v = _check_cubes(lists, squares, i, j, k)
-            if v is not None:
-                violations.append(v)
+            if tuple(sorted((i, j, k))) in failed:
+                v = _check_cubes(lists, squares, i, j, k)
+                if v is not None:
+                    violations.append(v)
     return ValidationReport(tuple(violations))
 
 

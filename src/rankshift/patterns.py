@@ -127,18 +127,23 @@ def _plan(family, words, u_shape, w_shape, p, m, budget):
         for kappa in words(n - w_shape) for lam in words(n - u_shape)))
 
 
+def _guarded_plan(family, u, w, p, m, budget, tables):
+    """The PairPlan of a build, after its guards: a valid family, tables of
+    that family, and the plan's shape and budget checks."""
+    require_valid(family)
+    if tables.family != family:
+        raise ValueError("sweep tables belong to a different family")
+    return tables.plan(u.shape, w.shape, p, m, budget)
+
+
 def build_shift_patterns(family, u, w, p, m, budget=None, tables=None):
     """Map (kappa, lambda) -> PatternMatrix for generators u, w, shift step
     p and compression shape m, in label order.  Needs m >= p +
     sup(sigma(u), sigma(w)).  ``tables`` shares word tables across the
     builds of one sweep; another family's tables are refused before use.
     Every key maps to one shared empty pattern until a live cell fills it."""
-    require_valid(family)
-    if tables is None:
-        tables = SweepTables(family)
-    elif tables.family != family:
-        raise ValueError("sweep tables belong to a different family")
-    plan = tables.plan(u.shape, w.shape, p, m, budget)
+    tables = tables or SweepTables(family)
+    plan = _guarded_plan(family, u, w, p, m, budget, tables)
     grid = dict.fromkeys([stat[:2] for stat in plan.stats],
                          PatternMatrix(plan.index, frozenset()))
     if u.origin == w.origin and u.terminal == w.terminal:
@@ -225,10 +230,14 @@ def _failure_witness(u, p, kappa, lam, pattern):
 
 def examine_pair(family, u, w, p, m=None, budget=None, tables=None):
     """Build all patterns for one generator pair and check each one, in
-    (kappa, lambda) label order; with no live pattern, the plan's stats."""
+    (kappa, lambda) label order; with no live pattern, the plan's stats.
+    A pair whose endpoint letters rule out every cell passes the guards of
+    a build and takes the plan's stats, with no grid built."""
     tables = tables or SweepTables(family)
+    plan = _guarded_plan(family, u, w, p, m, budget, tables)
+    if u.origin != w.origin or u.terminal != w.terminal:
+        return PatternFamilyReport(u, w, p, plan.m, plan.n, plan.stats, ())
     grid = build_shift_patterns(family, u, w, p, m, budget, tables)
-    plan = tables.plan(u.shape, w.shape, p, m, budget)
     stats, witnesses = plan.stats, []
     for i, ((kappa, lam), pattern) in enumerate(grid.items()):
         if pattern.cells:

@@ -16,7 +16,6 @@ series costs n_max chain steps, linear in n_max.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import ceil, exp, fsum, inf, log
 from sys import float_info
 
@@ -154,6 +153,7 @@ def _birkhoff_sum(labels, sites, table, default):
         return fsum(table.get(tuple(map(label, site)), default)
                     for site in sites)
     except OverflowError:
+        from fractions import Fraction  # loads decimal: only here
         exact = sum(Fraction(table.get(tuple(map(label, site)), default))
                     for site in sites)
     try:

@@ -14,9 +14,11 @@ Core claims:
       int and str
     - the emitter keeps the text of exactly the containers met twice at
       one depth: of a lemma sweep, the Words, shapes and patterns, never a
-      report, the report list or the payload
+      report, the report list or the payload; a kept text holds the kept
+      text of what it contains
     - a NaN or infinite float anywhere is a coded NonFiniteResult error
-      that names where it sits, the first place for a shared dict
+      that names where it sits, the first place for a shared dict, also
+      when the containers around it are met a second time
 """
 
 import enum
@@ -173,8 +175,15 @@ def aliased_payloads(draw):
 @given(aliased_payloads())
 def test_aliased_payloads_match_json_dumps(payload):
     memo = {}
-    assert _encode(payload, "\n", memo) + "\n" == _expected(payload)
+    assert _encoded(payload, memo) == _expected(payload)
     assert _kept(memo) == _met_twice(payload)
+
+
+def _encoded(payload, memo):
+    """dumps(payload), with the memo of the call kept in memo."""
+    out = []
+    _encode(payload, "\n", memo, out)
+    return "".join(out) + "\n"
 
 
 def _kept(memo):
@@ -203,7 +212,7 @@ def test_memo_keeps_patterns_not_reports():
         verify_partial_isometries(golden_mean(), Shape.of(1), Shape.of(1)))
     payload = {"config": {"command": "lemma-check"}, "reports": reports}
     memo = {}
-    assert _encode(payload, "\n", memo) + "\n" == _expected(payload)
+    assert _encoded(payload, memo) == _expected(payload)
     kept = _kept(memo)
     assert kept == _met_twice(payload)
     kept = {ident for ident, _ in kept}
@@ -215,6 +224,41 @@ def test_memo_keeps_patterns_not_reports():
     assert all(id(report[key]) in kept for report in reports for key in "pmn")
     assert not any(id(report) in kept for report in reports)
     assert id(reports) not in kept and id(payload) not in kept
+
+
+def test_kept_text_nests_in_kept_and_first_meeting_containers():
+    inner = {"labels": [0, 1]}
+    outer = {"first": inner, "second": inner}
+    once = {"a": inner, "outer": outer}
+    payload = [outer, outer, once]
+    memo = {}
+    assert _encoded(payload, memo) == _expected(payload)
+    assert _kept(memo) == _met_twice(payload)
+    outer_text = memo[id(outer), "\n  "]
+    inner_text = memo[id(inner), "\n    "]
+    # inner's kept text sits inside outer's, kept at the depth above, and
+    # inside once, met once, whose text is not kept
+    assert outer_text.count(inner_text) == 2
+    assert memo[id(once), "\n  "] is None
+    assert memo[id(outer), "\n    "] is None
+    assert '"a": ' + inner_text in _expected(payload)
+
+
+def test_nan_at_a_second_meeting_keeps_its_first_path():
+    # a refused call leaves each container on the NaN's path marked as met
+    # once; a second call with that memo meets them a second time, encodes
+    # them into lists of their own, and names the same path
+    shared = {"ok": 1.0, "bad": math.nan}
+    payload = {"config": {"k": 1}, "rows": [[0, shared], shared],
+               "again": shared}
+    memo = {}
+    for first in (True, False):
+        out = []
+        with pytest.raises(NonFiniteResultError) as info:
+            _encode(payload, "\n", memo, out)
+        assert info.value.details["path"] == ["rows", 0, 1, "bad"]
+        assert bool(out) is first  # the second meeting wrote into its own list
+        assert memo[id(shared), "\n      "] is None
 
 
 def test_memo_does_not_outlive_a_call():

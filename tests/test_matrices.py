@@ -4,7 +4,9 @@ Core claims:
     - the golden-mean counts follow the Fibonacci recurrence (frozen values)
     - validation flags the known bad families with exact codes and witnesses;
       a family valid on every pair can still fail C3, and then its word
-      count leaves the entry sum of M_1 M_2 M_3
+      count leaves the entry sum of M_1 M_2 M_3; C3 decided on one order
+      per direction triple lists the violations a scan of all six orders
+      lists, under any order of directions and letters
     - matrix_power_product is exact and factor-order independent
     - spectral_radius matches bisection roots of the characteristic
       polynomials for golden and plastic matrices and is exact on trivia
@@ -38,6 +40,7 @@ from rankshift.errors import (
 from rankshift.matrices import (
     Alphabet,
     MatrixFamily,
+    _check_cubes,
     canonical_family_json,
     entropy_exact,
     family_from_dict,
@@ -233,6 +236,41 @@ def test_pairwise_valid_family_can_fail_the_cube_check():
     assert _brute_force_count(family, Shape.of(1, 1, 1)) == 8
     m1, m2, m3 = family.matrices
     assert sum(map(sum, matrix_mul(matrix_mul(m1, m2), m3))) == 10
+
+
+def _six_order_scan(family):
+    """C3 violations from every ordered direction triple, each scanned."""
+    return [v for order in itertools.permutations(range(family.rank), 3)
+            if (v := _check_cubes(family.lists, family.squares, *order))]
+
+
+def _relabel(family, directions, letters):
+    """family with matrix directions[i] as direction i and letter a renamed
+    letters[a]."""
+    dim = family.dim
+    inverse = sorted(range(dim), key=letters.__getitem__)
+    return MatrixFamily(family.rank, Alphabet(range(dim)), tuple(
+        tuple(tuple(family.matrices[d][inverse[a]][inverse[b]]
+                    for b in range(dim)) for a in range(dim))
+        for d in directions))
+
+
+def test_one_order_per_triple_decides_the_cube_check():
+    # given C1/C2, a triple that passes in one order passes in all six, so
+    # validation scans the other orders only of a failing triple
+    cube_fail = load_family(FAMILIES / "cube_fail.json")
+    rng = random.Random(3)
+    families = [tensor_product(cube_fail, golden_mean()),
+                tensor_product(golden_mean(), cube_fail)]
+    for directions in itertools.permutations(range(3)):
+        letters = list(range(cube_fail.dim))
+        families.append(_relabel(cube_fail, directions, letters))
+        rng.shuffle(letters)
+        families.append(_relabel(cube_fail, directions, letters))
+    for family in families:
+        violations = validate_family(family).violations
+        assert len(violations) == 6
+        assert list(violations) == _six_order_scan(family)
 
 
 def test_unique_factorization_violation():

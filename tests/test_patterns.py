@@ -13,6 +13,8 @@ Core claims:
       distinct pattern
     - the pairs of one shape pair without a live pattern share the plan's
       stats; tables of another family are refused before any lookup
+    - a pair whose endpoint letters rule out every cell reports the full
+      grid's stats without a build, after the build's guards
 """
 
 import gc
@@ -20,7 +22,7 @@ import weakref
 
 import pytest
 
-from rankshift import families, words
+from rankshift import families, patterns, words
 from rankshift.errors import ShapeTooSmallError, WindowTooWideError
 from rankshift.matrices import word_count
 from rankshift.patterns import (
@@ -312,6 +314,34 @@ def test_pairs_without_live_patterns_share_their_plan(g3):
     assert 1 < len(empty) < len(reports)
     assert {id(r.stats) for r in empty} == {
         id(tables.plan(gens[0].shape, gens[0].shape, p).stats)}
+
+
+def test_dead_pairs_skip_the_build_not_its_guards(g3, monkeypatch):
+    # endpoint letters that rule out every cell: the report is the full
+    # grid's, with no grid built, and the shape guard still refuses
+    tables = SweepTables(g3)
+    p = Shape.of(1, 1)
+    gens = tables.words(Shape.of(1, 0))
+    build = patterns.build_shift_patterns
+    built = []
+    monkeypatch.setattr(patterns, "build_shift_patterns",
+                        lambda *args: built.append(args[1:3]) or build(*args))
+    dead = []
+    for u in gens:
+        for w in gens:
+            report = examine_pair(g3, u, w, p, tables=tables)
+            grid = build(g3, u, w, p, None, tables=tables)
+            assert report.stats == tuple(
+                (kappa, lam, len(pat.cells), check_partial_isometry(pat))
+                for (kappa, lam), pat in grid.items())
+            if u.origin != w.origin or u.terminal != w.terminal:
+                dead.append((u, w))
+    assert 0 < len(dead) < len(gens) ** 2
+    assert not set(dead) & set(built)
+    assert len(built) == len(gens) ** 2 - len(dead)
+    u, w = dead[0]
+    with pytest.raises(ShapeTooSmallError):
+        examine_pair(g3, u, w, p, Shape.of(1, 1), tables=tables)
 
 
 def test_tables_die_with_their_last_reference(g3):
