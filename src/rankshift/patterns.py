@@ -27,10 +27,17 @@ from .errors import ShapeTooSmallError, WindowTooWideError
 from .matrices import require_valid
 from .shapes import Shape
 from .words import (
+    Word,
+    _compose,
+    _dfs_words,
+    _enumerate_words,
     check_enum_budget,
-    compose,
+    compose_plan,
+    dfs_plan,
     enumerate_extensions,
     enumerate_words,
+    require_extension,
+    require_tail,
     restrict_prefix,
     restrict_tail,
     word_to_dict,
@@ -78,7 +85,7 @@ PairPlan = namedtuple("PairPlan", "n m ext gamma index stats")
 
 
 class SweepTables:
-    """Word tables shared by the pattern builds of one sweep.
+    """Word tables and index plans shared by the pattern builds of one sweep.
 
     What a build enumerates, composes and checks depends on the family,
     shapes, endpoint letters and words, not on the generator pair itself,
@@ -87,17 +94,32 @@ class SweepTables:
     compositions by factor pair, the split extensions of a base word by
     (base, extension shape, compression shape), and the PairPlan, shape
     and budget checks done, by (sigma(u), sigma(w), p, m, budget), with
-    an omitted m or budget keyed as None.  No cache refers to the tables,
-    so they die with the sweep's last reference, without a GC pass.
+    an omitted m or budget keyed as None.
+
+    The tables read the box geometry from three plan caches, keyed by
+    shapes alone: ``dfs_plan`` by shape (words.dfs_plan), ``compose_plan``
+    by factor shapes (words.compose_plan) and ``split_plan`` by (base
+    shape, extension shape, compression shape) (SplitPlan).  A g3 sweep at
+    max-shape (1, 0) makes 52 enumerations over 5 shapes and 51
+    compositions over 4 shape pairs.  The plans live only as long as the
+    tables: one-shot callers build theirs per call and keep none.  No
+    cache refers to the tables, so they die with the sweep's last
+    reference, without a GC pass.
     """
 
     def __init__(self, family):
         self.family = family
+        self.dfs_plan = dfs = functools.cache(functools.partial(dfs_plan, family))
+        self.compose_plan = composes = functools.cache(compose_plan)
+        self.split_plan = splits = functools.cache(
+            functools.partial(_split_plan, family, dfs))
         self.words = functools.cache(lambda shape, origin=None: tuple(
-            enumerate_words(family, shape, origin=origin)))
-        self.compose = functools.cache(functools.partial(compose, family))
+            _enumerate_words(family, shape, origin, dfs)))
+        self.compose = functools.cache(
+            lambda u, v: _compose(family, u, v, composes))
         self.split_extensions = functools.cache(
-            functools.partial(_split_extensions, family))
+            lambda base, shape, m: _split_extensions(
+                family, base, splits(base.shape, shape, m)))
         self._plans = functools.cache(functools.partial(_plan, family, self.words))
 
     def plan(self, u_shape, w_shape, p, m=None, budget=None):
@@ -105,12 +127,38 @@ class SweepTables:
         return self._plans(u_shape, w_shape, p, m, budget)
 
 
-def _split_extensions(family, base, shape, m):
-    """(kappa, lambda, column) for every extension of base to shape: the
-    tail past base, the tail past m and the prefix of shape m."""
-    return tuple((restrict_tail(ext, base.shape), restrict_tail(ext, m),
-                  restrict_prefix(ext, m))
-                 for ext in enumerate_extensions(family, base, shape))
+# The index geometry of _split_extensions for a (base shape, extension
+# shape, compression shape m) triple: the DFS plan of the extension shape,
+# the flat indices that hold the base, and a (shape, indices) restriction
+# for each part, kappa the tail past the base, lam the tail past m and
+# column the prefix of shape m.
+SplitPlan = namedtuple("SplitPlan", "shape preds fixed kappa lam column")
+
+
+def _split_plan(family, dfs, base_shape, shape, m):
+    """The SplitPlan of a triple, after the guards that enumerate_extensions
+    and restrict_tail apply to it; ``dfs`` gives the DFS plan of a shape."""
+    require_extension(base_shape, shape)
+    require_tail(shape, m)
+    kappa, lam = shape - base_shape, shape - m
+    return SplitPlan(shape, dfs(shape), tuple(shape.indices(base_shape)),
+                     (kappa, tuple(shape.indices(kappa, base_shape))),
+                     (lam, tuple(shape.indices(lam, m))),
+                     (m, tuple(shape.indices(m))))
+
+
+def _split_extensions(family, base, plan):
+    """(kappa, lambda, column) for every extension of base to plan.shape:
+    the tail past base, the tail past m and the prefix of shape m, read
+    through the SplitPlan's index maps."""
+    (ks, kidx), (ls, lidx), (ms, cidx) = plan.kappa, plan.lam, plan.column
+    split = []
+    for ext in _dfs_words(family, plan.shape, dict(zip(plan.fixed, base.labels)),
+                          plan.preds):
+        get = ext.labels.__getitem__
+        split.append((Word(ks, tuple(map(get, kidx))), Word(ls, tuple(map(get, lidx))),
+                      Word(ms, tuple(map(get, cidx)))))
+    return tuple(split)
 
 
 def _plan(family, words, u_shape, w_shape, p, m, budget):

@@ -126,11 +126,26 @@ class Shape(tuple):
         return product(*(range(c + 1) for c in self))
 
     def index_of(self, point):
-        """Row-major index of a box point."""
+        """Row-major index of a point of box(self); ValueError for a point
+        of another rank or outside the box."""
+        if len(point) != len(self):
+            raise ValueError(f"point rank {len(point)} does not match shape rank {self.rank}")
         idx = 0
         for c, m in zip(point, self):
+            if not 0 <= c <= m:
+                raise ValueError(f"point {tuple(point)} outside box {self.coords}")
             idx = idx * (m + 1) + c
         return idx
+
+    def point_at(self, index):
+        """The box point at a row-major index: the inverse of index_of."""
+        if not 0 <= index < self.volume:
+            raise ValueError(f"index {index} outside box {self.coords}")
+        point = []
+        for m in reversed(self):
+            index, c = divmod(index, m + 1)
+            point.append(c)
+        return tuple(reversed(point))
 
     def indices(self, sub, offset=None):
         """Row-major indices of the points offset + box(sub) of box(self),

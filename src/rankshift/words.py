@@ -11,8 +11,17 @@ diagonal and before the other is forced when the family is valid
 Enumeration is depth-first over box points in row-major order, trying
 letters in index order, so words stream in lexicographic order of their
 label sequences.
+
+Each kernel is a plan and an apply step.  A plan is index geometry: it
+depends on shapes (and, for the enumeration, on the family's successor
+rows), never on labels.  dfs_plan gives the predecessors of every box
+point, compose_plan the placed indices, fill schedule and edge list of a
+shape pair, edge_plan the edges of a box, and Shape.indices the index map
+of a restriction.  The public functions build their plan and apply it
+once; patterns.SweepTables caches the plans for the calls of one sweep.
 """
 
+import functools
 from dataclasses import dataclass
 from math import log2
 from typing import NamedTuple
@@ -84,16 +93,20 @@ def make_word(family, shape, labels):
     return word
 
 
-def _first_bad_edge(family, word):
+def _first_bad_edge(family, word, edges=None):
     """(point, j) of the first edge that M_j forbids, in row-major order
-    of its start point and then of j; None when every edge is allowed."""
-    m, labels, succ = word.shape, word.labels, family.succ
-    strides = m.strides
-    for a, point in enumerate(m.box()):
-        for j, step in enumerate(strides):
-            if point[j] < m[j] and not succ[j][labels[a]] >> labels[a + step] & 1:
-                return point, j
-    return None
+    of its start point and then of j; None when every edge is allowed.
+    ``edges`` is edge_plan(word.shape), built here when omitted.  Each
+    direction's scan stops at its first bad edge, the lowest start index
+    of that direction; the least (index, j) among them is the answer."""
+    labels, bad = word.labels, None
+    for j, (rows, pairs) in enumerate(zip(family.succ, edges or edge_plan(word.shape))):
+        for a, b in pairs:
+            if not rows[labels[a]] >> labels[b] & 1:
+                if bad is None or a < bad[0]:
+                    bad = a, j
+                break
+    return None if bad is None else (word.shape.point_at(bad[0]), bad[1])
 
 
 def letter_index(family, letter):
@@ -130,22 +143,68 @@ def check_enum_budget(family, shape, budget=None):
     return counts
 
 
+# -- Plans --------------------------------------------------------------------
+
+def dfs_plan(family, m):
+    """Per point of box(m), row-major: a (successor rows, index) pair for
+    each predecessor q - e_j inside the box, rows = family.succ[j]."""
+    succ, strides = family.succ, m.strides
+    return [tuple((rows, t - step) for rows, step, c in zip(succ, strides, pt)
+                  if c) for t, pt in enumerate(m.box())]
+
+
+def edge_plan(m):
+    """Per direction j, the (a, a + strides[j]) index pairs of the edges of
+    box(m) in direction j, in row-major order of their start point a;
+    coordinate j of the point at a is a // strides[j] % (m_j + 1)."""
+    return tuple(tuple((a, a + step) for a in range(m.volume) if a // step % (c + 1) < c)
+                 for c, step in zip(m, m.strides))
+
+
+class ComposePlan(NamedTuple):
+    """What compose reads of a shape pair (sigma(u), sigma(v)): the box of
+    the result, the flat indices that take u's labels and then v's, the
+    fill schedule and the result's edge_plan.  Each fill is a tuple
+    (t, i, j, t - strides[j], t + strides[i]): the letter at flat index t
+    is the completion of the path base -(j)-> x -(i)-> top."""
+    total: Shape
+    placed: tuple
+    fills: tuple
+    edges: tuple
+
+
+def compose_plan(corner, tail):
+    """The ComposePlan of factor shapes ``corner`` = sigma(u) and ``tail``
+    = sigma(v).  The schedule holds every point q outside both boxes in
+    order of L1 distance from the corner, with j the first direction where
+    q_j > corner_j and i the first where q_i < corner_i."""
+    total = corner + tail
+    strides = total.strides
+    placed = tuple(total.indices(corner) + total.indices(tail, corner))
+    known = set(placed)
+    rest = [(t, q) for t, q in enumerate(total.box()) if t not in known]
+    rest.sort(key=lambda tq: sum(abs(a - c) for a, c in zip(tq[1], corner)))
+    fills = []
+    for t, q in rest:
+        j = next(j for j, c in enumerate(corner) if q[j] > c)
+        i = next(i for i, c in enumerate(corner) if q[i] < c)
+        fills.append((t, i, j, t - strides[j], t + strides[i]))
+    return ComposePlan(total, placed, tuple(fills), edge_plan(total))
+
+
 # -- Enumeration --------------------------------------------------------------
 
-def _dfs_words(family, m, fixed):
-    """Backtracking enumeration; ``fixed`` maps box indices to forced letters.
+def _dfs_words(family, m, fixed, preds):
+    """Backtracking enumeration; ``fixed`` maps box indices to forced
+    letters and ``preds`` is dfs_plan(family, m).
 
     The candidates at a point are the AND of its predecessors' successor
     masks (and the forced letter's bit), tried low bit first.
     """
-    succ = family.succ
     n = m.volume
     allowed = [(1 << len(family.alphabet)) - 1] * n
     for t, letter in fixed.items():
         allowed[t] &= 1 << letter
-    strides = m.strides
-    preds = [tuple((rows, t - step) for rows, step, c in zip(succ, strides, pt)
-                   if c) for t, pt in enumerate(m.box())]
     labels = [0] * n
     left = [allowed[0]] + [0] * (n - 1)  # untried candidates per point
     t = 0
@@ -170,22 +229,32 @@ def _dfs_words(family, m, fixed):
 def enumerate_words(family, m, origin=None):
     """Yield every word of shape m in lexicographic label order; with
     ``origin`` (letter or index) only words starting there."""
+    return _enumerate_words(family, m, origin, functools.partial(dfs_plan, family))
+
+
+def _enumerate_words(family, m, origin, plans):
+    """enumerate_words, reading the DFS plan of m as plans(m)."""
     require_valid(family)
     if m.rank != family.rank:
         raise ShapeMismatchError("shape rank does not match family rank")
     fixed = {} if origin is None else {0: letter_index(family, origin)}
-    return _dfs_words(family, m, fixed)
+    return _dfs_words(family, m, fixed, plans(m))
 
 
 def enumerate_extensions(family, base, m):
     """Yield the words of shape m whose prefix of shape sigma(base) is base."""
     require_valid(family)
-    if not base.shape <= m:
+    require_extension(base.shape, m)
+    fixed = dict(zip(m.indices(base.shape), base.labels))
+    return _dfs_words(family, m, fixed, dfs_plan(family, m))
+
+
+def require_extension(base_shape, m):
+    """The shape guard of enumerate_extensions."""
+    if not base_shape <= m:
         raise ShapeNotDominatedError(
             "extension shape must dominate the base shape",
-            base=list(base.shape), target=list(m))
-    fixed = dict(zip(m.indices(base.shape), base.labels))
-    return _dfs_words(family, m, fixed)
+            base=list(base_shape), target=list(m))
 
 
 # -- Restriction and composition ---------------------------------------------
@@ -201,13 +270,18 @@ def restrict_prefix(word, k):
 
 def restrict_tail(word, k):
     """Restriction to the box [k, m], rebased to the origin."""
-    if not k <= word.shape:
-        raise ShapeNotDominatedError(
-            "tail offset not dominated by word shape",
-            shape=list(word.shape), offset=list(k))
+    require_tail(word.shape, k)
     rest = word.shape - k
     return Word(rest, tuple(map(word.labels.__getitem__,
                                 word.shape.indices(rest, k))))
+
+
+def require_tail(shape, k):
+    """The offset guard of restrict_tail."""
+    if not k <= shape:
+        raise ShapeNotDominatedError(
+            "tail offset not dominated by word shape",
+            shape=list(shape), offset=list(k))
 
 
 def compose(family, u, v):
@@ -217,10 +291,17 @@ def compose(family, u, v):
     the shared corner is checked.  Any other point q has some q_j > c_j and
     some q_i < c_i: it follows q - e_j and precedes q + e_i, both one step
     nearer to c, so one pass in order of L1 distance from c fills each
-    point once.  An empty square completion, or a broken edge in the
-    result, signals a family that wrongly passed validation and surfaces
-    as a hard error.
+    point once.  Where the points go and in which order they are filled
+    depends on sigma(u) and sigma(v) only: compose builds that
+    compose_plan, then applies it to the labels.  An empty square
+    completion, or a broken edge in the result, signals a family that
+    wrongly passed validation and surfaces as a hard error.
     """
+    return _compose(family, u, v, compose_plan)
+
+
+def _compose(family, u, v, plans):
+    """compose, reading the plan of the shape pair as plans(sigma(u), sigma(v))."""
     require_valid(family)
     if u.shape.rank != v.shape.rank:
         raise ShapeMismatchError("rank mismatch between factors")
@@ -228,21 +309,13 @@ def compose(family, u, v):
         raise OriginMismatchError(
             "terminal letter of u differs from origin letter of v",
             terminal=u.terminal, origin=v.origin)
-    corner = u.shape
-    total = u.shape + v.shape
-
-    labels = [None] * total.volume
-    placed = total.indices(u.shape) + total.indices(v.shape, corner)
-    for t, x in zip(placed, u.labels + v.labels):
+    plan = plans(u.shape, v.shape)
+    labels = [None] * plan.total.volume
+    for t, x in zip(plan.placed, u.labels + v.labels):
         labels[t] = x
-    strides = total.strides
-    rest = [(t, q) for t, q in enumerate(total.box()) if labels[t] is None]
-    rest.sort(key=lambda tq: sum(abs(a - c) for a, c in zip(tq[1], corner)))
-    for t, q in rest:
-        labels[t] = _fill(family, labels, q, corner, t, strides)
-
-    result = Word(total, tuple(labels))
-    bad = _first_bad_edge(family, result)
+    _fill(family, labels, plan)
+    result = Word(plan.total, tuple(labels))
+    bad = _first_bad_edge(family, result, plan.edges)
     if bad is not None:
         point, j = bad
         raise NoFillingError(
@@ -251,17 +324,17 @@ def compose(family, u, v):
     return result
 
 
-def _fill(family, labels, q, corner, t, strides):
-    """The letter at q = labels[t], outside both boxes of compose: the x
-    on base -(j)-> x -(i)-> top, base = q - e_j and top = q + e_i for the
-    first j with q_j > c_j and i with q_i < c_i, by family.completion."""
-    j = next(j for j, c in enumerate(corner) if q[j] > c)
-    i = next(i for i, c in enumerate(corner) if q[i] < c)
-    x = family.completion(i, j, labels[t - strides[j]], labels[t + strides[i]])
-    if x is None:
-        raise NoFillingError(
-            "square completion has no solution", point=list(q))
-    return x
+def _fill(family, labels, plan):
+    """Run the fill schedule of a ComposePlan over labels: each letter is
+    one family.completion read; NoFillingError names the point of the
+    first empty one."""
+    completion = family.completion
+    for t, i, j, base, top in plan.fills:
+        x = completion(i, j, labels[base], labels[top])
+        if x is None:
+            raise NoFillingError("square completion has no solution",
+                                 point=list(plan.total.point_at(t)))
+        labels[t] = x
 
 
 # -- Count cross-check ---------------------------------------------------------

@@ -67,7 +67,8 @@ from rankshift.errors import (
 from rankshift.gapsearch import exhaustive_search, random_search
 from rankshift.jsonout import round12
 from rankshift.patterns import (
-    PatternMatrix, _first_collision, build_shift_patterns, examine_pair)
+    PatternMatrix, SweepTables, _first_collision, build_shift_patterns,
+    examine_pair)
 from rankshift.matrices import (
     Alphabet,
     MatrixFamily,
@@ -90,8 +91,9 @@ from rankshift.pressure import (
 )
 from rankshift.shapes import Shape
 from rankshift.words import (
-    Word, _fill, check_enum_budget, compose, enumerate_words, make_word,
-    restrict_prefix, restrict_tail)
+    Word, _fill, check_enum_budget, compose, compose_plan, dfs_plan,
+    enumerate_extensions, enumerate_words, make_word, restrict_prefix,
+    restrict_tail)
 
 FAMILIES = Path(__file__).resolve().parent.parent / "families"
 
@@ -563,6 +565,30 @@ def test_split_and_compose_are_inverse(data):
             assert restrict_tail(both, a) == v
 
 
+@PROPERTY
+@given(st.data())
+def test_sweep_plans_give_the_one_shot_words(data):
+    # every plan a SweepTables caches gives the Words that the public
+    # functions give from the plans they build per call
+    family = data.draw(st.one_of(
+        valid_families().filter(lambda f: f.rank == 2), rank3_families()))
+    a, b = data.draw(_shapes(family, 1)), data.draw(_shapes(family, 1))
+    tables = SweepTables(family)
+    for x, y in ((a, b), (b, a)):
+        assert tables.words(x) == tuple(enumerate_words(family, x))
+        assert tables.compose_plan(x, y) == compose_plan(x, y)
+        for u in islice(tables.words(x), 6):
+            for v in islice(tables.words(y, origin=u.terminal), 6):
+                assert tables.compose(u, v) == compose(family, u, v)
+    shape = a + b
+    m = Shape(tuple(data.draw(st.integers(0, c)) for c in shape))
+    for base in islice(tables.words(a), 6):
+        assert tables.split_extensions(base, shape, m) == tuple(
+            (restrict_tail(ext, a), restrict_tail(ext, m), restrict_prefix(ext, m))
+            for ext in enumerate_extensions(family, base, shape))
+    assert tables.dfs_plan(shape) == dfs_plan(family, shape)
+
+
 T3 = families.tensor_product(families.tensor_golden(), families.golden_mean())
 
 
@@ -573,14 +599,18 @@ T3 = families.tensor_product(families.tensor_golden(), families.golden_mean())
     (T3, (1, 1, 1), (1, 1, 1), 12),
 ], ids=["g3-30,0+0,30", "g3-6,6+6,6", "t3-2,1,0+0,1,2", "t3-1,1,1+1,1,1"])
 def test_compose_fills_each_point_once(monkeypatch, family, a, b, fills):
-    filled = []
+    # compose runs the fill schedule of its shape pair's plan, and that
+    # schedule names every point outside both boxes exactly once
+    plans = []
     monkeypatch.setattr(words, "_fill",
-                        lambda *args: filled.append(args[2]) or _fill(*args))
+                        lambda *args: plans.append(args[2]) or _fill(*args))
     a, b = Shape(a), Shape(b)
     u = next(enumerate_words(family, a))
     v = next(enumerate_words(family, b, origin=u.terminal))
     both = compose(family, u, v)
     assert restrict_prefix(both, a) == u and restrict_tail(both, a) == v
+    assert plans == [compose_plan(a, b)]
+    filled = [both.shape.point_at(t) for t, *_ in plans[0].fills]
     outside = {q for q in both.shape.box()
                if not (Shape(q) <= a or a <= Shape(q))}
     assert len(filled) == len(outside) == fills
@@ -679,6 +709,15 @@ def test_first_bad_edge_is_the_row_major_scan(data):
         with pytest.raises(ValueError) as info:
             make_word(family, shape, labels)
         assert str(info.value) == message
+
+
+def test_first_bad_edge_is_least_over_directions():
+    # direction 1 breaks first at (0, 0), direction 0 only at (0, 1): the
+    # per-direction scans still answer in row-major order of start points
+    family = families.identity_family(letters=2, rank=2)
+    word = Word(Shape.of(1, 1), (0, 1, 0, 0))
+    assert words._first_bad_edge(family, word) == ((0, 0), 1)
+    assert _scanned_bad_edge(family, word) == ((0, 0), 1)
 
 
 def _dense_patterns(family, u, w, p, m):
@@ -900,9 +939,12 @@ def test_empty_square_completion_is_no_filling(g3):
     prod = matrix_mul(m2, m1)
     base, top = next((b, t) for b in range(g3.dim) for t in range(g3.dim)
                      if not prod[b][t])
-    # box (1, 1) holds (0, 0), (0, 1), (1, 0), (1, 1) at flat indices 0-3
+    # box (1, 1) holds (0, 0), (0, 1), (1, 0), (1, 1) at flat indices 0-3;
+    # (1, 0) + (0, 1) leaves one fill, at index 1 from base 0 and top 3
+    plan = compose_plan(Shape.of(1, 0), Shape.of(0, 1))
+    assert plan.fills == ((1, 0, 1, 0, 3),)
     with pytest.raises(NoFillingError) as info:
-        _fill(g3, [base, None, None, top], (0, 1), (1, 0), 1, (2, 1))
+        _fill(g3, [base, None, None, top], plan)
     assert info.value.details == {"point": [0, 1]}
 
 

@@ -360,6 +360,30 @@ def test_tables_die_with_their_last_reference(g3):
     assert any(stat[2] for r in reports for stat in r.stats)
 
 
+def test_plans_die_with_their_sweep(g3):
+    # the plan caches hang off the tables alone: the sweep's last reference
+    # takes them along, without a GC pass, and the one-shot plan builders
+    # keep no cache of their own
+    assert not hasattr(words.dfs_plan, "cache_info")
+    assert not hasattr(words.compose_plan, "cache_info")
+    gc.disable()
+    try:
+        # the pairs of verify_partial_isometries at max-shape (1, 0): 52
+        # enumerations over 5 shapes, 51 compositions over 4 shape pairs
+        tables = SweepTables(g3)
+        gens = tables.words(Shape.of(0, 0)) + tables.words(Shape.of(1, 0))
+        for u in gens:
+            for w in gens:
+                examine_pair(g3, u, w, Shape.of(1, 1), tables=tables)
+        caches = (tables.dfs_plan, tables.compose_plan, tables.split_plan)
+        assert [c.cache_info().currsize for c in caches] == [5, 4, 4]
+        refs = [weakref.ref(x) for x in (tables, *caches)]
+        del tables, caches
+        assert [ref() for ref in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
+
+
 # -- Cylinder separation ---------------------------------------------------------
 
 def test_cylinder_separation(g1, g3, line_word):

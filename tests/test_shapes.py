@@ -62,6 +62,26 @@ def test_box_is_row_major():
         assert Shape.of(1, 2).index_of(pt) == i
 
 
+def test_index_of_refuses_points_outside_the_box():
+    # without the checks (0, 5) reads index 5 of a 4-point box, zip cuts
+    # (1, 0, 7) to (1, 0) at index 2, and (0, 2) aliases (1, 0)
+    m = Shape.of(1, 1)
+    for point in [(0, 5), (1, 0, 7), (0, 2), (2, 0), (-1, 1), (1,)]:
+        with pytest.raises(ValueError):
+            m.index_of(point)
+    with pytest.raises(ValueError):
+        Word(m, (0, 1, 2, 3)).label_at((0, 2))
+    assert Word(m, (0, 1, 2, 3)).label_at((1, 0)) == 2
+
+
+def test_point_at_inverts_index_of():
+    m = Shape.of(2, 0, 3)
+    assert [m.point_at(i) for i in range(m.volume)] == list(m.box())
+    for index in (-1, m.volume):
+        with pytest.raises(ValueError):
+            m.point_at(index)
+
+
 def test_misc_properties():
     s = Shape.of(3, 1, 2)
     assert s.total == 6
