@@ -40,7 +40,6 @@ from .pressure import (
 )
 from .patterns import (
     build_shift_patterns,
-    check_cylinder_separation,
     check_partial_isometry,
     verify_partial_isometries,
 )
@@ -52,7 +51,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Alphabet", "Budget", "DomainError", "MatrixFamily", "Potential",
     "Shape", "Word", "action_entropy_estimate", "bowen_entropy_estimate",
-    "build_shift_patterns", "check_cylinder_separation",
+    "build_shift_patterns",
     "check_partial_isometry", "compose", "count_oracle_check",
     "entropy_exact", "enumerate_extensions", "enumerate_words",
     "exhaustive_search", "families", "gap", "load_family",

@@ -4,13 +4,15 @@ Enumeration and exact arithmetic can blow up combinatorially, so every
 operation that walks a word list or builds huge integers takes an optional
 Budget and fails fast with a BudgetExceeded error carrying an estimate of
 the work it refused to do.
+
+A Budget is a NamedTuple: it hashes in C, and the sweep tables key their
+plans by it.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Budget:
+class Budget(NamedTuple):
     # volume(box) * log2(alphabet size): bits needed to index raw labelings
     max_enum_bits: float = 256.0
     # predicted word count * box volume: touched lattice points during a sweep

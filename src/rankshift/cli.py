@@ -23,7 +23,6 @@ Exit codes: 0 success, 1 domain error (JSON with the error code), 2 usage.
 """
 
 import argparse
-import csv
 import functools
 import io
 import itertools
@@ -132,6 +131,7 @@ def _emit(args, payload, header, rows):
             json.dumps(payload, allow_nan=False, check_circular=False)
         except ValueError:  # a NaN or infinity, whose path dumps names
             dumps(payload)
+        import csv  # the CSV route only: JSON runs never load it
         buf = io.StringIO()
         buf.write("# config: " + dumps_line(_config(args)) + "\n")
         writer = csv.writer(buf, lineterminator="\n")

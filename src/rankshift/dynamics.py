@@ -8,7 +8,7 @@ when the words agree on every cube available but at least one of them
 extends beyond its largest cube.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     RankOneError,
@@ -19,6 +19,7 @@ from .errors import (
 from .matrices import (
     log_word_count,
     log_word_count_series,
+    require_rank,
     require_valid,
     word_count,
 )
@@ -74,6 +75,7 @@ def separated_count(family, k, p, n, mode="formula", budget=None):
     cube once k dominates p.
     """
     require_valid(family)
+    require_rank(family, p)
     check_scale(k, p)
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -102,8 +104,7 @@ def separated_count(family, k, p, n, mode="formula", budget=None):
 
 # -- Entropy along a direction --------------------------------------------------
 
-@dataclass(frozen=True)
-class Series:
+class Series(NamedTuple):
     """A log-growth series: sequence[n-1] = logs[n-1] / n for n = 1..n_max,
     and diffs the successive log increments, whose last entry is the
     estimate (the increments converge faster than the averages).  The
@@ -132,6 +133,7 @@ def bowen_entropy_estimate(family, k, p, n_max, budget=None):
     stage's total).
     """
     require_valid(family)
+    require_rank(family, p)
     check_scale(k, p)
     if n_max < 2:
         raise ValueError("n_max must be at least 2")

@@ -26,8 +26,8 @@ length of the call and computes each distinct radius once.
 import functools
 import itertools
 import random
-from dataclasses import dataclass
 from math import fsum
+from typing import NamedTuple
 
 from .budget import DEFAULT as DEFAULT_BUDGET
 from .errors import BudgetExceededError, RankOneError, ZeroDirectionError
@@ -98,8 +98,7 @@ def gap(family, p=None, budget=None):
     return gap_parts(family, p, budget)[2]
 
 
-@dataclass(frozen=True)
-class GapRecord:
+class GapRecord(NamedTuple):
     fingerprint: str
     family: MatrixFamily
     radii: tuple

@@ -15,15 +15,17 @@ gives the same float result bit for bit.
 
 Families are constructed unvalidated.  The validation report and the
 square-completion tables (read through MatrixFamily.completion) are built
-on first use and cached; all types are immutable, every operation pure.
+on first use and cached in the family's instance dict, which is why
+MatrixFamily is a class and not a NamedTuple like Violation and
+ValidationReport; all types are immutable, every operation pure.
 """
 
 import json
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, permutations
 from operator import mul
+from typing import NamedTuple
 
 from .budget import DEFAULT as DEFAULT_BUDGET
 from .errors import (
@@ -32,6 +34,7 @@ from .errors import (
     NegativeEntryError,
     NotSquareError,
     RadiusUnderflowError,
+    ShapeMismatchError,
     ZeroDirectionError,
 )
 from .shapes import Shape
@@ -118,8 +121,7 @@ class Alphabet(tuple):
         return tuple(self)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     code: str
     witness: tuple  # ordered (key, value) pairs, JSON-friendly
 
@@ -127,8 +129,7 @@ class Violation:
         return {"code": self.code, "witness": dict(self.witness)}
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     violations: tuple
 
     @property
@@ -144,18 +145,30 @@ class ValidationReport:
         }
 
 
-@dataclass(frozen=True)
 class MatrixFamily:
-    rank: int
-    alphabet: Alphabet
-    matrices: tuple
+    """rank, alphabet and matrices, each matrix a tuple of row tuples;
+    immutable, equal and hashed by those three fields.  Not a tuple: the
+    cached properties below are kept in the instance dict."""
 
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "matrices",
-            tuple(tuple(tuple(row) for row in m) for m in self.matrices),
-        )
+    def __init__(self, rank, alphabet, matrices):
+        vars(self).update(
+            rank=rank, alphabet=alphabet,
+            matrices=tuple(tuple(tuple(row) for row in m) for m in matrices))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.rank, self.alphabet, self.matrices)
+                == (other.rank, other.alphabet, other.matrices))
+
+    def __hash__(self):
+        return hash((self.rank, self.alphabet, self.matrices))
 
     @property
     def dim(self):
@@ -205,6 +218,15 @@ def require_valid(family):
             "family failed validation",
             violations=[v.to_json() for v in report.violations],
         )
+
+
+def require_rank(family, l):
+    """ShapeMismatch unless the shape has the family's rank: a shape of
+    another rank never reaches Shape arithmetic or a zip over the
+    matrices."""
+    if l.rank != family.rank:
+        raise ShapeMismatchError("shape rank does not match family rank",
+                                 shape=list(l), family_rank=family.rank)
 
 
 # -- Validation ---------------------------------------------------------------
@@ -380,9 +402,8 @@ def _check_exact(family, l, budget):
     """The guards of the exact routes: a valid family, a shape of its rank
     and entries within the digit budget."""
     require_valid(family)
+    require_rank(family, l)
     budget = budget or DEFAULT_BUDGET
-    if l.rank != family.rank:
-        raise ValueError(f"shape rank {l.rank} != family rank {family.rank}")
     est = _digits_estimate(family, l.total)
     if est > budget.max_exact_digits:
         raise BudgetExceededError(
@@ -451,6 +472,7 @@ def log_word_count(family, l, budget=None):
     is flagged exact=False.
     """
     require_valid(family)
+    require_rank(family, l)
     budget = budget or DEFAULT_BUDGET
     if _digits_estimate(family, l.total) <= budget.max_exact_digits:
         return math.log(word_count(family, l, budget)), True
@@ -608,8 +630,7 @@ def entropy_exact(family, p, budget=None):
     by radius_log, so it stays finite for any p whose exact power product
     fits the budget."""
     require_valid(family)
-    if p.rank != family.rank:
-        raise ValueError(f"shape rank {p.rank} != family rank {family.rank}")
+    require_rank(family, p)
     if p.is_zero:
         raise ZeroDirectionError("direction vector must be nonzero")
     return radius_log(

@@ -21,10 +21,10 @@ the decomposition.
 
 import functools
 from collections import namedtuple
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .errors import ShapeTooSmallError, WindowTooWideError
-from .matrices import require_valid
+from .errors import ShapeTooSmallError
+from .matrices import require_rank, require_valid
 from .shapes import Shape
 from .words import (
     Word,
@@ -34,8 +34,6 @@ from .words import (
     check_enum_budget,
     compose_plan,
     dfs_plan,
-    enumerate_extensions,
-    enumerate_words,
     require_extension,
     require_tail,
     restrict_prefix,
@@ -44,13 +42,36 @@ from .words import (
 )
 
 
-@dataclass(frozen=True)
 class PatternMatrix:
     """Sparse 0-1 matrix over the shape-m words.  ``index`` fixes the
     row/column order, ``cells`` holds the (row-word, col-word) pairs
-    carrying a 1."""
-    index: tuple
-    cells: frozenset
+    carrying a 1.  Immutable, equal and hashed by both fields; not a
+    tuple, whose ``index`` method the field would shadow."""
+    __slots__ = ("index", "cells")
+
+    def __init__(self, index, cells):
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "cells", cells)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.index, self.cells) == (other.index, other.cells)
+
+    def __hash__(self):
+        return hash((self.index, self.cells))
+
+    def __reduce__(self):  # pickle and copy rebuild through __init__
+        return PatternMatrix, (self.index, self.cells)
+
+    def __repr__(self):
+        return f"PatternMatrix(index={self.index!r}, cells={self.cells!r})"
 
     def to_json(self):
         order = {w: i for i, w in enumerate(self.index)}
@@ -162,8 +183,10 @@ def _split_extensions(family, base, plan):
 
 
 def _plan(family, words, u_shape, w_shape, p, m, budget):
+    require_rank(family, p)
     n = u_shape.sup(w_shape)
     m = p + n if m is None else m
+    require_rank(family, m)
     if not p + n <= m:
         raise ShapeTooSmallError(
             "compression shape must dominate step plus generator shapes",
@@ -212,8 +235,7 @@ def build_shift_patterns(family, u, w, p, m, budget=None, tables=None):
 
 # -- Aggregate verification -----------------------------------------------------
 
-@dataclass(frozen=True)
-class PatternFamilyReport:
+class PatternFamilyReport(NamedTuple):
     """One generator pair's sweep: ``stats`` holds a (kappa, lambda, cells,
     partial_isometry) tuple per pattern, ``witnesses`` one dict per
     failure."""
@@ -303,40 +325,10 @@ def verify_partial_isometries(family, p, max_gen_shape, m=None, budget=None):
     dominated by max_gen_shape.  Returns the reports in grid order.  The
     pairs share one set of word tables, built for this call only."""
     require_valid(family)
+    require_rank(family, max_gen_shape)
     tables = SweepTables(family)
     gens = []
     for pt in max_gen_shape.box():
         gens.extend(tables.words(Shape(pt)))
     return [examine_pair(family, u, w, p, m, budget, tables)
             for u in gens for w in gens]
-
-
-# -- Cylinder separation for window potentials ----------------------------------
-
-def check_cylinder_separation(family, m, potential, budget=None):
-    """Index-level orthogonality: one-step extensions of distinct shape-m
-    words form disjoint sets that partition the next layer, and the
-    potential value on a cylinder bounds the value at every extension.
-
-    The potential reads its window at the origin, so it is constant on a
-    shape-m cylinder once the window fits inside m; the bound check is the
-    falsifiable form of that constancy.
-    """
-    require_valid(family)
-    if not potential.window <= m:
-        raise WindowTooWideError(
-            "potential window does not fit in the cylinder shape",
-            window=list(potential.window), m=list(m))
-    probe = m + Shape.cube(1, m.rank)
-    check_enum_budget(family, probe, budget)
-    total = sum(1 for _ in enumerate_words(family, probe))
-    seen = 0
-    for u in enumerate_words(family, m):
-        bound = potential.value(u)
-        for ext in enumerate_extensions(family, u, probe):
-            if restrict_prefix(ext, m) != u:
-                return False
-            if potential.value(ext) > bound:
-                return False
-            seen += 1
-    return seen == total

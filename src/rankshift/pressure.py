@@ -15,9 +15,9 @@ of the chain yields the log sums of every stage 0..n, so a whole pressure
 series costs n_max chain steps, linear in n_max.
 """
 
-from dataclasses import dataclass
 from math import ceil, exp, fsum, inf, log
 from sys import float_info
+from typing import NamedTuple
 
 from .dynamics import Series, check_scale
 from .errors import (
@@ -33,6 +33,7 @@ from .matrices import (
     log_spectral_radius,
     matrix_power_product,
     radius_log,
+    require_rank,
     require_valid,
 )
 from .shapes import Shape
@@ -48,8 +49,7 @@ from .words import (
 )
 
 
-@dataclass(frozen=True)
-class Potential:
+class Potential(NamedTuple):
     """Window function on words: table lookup with a default value."""
     window: Shape
     default: float
@@ -168,8 +168,8 @@ def _birkhoff_sum(labels, sites, table, default):
 
 def _check_stage(family, potential, k, step):
     require_valid(family)
-    if step.rank != family.rank or potential.window.rank != family.rank:
-        raise ShapeMismatchError("rank mismatch")
+    require_rank(family, step)
+    require_rank(family, potential.window)
     check_scale(k, step)
     if max(potential.window) > k:
         raise WindowTooWideError(

@@ -22,7 +22,6 @@ once; patterns.SweepTables caches the plans for the calls of one sweep.
 """
 
 import functools
-from dataclasses import dataclass
 from math import log2
 from typing import NamedTuple
 
@@ -35,7 +34,7 @@ from .errors import (
     ShapeNotDominatedError,
     UnknownLetterError,
 )
-from .matrices import origin_counts, require_valid
+from .matrices import origin_counts, require_rank, require_valid
 from .shapes import Shape
 
 
@@ -235,8 +234,7 @@ def enumerate_words(family, m, origin=None):
 def _enumerate_words(family, m, origin, plans):
     """enumerate_words, reading the DFS plan of m as plans(m)."""
     require_valid(family)
-    if m.rank != family.rank:
-        raise ShapeMismatchError("shape rank does not match family rank")
+    require_rank(family, m)
     fixed = {} if origin is None else {0: letter_index(family, origin)}
     return _dfs_words(family, m, fixed, plans(m))
 
@@ -339,8 +337,7 @@ def _fill(family, labels, plan):
 
 # -- Count cross-check ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class CountCheckRow:
+class CountCheckRow(NamedTuple):
     shape: Shape
     enumerated: int
     matrix_count: int
@@ -358,8 +355,7 @@ class CountCheckRow:
         }
 
 
-@dataclass(frozen=True)
-class CountCheckReport:
+class CountCheckReport(NamedTuple):
     rows: tuple
 
     @property
@@ -374,6 +370,7 @@ def count_oracle_check(family, max_shape, budget=None):
     """Compare direct enumeration against the matrix count <e, M^l e> for
     every shape l <= max_shape."""
     require_valid(family)
+    require_rank(family, max_shape)
     rows = []
     for pt in max_shape.box():
         l = Shape(pt)

@@ -3,7 +3,11 @@
 Core claims:
     - the documented examples run with the documented outputs and exits
     - exit codes: 0 success, 1 domain error as JSON, 2 usage
-      (a refusal whose details hold a 5230-digit integer prints it)
+      (a refusal whose details hold a 5230-digit integer prints it);
+      a shape of another rank than the family's is ShapeMismatch on
+      every subcommand
+    - importing the CLI loads neither dataclasses nor csv, and loads
+      every module the benchmark tracer wraps
     - --log-base only rescales the displayed logarithmic quantities
     - rerunning the embedded config of any result reproduces it byte
       for byte, JSON and CSV alike
@@ -151,6 +155,26 @@ def test_step_beyond_cube_radius_is_scale_too_fine(argv, step):
         "error": "ScaleTooFine",
         "message": "cube radius must dominate every step coordinate",
         "details": {"k": 1, "step": step}}
+
+
+@pytest.mark.parametrize("argv, shape", [
+    (["entropy", "--p", "1"], [1]),
+    (["entropy", "--p", "1", "--mode", "exact"], [1]),
+    (["count-check", "--max-shape", "1,1,1"], [1, 1, 1]),
+    (["words", "--shape", "1"], [1]),
+    (["lemma-check", "--p", "1", "--max-shape", "1,1"], [1]),
+    (["lemma-check", "--p", "1,1", "--max-shape", "1,0", "--m", "3"], [3]),
+    (["pressure", "--p", "1"], [1]),
+], ids=["entropy", "entropy-exact", "count-check", "words", "lemma-check",
+        "lemma-check-m", "pressure"])
+def test_shape_of_another_rank_is_shape_mismatch(capsys, argv, shape):
+    # one coded error on every route, raised before any Shape arithmetic
+    assert main([*argv, "-f", _g(3)]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "ShapeMismatch",
+        "message": "shape rank does not match family rank",
+        "details": {"shape": shape, "family_rank": 2},
+    }
 
 
 def test_usage_errors_exit_two(g1_path):
@@ -677,6 +701,23 @@ def test_pressure_oracle_bytes_are_pinned(capsys, monkeypatch, tmp_path,
                  "--format", fmt]) == 0
     text = capsys.readouterr().out
     assert hashlib.sha256(text.encode()).hexdigest() == PRESSURE_DIGESTS[fmt]
+
+
+# -- What the import loads -----------------------------------------------------------
+
+def test_import_leaves_dataclasses_inspect_and_csv_unloaded():
+    # dataclasses pulls in inspect, ast and dis, about 1 MB resident per
+    # run before its first job; csv serves --format csv alone.
+    # The package modules the benchmark tracer wraps must all be loaded by
+    # the import: Tracer.install looks each one up in sys.modules before
+    # the first job, so a module loaded on first use breaks a traced run.
+    code = ("import sys, rankshift.cli; loaded = set(sys.modules); "
+            "sys.path.insert(0, sys.argv[1]); from spans import WRAPPED; "
+            "print(sorted({'dataclasses', 'inspect', 'csv'} & loaded)); "
+            "print(sorted(m for m in WRAPPED if 'rankshift.' + m not in loaded))")
+    proc = subprocess.run([sys.executable, "-c", code, str(REPO / "perfbench")],
+                          capture_output=True, text=True)
+    assert proc.stdout == "[]\n[]\n", proc.stderr
 
 
 # -- One parser per process ----------------------------------------------------------

@@ -128,6 +128,16 @@ def test_separated_count_guards(g1, g3):
         separated_count(g1, 1, Shape.of(1), -1)
 
 
+def test_step_of_another_rank_is_shape_mismatch(g3):
+    # checked before check_scale and before any Shape arithmetic
+    for call in (lambda: bowen_entropy_estimate(g3, 1, Shape.of(1), 5),
+                 lambda: separated_count(g3, 1, Shape.of(1), 2),
+                 lambda: separated_count(g3, 1, Shape.of(1, 1, 1), 2)):
+        with pytest.raises(ShapeMismatchError) as info:
+            call()
+        assert info.value.details["family_rank"] == 2
+
+
 # -- Bowen estimate -------------------------------------------------------------
 
 def test_bowen_sequence_frozen(g1):

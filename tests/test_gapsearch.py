@@ -319,9 +319,9 @@ def test_rejected_candidates_build_no_family(monkeypatch):
     built = []
 
     class Counted(MatrixFamily):
-        def __post_init__(self):
+        def __init__(self, *args, **kwargs):
             built.append(self)
-            super().__post_init__()
+            super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(gapsearch, "MatrixFamily", Counted)
     # the benchmark's random job: 300 size-4 candidates, none survives

@@ -35,6 +35,7 @@ from rankshift.errors import (
     BudgetExceededError,
     InvalidFamilyError,
     RadiusUnderflowError,
+    ShapeMismatchError,
     ZeroDirectionError,
 )
 from rankshift.matrices import (
@@ -181,6 +182,20 @@ def test_exact_digit_budget():
         entropy_exact(golden_mean(), Shape.of(3000), tight)
     assert entropy_exact(golden_mean(), Shape.of(3), tight) == (
         entropy_exact(golden_mean(), Shape.of(3)))
+
+
+def test_shape_of_another_rank_is_shape_mismatch(g3):
+    # the float route of log_word_count used to zip the matrices with the
+    # shape and drop the surplus directions
+    tight = Budget(max_exact_digits=1)
+    for call in (lambda: entropy_exact(g3, Shape.of(1)),
+                 lambda: word_count(g3, Shape.of(1, 1, 1)),
+                 lambda: matrix_power_product(g3, Shape.of(2)),
+                 lambda: log_word_count(g3, Shape.of(1)),
+                 lambda: log_word_count(g3, Shape.of(50), tight)):
+        with pytest.raises(ShapeMismatchError) as info:
+            call()
+        assert info.value.details["family_rank"] == 2
 
 
 def test_log_word_count_fallback_matches_exact(g1):

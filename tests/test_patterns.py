@@ -23,20 +23,18 @@ import weakref
 import pytest
 
 from rankshift import families, patterns, words
-from rankshift.errors import ShapeTooSmallError, WindowTooWideError
+from rankshift.errors import ShapeTooSmallError
 from rankshift.matrices import word_count
 from rankshift.patterns import (
     PatternMatrix,
     SweepTables,
     _failure_witness,
     build_shift_patterns,
-    check_cylinder_separation,
     check_partial_isometry,
     examine_pair,
     reports_to_json,
     verify_partial_isometries,
 )
-from rankshift.pressure import Potential, vertex_potential
 from rankshift.shapes import Shape
 from rankshift.words import enumerate_words, make_word, restrict_prefix, restrict_tail
 
@@ -383,13 +381,3 @@ def test_plans_die_with_their_sweep(g3):
     finally:
         gc.enable()
 
-
-# -- Cylinder separation ---------------------------------------------------------
-
-def test_cylinder_separation(g1, g3, line_word):
-    assert check_cylinder_separation(g1, Shape.of(1), vertex_potential(g1, {"1": 0.5}))
-    window = Potential(Shape.of(1), 0.0, {line_word(g1, 0, 1): 0.3})
-    assert check_cylinder_separation(g1, Shape.of(2), window)
-    assert check_cylinder_separation(g3, Shape.of(1, 1), vertex_potential(g3, {}))
-    with pytest.raises(WindowTooWideError):
-        check_cylinder_separation(g1, Shape.of(1), Potential(Shape.of(2), 0.0, {}))
