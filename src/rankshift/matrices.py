@@ -655,6 +655,16 @@ def _exact_int(x, what):
     return x
 
 
+def _int_row(row):
+    """A matrix row as loaded, kept as it is when its entry types, checked
+    in C, are all int; any other row is scanned entry by entry, so that
+    the error names its first entry that is not an exact integer.
+    MatrixFamily makes the rows tuples."""
+    if set(map(type, row)) <= {int}:
+        return row
+    return tuple(_exact_int(x, "matrix entry") for x in row)
+
+
 def family_from_dict(data):
     try:
         rank = _exact_int(data["rank"], "rank")
@@ -662,11 +672,7 @@ def family_from_dict(data):
         if type(letters) is not list or any(type(x) is not str for x in letters):
             raise ValueError(f"alphabet {letters!r} is not a list of strings")
         alphabet = Alphabet(letters)
-        matrices = tuple(
-            tuple(tuple(_exact_int(x, "matrix entry") for x in row)
-                  for row in m)
-            for m in data["matrices"]
-        )
+        matrices = tuple(tuple(map(_int_row, m)) for m in data["matrices"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed family data: {exc}") from exc
     return MatrixFamily(rank=rank, alphabet=alphabet, matrices=matrices)

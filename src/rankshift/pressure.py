@@ -12,10 +12,14 @@ being joined by a unique word of shape p + k*e, so the stage sum is a
 matrix power of the 0-1 transition structure with a diagonal weight.  The
 routes agree exactly and the transfer route stays cheap at large n: one run
 of the chain yields the log sums of every stage 0..n, so a whole pressure
-series costs n_max chain steps, linear in n_max.
+series costs n_max chain steps, linear in n_max.  The enumerate route reads
+each word's window sites through one flat index map per stage
+(_window_sites), site after site, and groups the labels into window keys.
 """
 
+from itertools import repeat
 from math import ceil, exp, fsum, inf, log
+from operator import itemgetter, mul, sub
 from sys import float_info
 from typing import NamedTuple
 
@@ -111,7 +115,7 @@ def log_sum_exp(values):
     top = max(values)
     if top == -inf:  # every term weighs nothing, not exp(nan)
         return top
-    return top + log(fsum(exp(v - top) for v in values))
+    return top + log(fsum(map(exp, map(sub, values, repeat(top)))))
 
 
 def birkhoff_sum_on_cylinder(family, potential, word, step, n):
@@ -126,15 +130,29 @@ def birkhoff_sum_on_cylinder(family, potential, word, step, n):
             "word shape minus n steps must be a cube",
             shape=list(word.shape), step=list(step), n=n)
     _check_stage(family, potential, base.min_coord, step)
-    sites = _window_sites(word.shape, potential.window, step, n)
-    return _birkhoff_sum(word.labels, sites, _labels_table(potential),
-                         potential.default)
+    read = _site_reader(_window_sites(word.shape, potential.window, step, n))
+    return _birkhoff_sum(word.labels, read, potential.window.volume,
+                         _labels_table(potential), potential.default)
 
 
 def _window_sites(shape, window, step, n):
     """Flat label indices, in the row-major order of a word of the given
-    shape, of the window box placed at each offset 0, p, .., n*p."""
-    return [tuple(shape.indices(window, step.scaled(l))) for l in range(n + 1)]
+    shape, of the window box placed at each offset 0, p, .., n*p: one flat
+    list, site after site, each site's indices in row-major order.  The
+    site at offset l*p is the one at the origin moved by l times the flat
+    stride of p; each lies in the box, as the stage shape k*e + n*p and a
+    window within the cube k*e make it."""
+    origin = shape.indices(window)
+    shift = sum(map(mul, step, shape.strides))
+    return [t + l * shift for l in range(n + 1) for t in origin]
+
+
+def _site_reader(sites):
+    """One itemgetter of the flat window sites, returning a tuple even for
+    a lone index (n = 0 and a vertex window), read as a one-item slice."""
+    if len(sites) == 1:
+        return itemgetter(slice(sites[0], sites[0] + 1))
+    return itemgetter(*sites)
 
 
 def _labels_table(potential):
@@ -143,19 +161,20 @@ def _labels_table(potential):
             if w.shape == potential.window}
 
 
-def _birkhoff_sum(labels, sites, table, default):
-    """The potential summed over the window sites of one word.  Where a
-    partial sum leaves float range the exact sum decides: below it, the
-    word weighs exp(-inf) = 0; above it, NonFiniteResult, as the transfer
-    route's infinite log sum is when emitted."""
-    label = labels.__getitem__
+def _birkhoff_sum(labels, read, volume, table, default):
+    """The potential summed over the window sites of one word: ``read``
+    (_site_reader) takes the sites' labels, which group into window keys
+    of ``volume`` labels each.  Where a partial sum leaves float range the
+    exact sum decides: below it, the word weighs exp(-inf) = 0; above it,
+    NonFiniteResult, as the transfer route's infinite log sum is when
+    emitted."""
+    values = list(map(table.get, zip(*[iter(read(labels))] * volume),
+                      repeat(default)))
     try:
-        return fsum(table.get(tuple(map(label, site)), default)
-                    for site in sites)
+        return fsum(values)
     except OverflowError:
         from fractions import Fraction  # loads decimal: only here
-        exact = sum(Fraction(table.get(tuple(map(label, site)), default))
-                    for site in sites)
+        exact = sum(map(Fraction, values))
     try:
         return float(exact)
     except OverflowError:
@@ -184,18 +203,23 @@ def partition_function_log(family, potential, k, p, n, method="transfer",
     if n < 0:
         raise ValueError("n must be nonnegative")
     if method == "enumerate":
-        shape = Shape.cube(k, family.rank) + p.scaled(n)
-        check_enum_budget(family, shape, budget)
-        sites = _window_sites(shape, potential.window, p, n)
-        table = _labels_table(potential)
-        return log_sum_exp(
-            _birkhoff_sum(w.labels, sites, table, potential.default)
-            for w in enumerate_words(family, shape)
-        )
+        return _enumerated_log(family, potential, _labels_table(potential),
+                               k, p, n, budget)
     if method != "transfer":
         raise ValueError(f"unknown method {method!r}")
     in_edges, weight_logs = _transfer_parts(family, potential, k, p, budget)
     return _chain_log_sums(in_edges, weight_logs, n)[-1]
+
+
+def _enumerated_log(family, potential, table, k, p, n, budget):
+    """The enumerate route of partition_function_log; ``table`` is
+    _labels_table(potential)."""
+    shape = Shape.cube(k, family.rank) + p.scaled(n)
+    check_enum_budget(family, shape, budget)
+    read = _site_reader(_window_sites(shape, potential.window, p, n))
+    volume, default = potential.window.volume, potential.default
+    return log_sum_exp(_birkhoff_sum(w.labels, read, volume, table, default)
+                       for w in enumerate_words(family, shape))
 
 
 def _transfer_parts(family, potential, k, p, budget):
@@ -248,13 +272,16 @@ def pressure_estimate(family, potential, k, p, n_max, method="transfer",
     increment is the pressure estimate."""
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
+    _check_stage(family, potential, k, p)
     if method == "transfer":
-        _check_stage(family, potential, k, p)
         in_edges, weight_logs = _transfer_parts(family, potential, k, p, budget)
         logs = _chain_log_sums(in_edges, weight_logs, n_max)[1:]
-    else:
-        logs = [partition_function_log(family, potential, k, p, n, method, budget)
+    elif method == "enumerate":
+        table = _labels_table(potential)
+        logs = [_enumerated_log(family, potential, table, k, p, n, budget)
                 for n in range(1, n_max + 1)]
+    else:
+        raise ValueError(f"unknown method {method!r}")
     return Series.of_logs(logs)
 
 

@@ -19,6 +19,9 @@ point, compose_plan the placed indices, fill schedule and edge list of a
 shape pair, edge_plan the edges of a box, and Shape.indices the index map
 of a restriction.  The public functions build their plan and apply it
 once; patterns.SweepTables caches the plans for the calls of one sweep.
+The DFS plan has two apply steps: _dfs_words yields each Word, and
+_dfs_count, which count_oracle_check reads, runs the same backtracking but
+adds the popcount of the last point's candidates, building no Word.
 """
 
 import functools
@@ -225,6 +228,44 @@ def _dfs_words(family, m, fixed, preds):
         left[t] = mask
 
 
+def _dfs_count(family, m, preds):
+    """The number of words of shape m; ``preds`` is dfs_plan(family, m).
+
+    The backtracking of _dfs_words, in the same order, over every point
+    but the last; there it adds the number of candidates, the popcount of
+    the predecessors' AND, and builds no labels tuple and no Word.  The
+    two loops are kept apart: a kernel that yielded (prefix, last mask)
+    to both made the lemma sweeps, which read _dfs_words, slower.
+    """
+    n = m.volume
+    full = (1 << len(family.alphabet)) - 1
+    if n == 1:
+        return full.bit_count()
+    labels = [0] * n
+    left = [full] + [0] * (n - 1)  # untried candidates per point
+    stop, last = n - 2, preds[n - 1]
+    count = t = 0
+    while t >= 0:
+        mask = left[t]
+        if not mask:
+            t -= 1
+            continue
+        low = mask & -mask
+        left[t] = mask ^ low
+        labels[t] = low.bit_length() - 1
+        mask = full
+        if t == stop:
+            for rows, pidx in last:
+                mask &= rows[labels[pidx]]
+            count += mask.bit_count()
+            continue
+        t += 1
+        for rows, pidx in preds[t]:
+            mask &= rows[labels[pidx]]
+        left[t] = mask
+    return count
+
+
 def enumerate_words(family, m, origin=None):
     """Yield every word of shape m in lexicographic label order; with
     ``origin`` (letter or index) only words starting there."""
@@ -375,6 +416,6 @@ def count_oracle_check(family, max_shape, budget=None):
     for pt in max_shape.box():
         l = Shape(pt)
         counted = sum(check_enum_budget(family, l, budget))
-        enumerated = sum(1 for _ in enumerate_words(family, l))
+        enumerated = _dfs_count(family, l, dfs_plan(family, l))
         rows.append(CountCheckRow(l, enumerated, counted))
     return CountCheckReport(tuple(rows))

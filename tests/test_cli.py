@@ -703,6 +703,67 @@ def test_pressure_oracle_bytes_are_pinned(capsys, monkeypatch, tmp_path,
     assert hashlib.sha256(text.encode()).hexdigest() == PRESSURE_DIGESTS[fmt]
 
 
+# Digests of count-check outputs and of the enumerate pressure route, taken
+# before count-check counted the last box point's candidates instead of
+# building each Word and the Birkhoff sums read one flat site map: neither
+# may change a byte.  The g3 potential has a 2x2 window whose table tells
+# each word from its transpose.
+COUNT_DIGESTS = {
+    "-f families/g1.json --max-shape 12":
+        "dbba6495064003f421b435dd59e29525e973394d8f6cc1b4267a531f4079cec7",
+    "-f families/g2.json --max-shape 8":
+        "28122a069d18b299c33ee86bc463cc8a5f0e57f9101ce3fb9e52c8216cec0955",
+    "-f families/g3.json --max-shape 4,4":
+        "0f5fa0a768a119444ae412b45cc4efec73723f07d424dabeab73e7316a78c7c6",
+    "-f families/g4.json --max-shape 3,3":
+        "546f0061c4f3c1c3bc62be099e6a789cdbf195ca8d79569da5c2883af2ff5945",
+    "-f families/t3.json --max-shape 1,1,1":
+        "314229457c500cfc37f6c58e1814307974f70fed0557a5ee0fe32fd330918b57",
+    "-f families/t3.json --max-shape 1,1,1 --format csv":
+        "9e623e13f55bfa15ed28d71e7d0b71afcd2aab319806179fc74b33b9fd5d35ca",
+}
+ENUMERATE_DIGESTS = {
+    "-f families/g1.json --p 1 --n-max 8 --potential pot.json":
+        "b520dca572cfa14a278624e930b5194ba828707eb9affccbdb5a474343bec839",
+    "-f families/g1.json --p 1 --n-max 8 --potential pot.json --format csv":
+        "e59e71f8db92f95eb7d3efa2634203d0d2500b3ef4c4018904506302877612b0",
+    "-f families/g1.json --p 1 --n-max 8":
+        "3262381225664312797ba6d7aa61a1eb8a2136473757fcc37b44ef9615bd16e9",
+    "-f families/g3.json --p 0,1 --n-max 4 --potential pot3sq.json":
+        "9f51965ea5a9c1559ff4c65d44fb3fb3b1e05da6aab57345a16a37ee19580f9b",
+    "-f families/g3.json --p 1,1 --n-max 3 --k 2 --potential pot3sq.json":
+        "0abcd62e2bbb5e23ec782801c01cd035cc42ca8c480b0205b661c9ebad41fa9c",
+}
+G3_SQUARE_POTENTIAL = {"window": [1, 1], "default": -0.5, "entries": [
+    {"word": {"shape": [1, 1], "labels": labels}, "value": value}
+    for labels, value in (([0, 0, 0, 0], 0.5), ([0, 1, 0, 1], -0.25),
+                          ([1, 0, 1, 0], 1.5), ([2, 2, 0, 0], 0.75),
+                          ([3, 2, 1, 0], 2.0))]}
+
+
+@pytest.mark.parametrize("options", sorted(COUNT_DIGESTS))
+def test_count_check_bytes_are_pinned(capsys, monkeypatch, options):
+    monkeypatch.chdir(REPO)
+    assert main(["count-check", *options.split()]) == 0
+    text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode()).hexdigest() == COUNT_DIGESTS[options]
+
+
+@pytest.mark.parametrize("options", sorted(ENUMERATE_DIGESTS))
+def test_enumerate_pressure_bytes_are_pinned(capsys, monkeypatch, tmp_path,
+                                             pot_path, options):
+    (tmp_path / "families").mkdir()
+    for name in ("g1", "g3"):
+        (tmp_path / "families" / f"{name}.json").write_bytes(
+            (FAMILIES / f"{name}.json").read_bytes())
+    (tmp_path / "pot3sq.json").write_text(json.dumps(G3_SQUARE_POTENTIAL))
+    monkeypatch.chdir(tmp_path)
+    assert main(["pressure", *options.split(), "--method", "enumerate"]) == 0
+    text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode()).hexdigest() \
+        == ENUMERATE_DIGESTS[options]
+
+
 # -- What the import loads -----------------------------------------------------------
 
 def test_import_leaves_dataclasses_inspect_and_csv_unloaded():

@@ -548,6 +548,40 @@ def test_enumeration_count_is_word_count(data):
     assert labels == sorted(set(labels))
 
 
+# M_1 = M_2, both 0 -> 1, 2; 1 -> 2; 2 -> 0.  In box (1, 1) the last
+# point (1, 1) follows (0, 1) and (1, 0): the admissible prefix 0, 1, 2
+# leaves it no candidate (1 -> 2 only, 2 -> 0 only) and 2, 0, 0 two.
+DEAD_CORNER = MatrixFamily(2, Alphabet(("0", "1", "2")), (
+    ((0, 1, 1), (0, 0, 1), (1, 0, 0)),) * 2)
+
+
+@PROPERTY
+@given(st.data())
+def test_dfs_count_is_the_enumerated_count(data):
+    family = data.draw(st.one_of(
+        st.sampled_from(RANK1), valid_families(), rank3_families(),
+        rank4_families().filter(lambda f: f.is_valid)))
+    top = data.draw(_shapes(family, 2 if family.rank < 3 else 1))
+    for pt in top.box():  # the zero shape, of volume 1, first
+        shape = Shape(pt)
+        assert words._dfs_count(family, shape, dfs_plan(family, shape)) \
+            == sum(1 for _ in enumerate_words(family, shape))
+
+
+def test_dfs_count_at_a_dead_corner():
+    assert DEAD_CORNER.is_valid
+    succ = DEAD_CORNER.succ[0]
+    assert succ[0] == 0b110 and not succ[1] & succ[2]
+    shape = Shape.of(1, 1)
+    assert [w.labels for w in enumerate_words(DEAD_CORNER, shape)] == [
+        (0, 1, 1, 2), (0, 2, 2, 0), (1, 2, 2, 0), (2, 0, 0, 1), (2, 0, 0, 2)]
+    assert words._dfs_count(DEAD_CORNER, shape,
+                            dfs_plan(DEAD_CORNER, shape)) == 5
+    for shape in (Shape.of(0, 0), Shape.of(0, 1), Shape.of(2, 1)):
+        assert words._dfs_count(DEAD_CORNER, shape, dfs_plan(
+            DEAD_CORNER, shape)) == word_count(DEAD_CORNER, shape)
+
+
 @PROPERTY
 @given(st.data())
 def test_split_and_compose_are_inverse(data):

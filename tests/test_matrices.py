@@ -24,6 +24,7 @@ import itertools
 import math
 import pickle
 import random
+import re
 import sys
 from pathlib import Path
 
@@ -458,6 +459,16 @@ def test_family_round_trip(g3):
 def test_family_from_dict_rejects_inexact_entries(entry):
     data = {"rank": 1, "alphabet": ["0", "1"], "matrices": [[[entry, 1], [1, 0]]]}
     with pytest.raises(ValueError):
+        family_from_dict(data)
+
+
+@pytest.mark.parametrize("row, bad", [
+    ([1, 1.0, "x"], "1.0"), ([True, 1], "True"), ([1, "a", 2.0], "'a'"),
+    ("ab", "'a'")])
+def test_family_from_dict_names_the_first_bad_entry(row, bad):
+    # rows of ints pass in one type check; others are scanned entry by entry
+    data = {"rank": 1, "alphabet": ["0", "1"], "matrices": [[[1, 1], row]]}
+    with pytest.raises(ValueError, match=f"matrix entry {re.escape(bad)} is"):
         family_from_dict(data)
 
 

@@ -5,6 +5,8 @@ Core claims:
       pressure machinery degenerates to the entropy machinery termwise
     - the transfer-chain route and direct enumeration agree on every stage
       we can enumerate, for vertex and wider windows alike
+    - a Birkhoff sum reads its window sites site after site, each window
+      row-major, and a single vertex site still reads as a 1-tuple key
     - the golden-mean vertex pressure matches the closed-form root of the
       weighted characteristic polynomial
     - pressure shifts by exactly c under f -> f + c, already at finite n
@@ -50,7 +52,7 @@ from rankshift.pressure import (
     vertex_potential,
 )
 from rankshift.shapes import Shape
-from rankshift.words import enumerate_words
+from rankshift.words import enumerate_words, restrict_tail
 from test_kernel import PROPERTY, rank3_families, valid_families
 
 
@@ -113,6 +115,47 @@ def test_birkhoff_sum_counts_all_offsets(g1, g2, line_word):
     pot1 = vertex_potential(g1, G1_VALUES)
     assert birkhoff_sum_on_cylinder(
         g1, pot1, line_word(g1, 0, 1, 0, 1), Shape.of(1), 2) == approx(0.5)
+
+
+def test_birkhoff_sites_are_read_site_after_site(g2, line_word):
+    # window (1) at offsets 0, 1, 2 of a length-4 word: the keys are the
+    # label pairs at (0, 1), (1, 2), (2, 3); reading the flat sites window
+    # index first would pair (0, 1), (2, 1), (2, 3) instead
+    pot = Potential(Shape.of(1), 0.0, {line_word(g2, 0, 1): 1.0,
+                                       line_word(g2, 1, 0): 10.0})
+    word = line_word(g2, 0, 1, 0, 0)
+    assert birkhoff_sum_on_cylinder(g2, pot, word, Shape.of(1), 2) == 11.0
+
+
+def test_birkhoff_sum_reads_a_square_window_row_major(g3):
+    # a 2x2 window whose table tells each word from its transpose
+    square = Shape.of(1, 1)
+    table = {w: float(i) for i, w in enumerate(enumerate_words(g3, square))}
+    pot = Potential(square, -1.0, dict(list(table.items())[::2]))
+    for step in (Shape.of(1, 0), Shape.of(0, 1), Shape.of(1, 1)):
+        for n in range(3):
+            shape = Shape.cube(1, 2) + step.scaled(n)
+            for word in enumerate_words(g3, shape):
+                expected = math.fsum(
+                    pot.value(restrict_tail(word, step.scaled(l)))
+                    for l in range(n + 1))
+                assert birkhoff_sum_on_cylinder(g3, pot, word, step, n) \
+                    == expected
+
+
+def test_birkhoff_sum_of_one_vertex_site(g1, line_word):
+    # n = 0 with the zero window reads one label: still a 1-tuple key
+    pot = vertex_potential(g1, G1_VALUES)
+    assert birkhoff_sum_on_cylinder(
+        g1, pot, line_word(g1, 1, 0), Shape.of(1), 0) == 0.5
+    assert birkhoff_sum_on_cylinder(
+        g1, pot, line_word(g1, 0, 1), Shape.of(1), 0) == 0.0
+    # stage 0 is the cube: words 00, 01, 10 weigh 1, 1 and e^0.5
+    assert partition_function_log(g1, pot, 1, Shape.of(1), 0, "enumerate") \
+        == approx(math.log(2 + math.exp(0.5)), abs=1e-15)
+    assert partition_function_log(g1, pot, 1, Shape.of(1), 0, "enumerate") \
+        == approx(partition_function_log(g1, pot, 1, Shape.of(1), 0),
+                  abs=1e-15)
 
 
 def test_birkhoff_shape_guards(g3, g1, line_word):

@@ -7,6 +7,8 @@ Core claims:
     - malformed words and oversized enumerations are rejected
 """
 
+from pathlib import Path
+
 import pytest
 
 from rankshift.budget import Budget
@@ -16,6 +18,7 @@ from rankshift.errors import (
     ShapeMismatchError,
     ShapeNotDominatedError,
 )
+from rankshift.matrices import load_family, word_count
 from rankshift.shapes import Shape
 from rankshift.words import (
     check_enum_budget,
@@ -29,6 +32,8 @@ from rankshift.words import (
     word_from_dict,
     word_to_dict,
 )
+
+FAMILIES = Path(__file__).resolve().parent.parent / "families"
 
 
 # -- Enumeration ---------------------------------------------------------------
@@ -60,6 +65,17 @@ def test_count_oracle_check(g1, g3):
     row = report.to_json()["rows"][0]
     assert row == {"shape": [0, 0], "enumerated": "4",
                    "matrix_count": "4", "equal": True}
+
+
+@pytest.mark.parametrize("name, max_shape", [
+    ("g1", "12"), ("g2", "8"), ("g3", "3,3"), ("g4", "3,3"), ("t3", "1,1,1")])
+def test_count_rows_are_enumerated_and_matrix_counts(name, max_shape):
+    family = load_family(FAMILIES / f"{name}.json")
+    top = Shape.parse(max_shape)
+    rows = [(r.shape, r.enumerated, r.matrix_count)
+            for r in count_oracle_check(family, top).rows]
+    assert rows == [(Shape(pt), sum(1 for _ in enumerate_words(family, Shape(pt))),
+                     word_count(family, Shape(pt))) for pt in top.box()]
 
 
 def test_extensions_agree_with_prefix_filter(g1):
