@@ -12,9 +12,10 @@ being joined by a unique word of shape p + k*e, so the stage sum is a
 matrix power of the 0-1 transition structure with a diagonal weight.  The
 routes agree exactly and the transfer route stays cheap at large n: one run
 of the chain yields the log sums of every stage 0..n, so a whole pressure
-series costs n_max chain steps, linear in n_max.  The enumerate route reads
-each word's window sites through one flat index map per stage
-(_window_sites), site after site, and groups the labels into window keys.
+series costs n_max chain steps, linear in n_max.  Both routes read labels
+through one window kernel (_window_reader, one itemgetter per shape): a
+stage word's window sites, a chain state's site at 0 and the cube sites at
+0 and at p of a chain edge, a word of shape cube + p.
 """
 
 from itertools import repeat
@@ -48,7 +49,6 @@ from .words import (
     letter_index,
     make_word,
     restrict_prefix,
-    restrict_tail,
     word_to_dict,
 )
 
@@ -70,12 +70,11 @@ class Potential(NamedTuple):
 
 def vertex_potential(family, values, default=0.0):
     """Potential with the zero window: reads one letter.  ``values`` maps
-    letters (or letter indices) to floats."""
+    letters (or letter indices) to finite numbers (_finite)."""
     window = Shape.zero(family.rank)
-    table = {}
-    for key, val in values.items():
-        table[Word(window, (letter_index(family, key),))] = float(val)
-    return Potential(window, float(default), table)
+    table = {Word(window, (letter_index(family, key),)): _finite(val)
+             for key, val in values.items()}
+    return Potential(window, _finite(default), table)
 
 
 def potential_to_dict(potential):
@@ -98,12 +97,19 @@ def _finite(x):
 
 
 def potential_from_dict(family, data):
+    """Each word is a label list or a labels dict whose shape, if given, is
+    the window; a word given twice is refused."""
     window = Shape(tuple(data["window"]))
     table = {}
     for entry in data["entries"]:
         spec = entry["word"]
-        labels = spec["labels"] if isinstance(spec, dict) else spec
-        word = make_word(family, window, tuple(labels))
+        if not isinstance(spec, dict):
+            spec = {"labels": spec}
+        if Shape(tuple(spec.get("shape", window))) != window:
+            raise ValueError(f"word shape {spec['shape']} is not the window")
+        word = make_word(family, window, tuple(spec["labels"]))
+        if word in table:
+            raise ValueError(f"potential word {list(word.labels)} given twice")
         table[word] = _finite(entry["value"])
     return Potential(window, _finite(data.get("default", 0.0)), table)
 
@@ -130,26 +136,20 @@ def birkhoff_sum_on_cylinder(family, potential, word, step, n):
             "word shape minus n steps must be a cube",
             shape=list(word.shape), step=list(step), n=n)
     _check_stage(family, potential, base.min_coord, step)
-    read = _site_reader(_window_sites(word.shape, potential.window, step, n))
+    read = _window_reader(word.shape, potential.window, step, n)
     return _birkhoff_sum(word.labels, read, potential.window.volume,
                          _labels_table(potential), potential.default)
 
 
-def _window_sites(shape, window, step, n):
-    """Flat label indices, in the row-major order of a word of the given
-    shape, of the window box placed at each offset 0, p, .., n*p: one flat
-    list, site after site, each site's indices in row-major order.  The
-    site at offset l*p is the one at the origin moved by l times the flat
-    stride of p; each lies in the box, as the stage shape k*e + n*p and a
-    window within the cube k*e make it."""
+def _window_reader(shape, window, step, n):
+    """The window kernel: one itemgetter of a word's labels at the window
+    sites of its shape k*e + n*p (the window within the cube k*e), at
+    offsets 0, p, .., n*p: site after site, each row-major, the origin's
+    moved by l flat strides of p.  A lone index (n = 0, a vertex window) is
+    a one-item slice, so it always returns a tuple; at n = 0, the key."""
     origin = shape.indices(window)
     shift = sum(map(mul, step, shape.strides))
-    return [t + l * shift for l in range(n + 1) for t in origin]
-
-
-def _site_reader(sites):
-    """One itemgetter of the flat window sites, returning a tuple even for
-    a lone index (n = 0 and a vertex window), read as a one-item slice."""
+    sites = [t + l * shift for l in range(n + 1) for t in origin]
     if len(sites) == 1:
         return itemgetter(slice(sites[0], sites[0] + 1))
     return itemgetter(*sites)
@@ -162,12 +162,11 @@ def _labels_table(potential):
 
 
 def _birkhoff_sum(labels, read, volume, table, default):
-    """The potential summed over the window sites of one word: ``read``
-    (_site_reader) takes the sites' labels, which group into window keys
-    of ``volume`` labels each.  Where a partial sum leaves float range the
-    exact sum decides: below it, the word weighs exp(-inf) = 0; above it,
-    NonFiniteResult, as the transfer route's infinite log sum is when
-    emitted."""
+    """The potential summed over the window sites of one word, read by
+    _window_reader and grouped into window keys of ``volume`` labels.  Where
+    a partial sum leaves float range the exact sum decides: below it, the
+    word weighs exp(-inf) = 0; above it, NonFiniteResult, as the transfer
+    route's infinite log sum is when emitted."""
     values = list(map(table.get, zip(*[iter(read(labels))] * volume),
                       repeat(default)))
     try:
@@ -202,38 +201,46 @@ def partition_function_log(family, potential, k, p, n, method="transfer",
     _check_stage(family, potential, k, p)
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if method == "enumerate":
-        return _enumerated_log(family, potential, _labels_table(potential),
-                               k, p, n, budget)
-    if method != "transfer":
+    return _stage_logs(family, potential, k, p, [n], method, budget)[0]
+
+
+def _stage_logs(family, potential, k, p, stages, method, budget):
+    """log partition sums of consecutive stages by the route ``method``
+    names: one chain run to the last stage, or each stage enumerated."""
+    if method == "transfer":
+        parts = _transfer_parts(family, potential, k, p, budget)
+        return _chain_log_sums(*parts, stages[-1])[stages[0]:]
+    if method != "enumerate":
         raise ValueError(f"unknown method {method!r}")
-    in_edges, weight_logs = _transfer_parts(family, potential, k, p, budget)
-    return _chain_log_sums(in_edges, weight_logs, n)[-1]
-
-
-def _enumerated_log(family, potential, table, k, p, n, budget):
-    """The enumerate route of partition_function_log; ``table`` is
-    _labels_table(potential)."""
-    shape = Shape.cube(k, family.rank) + p.scaled(n)
-    check_enum_budget(family, shape, budget)
-    read = _site_reader(_window_sites(shape, potential.window, p, n))
-    volume, default = potential.window.volume, potential.default
-    return log_sum_exp(_birkhoff_sum(w.labels, read, volume, table, default)
-                       for w in enumerate_words(family, shape))
+    table, default = _labels_table(potential), potential.default
+    window, volume = potential.window, potential.window.volume
+    logs = []
+    for n in stages:
+        shape = Shape.cube(k, family.rank) + p.scaled(n)
+        check_enum_budget(family, shape, budget)
+        read = _window_reader(shape, window, p, n)
+        logs.append(log_sum_exp(
+            _birkhoff_sum(w.labels, read, volume, table, default)
+            for w in enumerate_words(family, shape)))
+    return logs
 
 
 def _transfer_parts(family, potential, k, p, budget):
+    """In-edges and weight logs of the chain: states are cube words keyed
+    by labels, in enumeration order, weighing their site at 0; a word of
+    shape cube + p is an edge from its cube site at 0 to its site at p."""
     cube = Shape.cube(k, family.rank)
     check_enum_budget(family, cube + p, budget)
-    states = list(enumerate_words(family, cube))
-    index = {w: i for i, w in enumerate(states)}
-    in_edges = [[] for _ in states]
+    index = {w.labels: i for i, w in enumerate(enumerate_words(family, cube))}
+    ends = _window_reader(cube + p, cube, p, 1)
+    split = cube.volume
+    in_edges = [[] for _ in index]
     for x in enumerate_words(family, cube + p):
-        row = index[restrict_prefix(x, cube)]
-        col = index[restrict_tail(x, p)]
-        in_edges[col].append(row)
-    weight_logs = [potential.value(s) for s in states]
-    return in_edges, weight_logs
+        both = ends(x.labels)
+        in_edges[index[both[split:]]].append(index[both[:split]])
+    at_origin = _window_reader(cube, potential.window, p, 0)
+    weigh, default = _labels_table(potential).get, potential.default
+    return in_edges, [weigh(at_origin(s), default) for s in index]
 
 
 def _chain_log_sums(in_edges, weight_logs, n):
@@ -273,16 +280,8 @@ def pressure_estimate(family, potential, k, p, n_max, method="transfer",
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
     _check_stage(family, potential, k, p)
-    if method == "transfer":
-        in_edges, weight_logs = _transfer_parts(family, potential, k, p, budget)
-        logs = _chain_log_sums(in_edges, weight_logs, n_max)[1:]
-    elif method == "enumerate":
-        table = _labels_table(potential)
-        logs = [_enumerated_log(family, potential, table, k, p, n, budget)
-                for n in range(1, n_max + 1)]
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return Series.of_logs(logs)
+    return Series.of_logs(_stage_logs(family, potential, k, p,
+                                      range(1, n_max + 1), method, budget))
 
 
 def pressure_oracle_vertex(family, values, p, budget=None):
@@ -301,7 +300,7 @@ def pressure_oracle_vertex(family, values, p, budget=None):
     dim = len(family.alphabet)
     g = [0.0] * dim
     for key, val in values.items():
-        g[letter_index(family, key)] = float(val)
+        g[letter_index(family, key)] = _finite(val)
     top = max(g)
     shift = top if abs(top) > 700 else 0.0
     # e^709: a margin of 2 below the largest float, for rounding

@@ -223,6 +223,19 @@ def test_non_finite_potential_is_parse_error(g1_path, tmp_path):
     assert json.loads(proc.stdout)["error"] == "ParseError"
 
 
+@pytest.mark.parametrize("entries", [
+    [{"word": {"shape": [3], "labels": [1]}, "value": 0.5}],
+    [{"word": [1], "value": 0.5}, {"word": {"labels": [1]}, "value": -2.0}],
+], ids=["off-window", "repeated"])
+def test_malformed_potential_words_are_parse_errors(capsys, g1_path, tmp_path,
+                                                    entries):
+    path = tmp_path / "pot.json"
+    path.write_text(json.dumps({"window": [0], "entries": entries}))
+    assert main(["pressure", "-f", g1_path, "--p", "1", "--n-max", "2",
+                 "--potential", str(path)]) == 1
+    assert json.loads(capsys.readouterr().out)["error"] == "ParseError"
+
+
 @pytest.mark.parametrize("entry", [0, 2])
 def test_potential_on_invalid_family_is_invalid_family(capsys, tmp_path,
                                                         entry):

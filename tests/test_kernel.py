@@ -83,6 +83,7 @@ from rankshift.matrices import (
 )
 from rankshift.pressure import (
     Potential,
+    _transfer_parts,
     birkhoff_sum_on_cylinder,
     partition_function_log,
     pressure_estimate,
@@ -929,6 +930,34 @@ def test_enumerate_partition_sum_matches_transfer(data):
     assert abs(enum - transfer) <= 1e-12
 
 
+@PROPERTY
+@given(st.data())
+def test_transfer_parts_are_the_restriction_chain(data):
+    # the reference builds the chain from Words: a word of shape cube + p
+    # joins its prefix cube to its tail cube, and a state weighs
+    # Potential.value.  Swapping prefix and tail reverses every edge and
+    # keeps every partition sum, so only this comparison tells them apart.
+    family = data.draw(st.one_of(
+        valid_families().filter(lambda f: f.rank <= 3), rank3_families()))
+    k = data.draw(st.integers(1, 2))
+    step = Shape(data.draw(st.tuples(*[st.integers(0, k)] * family.rank)
+                           .filter(any)))
+    cube = Shape.cube(k, family.rank)
+    assume(word_count(family, cube + step) <= 400)
+    potential = _random_potential(data, family, k)
+    states = list(enumerate_words(family, cube))
+    index = {w: i for i, w in enumerate(states)}
+    in_edges = [[] for _ in states]
+    for x in enumerate_words(family, cube + step):
+        in_edges[index[restrict_tail(x, step)]].append(
+            index[restrict_prefix(x, cube)])
+    weights = [potential.value(s) for s in states]
+    # the word count bounds the work, not the raw index space
+    budget = Budget(max_enum_bits=math.inf)
+    assert _transfer_parts(family, potential, k, step, budget) \
+        == (in_edges, weights)
+
+
 def test_table_entries_off_the_window_are_ignored(g3):
     # a key of shape (0, 1) has as many labels as the window (1, 0) but
     # never matches it, in either summation route
@@ -937,8 +966,10 @@ def test_table_entries_off_the_window_are_ignored(g3):
     step = Shape.of(1, 1)
     for word in enumerate_words(g3, Shape.of(2, 2)):
         assert birkhoff_sum_on_cylinder(g3, potential, word, step, 1) == 0.5
-    assert partition_function_log(g3, potential, 1, step, 1, "enumerate") \
-        == approx(0.5 + math.log(word_count(g3, Shape.of(2, 2))), abs=1e-12)
+    for method in ("enumerate", "transfer"):
+        assert partition_function_log(g3, potential, 1, step, 1, method) \
+            == approx(0.5 + math.log(word_count(g3, Shape.of(2, 2))),
+                      abs=1e-12)
 
 
 # -- Coded errors around the kernel ------------------------------------------------

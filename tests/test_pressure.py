@@ -13,7 +13,9 @@ Core claims:
     - tensor lifts add pressures
     - the one-pass transfer series is bit-identical to stage-by-stage
       partition sums
-    - potential files with non-finite or non-numeric values are rejected
+    - potential files with non-finite or non-numeric values are rejected,
+      and so are such values given to the library potentials, a word of
+      another shape than the window and a word given twice
     - a transfer chain with no admissible continuation is a coded error,
       and so is a live chain whose weights underflow, under its own code
     - with the zero potential the vertex oracle is entropy_exact: exactly
@@ -27,6 +29,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 from pytest import approx
 
+from rankshift import pressure
 from rankshift.errors import (
     DomainError,
     ScaleTooFineError,
@@ -319,6 +322,17 @@ def test_transfer_series_bit_identical_to_stages(g1, g3):
         assert est.diffs == tuple(logs[n] - logs[n - 1] for n in range(1, n_max))
 
 
+def test_unknown_method_is_refused_before_enumerating(g1, monkeypatch):
+    def no_enumeration(*args):
+        raise AssertionError("enumerated before the method was checked")
+    monkeypatch.setattr(pressure, "enumerate_words", no_enumeration)
+    pot = vertex_potential(g1, G1_VALUES)
+    with pytest.raises(ValueError, match="unknown method"):
+        pressure_estimate(g1, pot, 1, Shape.of(1), 3, method="magic")
+    with pytest.raises(ValueError, match="unknown method"):
+        partition_function_log(g1, pot, 1, Shape.of(1), 1, method="magic")
+
+
 def test_transfer_chain_dead_end_raises(g1):
     # letter 0 weighs exp(-1e6) = 0.0 against letter 1, and 1 -> 1 is forbidden
     pot = vertex_potential(g1, {"0": -1e6})
@@ -368,6 +382,31 @@ def test_potential_from_dict_rejects_non_numbers(g1, bad):
         potential_from_dict(g1, dict(data, default=bad))
     with pytest.raises(ValueError):
         potential_from_dict(g1, dict(data, entries=[{"word": [1], "value": bad}]))
+
+
+@pytest.mark.parametrize("bad", [True, "0.5", None, 10 ** 400, math.nan,
+                                 math.inf],
+                         ids=["true", "str", "none", "huge-int", "nan", "inf"])
+def test_library_potentials_refuse_what_the_loader_refuses(g1, bad):
+    with pytest.raises(ValueError):
+        vertex_potential(g1, {0: bad})
+    with pytest.raises(ValueError):
+        vertex_potential(g1, {}, default=bad)
+    with pytest.raises(ValueError):
+        pressure_oracle_vertex(g1, {0: bad}, Shape.of(1))
+
+
+def test_potential_from_dict_refuses_off_window_and_repeated_words(g1):
+    data = {"window": [0], "default": 0.0,
+            "entries": [{"word": {"shape": [0], "labels": [1]}, "value": 0.5}]}
+    assert potential_from_dict(g1, data) == vertex_potential(g1, {1: 0.5})
+    # one label, as the window (0) has, but declared of shape (3)
+    off = {"word": {"shape": [3], "labels": [1]}, "value": 0.5}
+    with pytest.raises(ValueError, match="not the window"):
+        potential_from_dict(g1, dict(data, entries=[off]))
+    again = {"word": [1], "value": -2.0}
+    with pytest.raises(ValueError, match="given twice"):
+        potential_from_dict(g1, dict(data, entries=data["entries"] + [again]))
 
 
 def test_pressure_json_and_guards(g1):
