@@ -16,7 +16,11 @@ Both sweeps hold candidates as row bitmasks (the random sweep samples
 straight into them) and test each pair with one kernel,
 matrices.commutes (C1/C2).  Only a candidate that passes every pair
 becomes a MatrixFamily, and validate_family, which catches C3, runs on
-it.
+it.  The exhaustive sweep keeps the pair results as one partner bitmask
+per matrix, each unordered pair tested once.
+
+Fingerprints take the interpreter's own SHA-256, as the stdlib's random
+takes its SHA-512: hashlib would load OpenSSL, about 3.7 MB resident.
 
 The survivors of a sweep share few distinct factors and products, so
 each sweep keeps one functools.cache of log_spectral_radius for the
@@ -27,6 +31,7 @@ import functools
 import itertools
 import random
 from math import fsum
+from operator import and_
 from typing import NamedTuple
 
 from .budget import DEFAULT as DEFAULT_BUDGET
@@ -46,11 +51,18 @@ from .matrices import (
 )
 from .shapes import Shape
 
+try:  # the built-in SHA-256 module: 3.12 on
+    from _sha2 import sha256 as _sha256
+except ImportError:
+    try:  # 3.10 and 3.11
+        from _sha256 import sha256 as _sha256
+    except ImportError:  # an interpreter built without it
+        from hashlib import sha256 as _sha256
+
 
 def family_fingerprint(family):
-    import hashlib  # loads OpenSSL, about 3.7 MB resident: only sweeps need it
     payload = canonical_family_json(family).encode("ascii")
-    return hashlib.sha256(payload).hexdigest()
+    return _sha256(payload).hexdigest()
 
 
 def canonical_form(family):
@@ -129,10 +141,14 @@ def exhaustive_search(alphabet_size, rank=2, canonicalize=False, budget=None):
 
     A zero row never validates, so only nonzero-row matrices are tried.
     A tuple grows by a matrix only when that matrix passes the pair test
-    (matrices.commutes) with every earlier member, each ordered pair
-    tested once; validate_family checks the grown tuples, which catches
-    C3.  The enumeration budget guards each growth step: tuples times
-    matrices.
+    (matrices.commutes) with every member, in ascending matrix order.
+    The test is symmetric, so the pair table holds one partner bitmask
+    per matrix, each unordered pair tested once, and a tuple's growths
+    are the set bits of its members' partners ANDed together.
+    validate_family checks the grown tuples, which catches C3.  The
+    enumeration budget guards each growth step: tuples times matrices.
+    The pair table is built once the first growth step passes, so a
+    refused or rank-1 sweep tests no pair.
     """
     budget = budget or DEFAULT_BUDGET
     count = (2 ** alphabet_size - 1) ** alphabet_size  # nonzero-row matrices
@@ -147,17 +163,13 @@ def exhaustive_search(alphabet_size, rank=2, canonicalize=False, budget=None):
     # the nonzero rows: all but the first, zero row of the product
     rows = list(itertools.product((0, 1), repeat=alphabet_size))[1:]
     matrices = list(itertools.product(rows, repeat=alphabet_size))
-    masks = [bit_rows(m) for m in matrices]
-
-    @functools.cache
-    def commute(i, j):
-        return commutes(masks[i], masks[j])
-
     tuples = [(j,) for j in range(count)]
-    for _ in range(rank - 1):
+    for step in range(rank - 1):
         check(len(tuples) * count)
-        tuples = [t + (j,) for t in tuples for j in range(count)
-                  if all(commute(i, j) for i in t)]
+        if not step:  # the pair table, once the first growth passes
+            partners = _partner_masks([bit_rows(m) for m in matrices])
+        tuples = [t + (j,) for t in tuples for j in _set_bits(
+            functools.reduce(and_, map(partners.__getitem__, t)))]
     alphabet = Alphabet(range(alphabet_size))
     families = (MatrixFamily(rank, alphabet, [matrices[j] for j in t])
                 for t in tuples)
@@ -168,6 +180,27 @@ def exhaustive_search(alphabet_size, rank=2, canonicalize=False, budget=None):
     log_radius = functools.cache(log_spectral_radius)
     return [_record(f, {"source": "exhaustive"}, budget, log_radius)
             for f in survivors]
+
+
+def _partner_masks(masks):
+    """Bit j of partners[i] is set when masks i and j pass the pair test,
+    which is symmetric: each unordered pair i <= j is tested once."""
+    partners = [0] * len(masks)
+    for i, si in enumerate(masks):
+        bit = 1 << i
+        for j in range(i, len(masks)):
+            if commutes(si, masks[j]):
+                partners[i] |= 1 << j
+                partners[j] |= bit
+    return partners
+
+
+def _set_bits(mask):
+    """The indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def random_search(alphabet_size, density, trials, seed, rank=2, budget=None):

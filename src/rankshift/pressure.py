@@ -98,7 +98,8 @@ def _finite(x):
 
 def potential_from_dict(family, data):
     """Each word is a label list or a labels dict whose shape, if given, is
-    the window; a word given twice is refused."""
+    the window; a word given twice, or with a label count other than the
+    window's volume, is refused."""
     window = Shape(tuple(data["window"]))
     table = {}
     for entry in data["entries"]:
@@ -107,7 +108,11 @@ def potential_from_dict(family, data):
             spec = {"labels": spec}
         if Shape(tuple(spec.get("shape", window))) != window:
             raise ValueError(f"word shape {spec['shape']} is not the window")
-        word = make_word(family, window, tuple(spec["labels"]))
+        labels = tuple(spec["labels"])
+        if len(labels) != window.volume:
+            raise ValueError(f"word {list(labels)} does not fill the window:"
+                             f" {len(labels)} labels for {window.volume}")
+        word = make_word(family, window, labels)
         if word in table:
             raise ValueError(f"potential word {list(word.labels)} given twice")
         table[word] = _finite(entry["value"])

@@ -226,14 +226,18 @@ def test_non_finite_potential_is_parse_error(g1_path, tmp_path):
 @pytest.mark.parametrize("entries", [
     [{"word": {"shape": [3], "labels": [1]}, "value": 0.5}],
     [{"word": [1], "value": 0.5}, {"word": {"labels": [1]}, "value": -2.0}],
-], ids=["off-window", "repeated"])
+    [{"word": [0, 1], "value": 1}],
+    [{"word": [2], "value": 1}],
+], ids=["off-window", "repeated", "label-count", "label-range"])
 def test_malformed_potential_words_are_parse_errors(capsys, g1_path, tmp_path,
                                                     entries):
     path = tmp_path / "pot.json"
     path.write_text(json.dumps({"window": [0], "entries": entries}))
     assert main(["pressure", "-f", g1_path, "--p", "1", "--n-max", "2",
                  "--potential", str(path)]) == 1
-    assert json.loads(capsys.readouterr().out)["error"] == "ParseError"
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"] == "ParseError"
+    assert payload["details"]["path"] == str(path)
 
 
 @pytest.mark.parametrize("entry", [0, 2])
@@ -653,9 +657,15 @@ def test_search_gap_csv_builds_no_json_records(capsys, monkeypatch):
 # neither may change a byte.  The random sweep's 300 candidates all fail.
 # The two sweeps with survivors were taken before the random sweep drew
 # row bitmasks and built a family only for a candidate that passes C1/C2.
+# The size-3 and canonicalized sweeps were taken before fingerprints left
+# hashlib and the exhaustive sweep tested each unordered pair once.
 SEARCH_GAP_DIGESTS = {
     "--exhaustive --size 2":
         "ec27944ee68f67c812eb059a1d69e79159aaa1b444161a53d017c17d89fae6d8",
+    "--exhaustive --size 3":
+        "2482f4c629e58d42f817228329c6f0fcca43a2473f22f052023644e8cd6fff2e",
+    "--exhaustive --size 2 --rank 3 --canonicalize":
+        "664e4c3507ee097031d30dc22d872a0e2f3de143f779bf1f405a8a093ce6367d",
     "--exhaustive --size 2 --rank 3":
         "7dece1b864923f0fa7557c5056b5c3911e62f44ed78c3ef263cbeb506a324bae",
     "--size 4 --density 0.5 --trials 300 --seed 11":

@@ -7,6 +7,8 @@ Core claims:
       in the same order, as a prefilter-free brute force written here
       from scratch, at ranks 2, 3 and 4; it validates only the tuples the
       pair walk grows, and refuses an oversized sweep before building it
+    - the sweep tests each unordered pair of matrices once, into one
+      partner bitmask per matrix, and a refused or rank-1 sweep tests none
     - the gap stays finite once a radius leaves float range, and below
       exp's range it is taken from the logs of the float radii
     - every recorded gap over the small alphabets is zero to rounding,
@@ -15,12 +17,17 @@ Core claims:
     - a fixed seed fixes the random record stream byte for byte, and the
       mask-native sampler gives the records of the tuple sampler it
       replaced; a candidate that fails the pair test is never built
-    - the boolean pair test agrees with validation's witness search
+    - the boolean pair test agrees with validation's witness search, and
+      is symmetric
     - records survive the CSV round trip
     - gap_parts runs the digit guard before it forms any power, and forms
-      each factor power once; only the fingerprint loads hashlib
+      each factor power once
+    - fingerprints take the built-in SHA-256, with hashlib's digests: a
+      gap sweep loads neither hashlib nor OpenSSL
 """
 
+import hashlib
+import importlib.util
 import itertools
 import math
 import random
@@ -49,8 +56,9 @@ from rankshift.gapsearch import (
     summarize,
 )
 from rankshift.matrices import (
-    Alphabet, MatrixFamily, bit_rows, commutation_witness, commutes,
-    float_radius, log_spectral_radius, matrix_power_product, validate_family)
+    Alphabet, MatrixFamily, bit_rows, canonical_family_json,
+    commutation_witness, commutes, float_radius, log_spectral_radius,
+    matrix_power_product, validate_family)
 from rankshift.shapes import Shape
 
 
@@ -108,14 +116,50 @@ def test_gap_parts_guards_before_forming_each_power_once(monkeypatch, g3):
         log_spectral_radius(matrix_power_product(g3, p)))
 
 
-def test_only_the_fingerprint_loads_hashlib(g3):
-    # hashlib loads OpenSSL, about 3.7 MB resident: importing the package
-    # (and so every command but search-gap) goes without it
-    code = "import sys, rankshift.cli; print('hashlib' in sys.modules)"
+@pytest.mark.skipif(
+    not any(map(importlib.util.find_spec, ("_sha2", "_sha256"))),
+    reason="no built-in SHA-256 module: fingerprints fall back to hashlib")
+def test_gap_sweep_loads_no_hashlib():
+    # hashlib loads OpenSSL (_hashlib), about 3.7 MB resident; a sweep and
+    # its fingerprints go without either
+    code = ("import io, sys, contextlib; from rankshift.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+            "    code = main(['search-gap', '--exhaustive', '--size', '2'])\n"
+            "assert code == 0 and out.getvalue()\n"
+            "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True)
-    assert proc.stdout == "False\n", proc.stderr
-    assert len(family_fingerprint(g3)) == 64
+    assert proc.stdout == "[]\n", proc.stderr
+
+
+def _hashlib_fingerprint(family):
+    payload = canonical_family_json(family).encode("ascii")
+    return hashlib.sha256(payload).hexdigest()
+
+
+@st.composite
+def _families(draw):
+    size = draw(st.integers(1, 4))
+    rank = draw(st.integers(1, 3))
+    letters = draw(st.lists(st.text(min_size=1, max_size=3), min_size=size,
+                            max_size=size, unique=True))
+    entry = st.integers(0, 1)
+    row = st.lists(entry, min_size=size, max_size=size)
+    matrix = st.lists(row, min_size=size, max_size=size)
+    mats = draw(st.lists(matrix, min_size=rank, max_size=rank))
+    return MatrixFamily(rank, Alphabet(letters), mats)
+
+
+@given(_families())
+def test_fingerprint_is_hashlibs_sha256(family):
+    assert family_fingerprint(family) == _hashlib_fingerprint(family)
+
+
+def test_size_two_rank_three_fingerprints_are_hashlibs():
+    records = exhaustive_search(2, rank=3)
+    assert len(records) == 46
+    for rec in records:
+        assert rec.fingerprint == _hashlib_fingerprint(rec.family)
 
 
 def test_norm_stall_pair_has_no_gap():
@@ -169,12 +213,15 @@ def test_exhaustive_matches_brute_force(rank, survivors):
 
 
 def test_exhaustive_validates_only_grown_tuples(monkeypatch):
-    # the pair walk leaves 22 of the 81 nonzero-row pairs to validate
+    # the pair walk leaves 22 of the 81 nonzero-row pairs to validate; at
+    # rank 3 a third matrix must pass with both members, leaving 46 of 729
     calls = []
     real = matrices.validate_family
     monkeypatch.setattr(matrices, "validate_family",
                         lambda family: calls.append(family) or real(family))
     assert len(exhaustive_search(2)) == len(calls) == 22
+    calls.clear()
+    assert len(exhaustive_search(2, rank=3)) == len(calls) == 46
 
 
 def test_exhaustive_three_letters_rank_three():
@@ -192,6 +239,33 @@ def test_exhaustive_refuses_before_building_matrices(monkeypatch):
     with pytest.raises(BudgetExceededError) as info:
         exhaustive_search(5)
     assert info.value.details["candidates"] == 31 ** 5
+    assert calls == []
+
+
+def _count_pair_tests(monkeypatch):
+    """Count the commutes calls that exhaustive_search makes."""
+    calls = []
+    real = gapsearch.commutes
+    monkeypatch.setattr(gapsearch, "commutes",
+                        lambda si, sj: calls.append(None) or real(si, sj))
+    return calls
+
+
+def test_exhaustive_tests_each_unordered_pair_once(monkeypatch):
+    # 343 three-letter matrices: 343 * 344 / 2 pairs i <= j, not 343 ** 2
+    calls = _count_pair_tests(monkeypatch)
+    assert len(exhaustive_search(3)) == 1137
+    assert len(calls) == 343 * 344 // 2 == 58996
+
+
+def test_refused_and_rank_one_sweeps_test_no_pair(monkeypatch):
+    # 15 ** 4 four-letter matrices pass the first guard; their pairs do not
+    calls = _count_pair_tests(monkeypatch)
+    with pytest.raises(BudgetExceededError) as info:
+        exhaustive_search(4)
+    assert info.value.details["candidates"] == 50625 ** 2
+    with pytest.raises(RankOneError):
+        exhaustive_search(2, rank=1)
     assert calls == []
 
 
@@ -336,7 +410,7 @@ def test_pair_test_agrees_with_the_witness_search():
     rows = list(itertools.product((0, 1), repeat=3))[1:]
     masks = [bit_rows(m) for m in itertools.product(rows, repeat=3)]
     agree = [commutes(si, sj) == (commutation_witness(si, sj) is None)
-             for si in masks for sj in masks]
+             == commutes(sj, si) for si in masks for sj in masks]
     assert len(agree) == 343 ** 2 and all(agree)
     assert 0 < sum(map(commutes, masks, masks[1:] + masks[:1])) < 343
 

@@ -407,6 +407,12 @@ def test_potential_from_dict_refuses_off_window_and_repeated_words(g1):
     again = {"word": [1], "value": -2.0}
     with pytest.raises(ValueError, match="given twice"):
         potential_from_dict(g1, dict(data, entries=data["entries"] + [again]))
+    # a ValueError, which the CLI reports as a ParseError naming the file,
+    # not make_word's ShapeMismatchError
+    for labels in ([0, 1], []):
+        miscounted = {"word": labels, "value": 1}
+        with pytest.raises(ValueError, match="does not fill the window"):
+            potential_from_dict(g1, dict(data, entries=[miscounted]))
 
 
 def test_pressure_json_and_guards(g1):
