@@ -91,9 +91,7 @@ def gap_parts(family, p=None, budget=None, log_radius=None):
     distinct matrix is taken once.
     """
     require_valid(family)
-    if family.rank < 2:
-        raise RankOneError("the gap needs at least two directions",
-                           rank=family.rank)
+    _require_two_directions(family.rank)
     if p is None:
         p = Shape.cube(1, family.rank)
     if p.is_zero:
@@ -104,6 +102,11 @@ def gap_parts(family, p=None, budget=None, log_radius=None):
     radii = list(map(float_radius, exact))
     logs = list(map(radius_log, exact))
     return tuple(radii[:-1]), radii[-1], fsum(logs[:-1]) - logs[-1]
+
+
+def _require_two_directions(rank):
+    if rank < 2:
+        raise RankOneError("the gap needs at least two directions", rank=rank)
 
 
 def gap(family, p=None, budget=None):
@@ -147,9 +150,11 @@ def exhaustive_search(alphabet_size, rank=2, canonicalize=False, budget=None):
     are the set bits of its members' partners ANDed together.
     validate_family checks the grown tuples, which catches C3.  The
     enumeration budget guards each growth step: tuples times matrices.
-    The pair table is built once the first growth step passes, so a
-    refused or rank-1 sweep tests no pair.
+    A rank-1 sweep is refused before any of this, and the pair table is
+    built once the first growth step passes, so a refused sweep tests no
+    pair.
     """
+    _require_two_directions(rank)
     budget = budget or DEFAULT_BUDGET
     count = (2 ** alphabet_size - 1) ** alphabet_size  # nonzero-row matrices
 
@@ -212,8 +217,10 @@ def random_search(alphabet_size, density, trials, seed, rank=2, budget=None):
     tuple sampler this replaced: one rng.random() per entry in row-major
     order, then one rng.randrange(size) per zero row.  After that repair
     only C1/C2 can fail, so a family is built and validated only once
-    every pair passes matrices.commutes.
+    every pair passes matrices.commutes.  A rank-1 sweep is refused
+    before the first sample.
     """
+    _require_two_directions(rank)
     if not 0 < density < 1:
         raise ValueError("density must be strictly between 0 and 1")
     alphabet = Alphabet(range(alphabet_size))

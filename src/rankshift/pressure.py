@@ -5,17 +5,19 @@ and the partition function at stage n sums exp of the Birkhoff sum over the
 n+1 window sites visited by steps of p inside a word of shape k*e + n*p.
 
 Two evaluation routes are kept deliberately separate.  The enumerate route
-sums over every word of the stage shape.  The transfer route runs a weighted
-chain over cube-k words: a word of shape k*e + n*p is the same thing as a
-compatible chain of its n+1 shifted cube restrictions, consecutive ones
-being joined by a unique word of shape p + k*e, so the stage sum is a
-matrix power of the 0-1 transition structure with a diagonal weight.  The
-routes agree exactly and the transfer route stays cheap at large n: one run
-of the chain yields the log sums of every stage 0..n, so a whole pressure
-series costs n_max chain steps, linear in n_max.  Both routes read labels
-through one window kernel (_window_reader, one itemgetter per shape): a
-stage word's window sites, a chain state's site at 0 and the cube sites at
-0 and at p of a chain edge, a word of shape cube + p.
+sums over every word of the stage shape; the stages of a step along axis 0
+are prefix boxes of the last one and share its backtracking.  The transfer
+route runs a weighted chain over cube-k words: a word of shape k*e + n*p is
+the same thing as a compatible chain of its n+1 shifted cube restrictions,
+consecutive ones being joined by a unique word of shape p + k*e, so the
+stage sum is a matrix power of the 0-1 transition structure with a diagonal
+weight.  The routes agree exactly and the transfer route stays cheap at
+large n: one run of the chain yields the log sums of every stage 0..n, so a
+whole pressure series costs n_max chain steps, linear in n_max.  Both
+routes read labels through one window kernel (_window_reader, one
+itemgetter per shape): a stage word's window sites, a chain state's site
+at 0 and the cube sites at 0 and at p of a chain edge, a word of shape
+cube + p.
 """
 
 from itertools import repeat
@@ -26,6 +28,7 @@ from typing import NamedTuple
 
 from .dynamics import Series, check_scale
 from .errors import (
+    BudgetExceededError,
     NonFiniteResultError,
     RadiusUnderflowError,
     ShapeMismatchError,
@@ -44,10 +47,13 @@ from .matrices import (
 from .shapes import Shape
 from .words import (
     Word,
+    _dfs_prefixes,
     check_enum_budget,
+    dfs_plan,
     enumerate_words,
     letter_index,
     make_word,
+    prefix_groups,
     restrict_prefix,
     word_to_dict,
 )
@@ -166,11 +172,12 @@ def _labels_table(potential):
             if w.shape == potential.window}
 
 
-def _birkhoff_sum(labels, read, volume, table, default):
+def _birkhoff_sum(labels, read, volume, table, default, size=None):
     """The potential summed over the window sites of one word, read by
-    _window_reader and grouped into window keys of ``volume`` labels.  Where
-    a partial sum leaves float range the exact sum decides: below it, the
-    word weighs exp(-inf) = 0; above it, NonFiniteResult, as the transfer
+    _window_reader and grouped into window keys of ``volume`` labels; the
+    word is the first ``size`` labels (all by default).  Where a partial
+    sum leaves float range the exact sum decides: below it, the word
+    weighs exp(-inf) = 0; above it, NonFiniteResult, as the transfer
     route's infinite log sum is when emitted."""
     values = list(map(table.get, zip(*[iter(read(labels))] * volume),
                       repeat(default)))
@@ -186,7 +193,7 @@ def _birkhoff_sum(labels, read, volume, table, default):
             return -inf
         raise NonFiniteResultError(
             "the Birkhoff sum leaves float range",
-            labels=list(labels)) from None
+            labels=list(labels[:size])) from None
 
 
 def _check_stage(family, potential, k, step):
@@ -211,23 +218,60 @@ def partition_function_log(family, potential, k, p, n, method="transfer",
 
 def _stage_logs(family, potential, k, p, stages, method, budget):
     """log partition sums of consecutive stages by the route ``method``
-    names: one chain run to the last stage, or each stage enumerated."""
+    names: one chain run to the last stage, or the stages enumerated."""
     if method == "transfer":
         parts = _transfer_parts(family, potential, k, p, budget)
         return _chain_log_sums(*parts, stages[-1])[stages[0]:]
     if method != "enumerate":
         raise ValueError(f"unknown method {method!r}")
+    return _enumerated_logs(family, potential, k, p, stages, budget)
+
+
+def _enumerated_logs(family, potential, k, p, stages, budget):
+    """log partition sums of the stages, each summed over every word of
+    its shape.  Stages whose shapes are prefix boxes of a later one's (p
+    along axis 0 only, as at rank 1) share its backtracking, one per
+    prefix_groups group: _dfs_prefixes cuts at each stage's last point,
+    where the stage's window kernel reads its sites, so each stage's sums
+    arrive in lexicographic word order, as one enumeration of the stage
+    gives them.  A group keeps all of its stages' sums until its
+    backtracking ends.  Failures come in stage order, as when each stage
+    was guarded and then enumerated in turn: the first stage's
+    NonFiniteResult (at its first such word) before a later stage's
+    refusal."""
+    cube = Shape.cube(k, family.rank)
+    shapes, refusal = [], None
+    for n in stages:
+        shape = cube + p.scaled(n)
+        try:
+            check_enum_budget(family, shape, budget)
+        except BudgetExceededError as error:
+            refusal = error
+            break
+        shapes.append(shape)
     table, default = _labels_table(potential), potential.default
     window, volume = potential.window, potential.window.volume
-    logs = []
-    for n in stages:
-        shape = Shape.cube(k, family.rank) + p.scaled(n)
-        check_enum_budget(family, shape, budget)
-        read = _window_reader(shape, window, p, n)
-        logs.append(log_sum_exp(
-            _birkhoff_sum(w.labels, read, volume, table, default)
-            for w in enumerate_words(family, shape)))
-    return logs
+    sums, failures = [[] for _ in shapes], [None] * len(shapes)
+    for group in prefix_groups(shapes):
+        top = group[-1]
+        cuts = [None] * top.volume  # at a stage's last point: (stage, reader)
+        for shape in group:
+            i = shapes.index(shape)
+            cuts[shape.volume - 1] = i, _window_reader(shape, window, p, stages[i])
+        labels = [0] * top.volume
+        for t in _dfs_prefixes(family, top, dfs_plan(family, top), cuts, labels):
+            i, read = cuts[t]
+            try:
+                sums[i].append(_birkhoff_sum(labels, read, volume, table,
+                                             default, t + 1))
+            except NonFiniteResultError as error:
+                failures[i] = failures[i] or error
+    for error in failures:
+        if error:
+            raise error
+    if refusal:
+        raise refusal
+    return list(map(log_sum_exp, sums))
 
 
 def _transfer_parts(family, potential, k, p, budget):

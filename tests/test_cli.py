@@ -119,6 +119,15 @@ def test_search_gap_needs_no_family():
     assert bare[1:] == ignored[1:]
 
 
+@pytest.mark.parametrize("options", [
+    "--exhaustive --size 4", "--exhaustive --size 5", "--trials 0"])
+def test_rank_one_gap_sweeps_are_refused(capsys, options):
+    # refused before the sweep: not after 50 625 families (size 4), not
+    # over budget (size 5), not an empty summary (no trials)
+    assert main(["search-gap", *options.split(), "--rank", "1"]) == 1
+    assert json.loads(capsys.readouterr().out)["error"] == "RankOne"
+
+
 def test_other_commands_still_need_a_family():
     proc = run_cli("validate", expect=2)
     assert "-f/--family" in proc.stderr
@@ -728,9 +737,10 @@ def test_pressure_oracle_bytes_are_pinned(capsys, monkeypatch, tmp_path,
 
 # Digests of count-check outputs and of the enumerate pressure route, taken
 # before count-check counted the last box point's candidates instead of
-# building each Word and the Birkhoff sums read one flat site map: neither
-# may change a byte.  The g3 potential has a 2x2 window whose table tells
-# each word from its transpose.
+# building each Word and the Birkhoff sums read one flat site map, and
+# (0,12, 3,1,1, the refusal at 6,6 and the last two pressure runs) before
+# prefix boxes shared one backtracking: none may change a byte.  The g3
+# potential has a 2x2 window whose table tells each word from its transpose.
 COUNT_DIGESTS = {
     "-f families/g1.json --max-shape 12":
         "dbba6495064003f421b435dd59e29525e973394d8f6cc1b4267a531f4079cec7",
@@ -744,7 +754,15 @@ COUNT_DIGESTS = {
         "314229457c500cfc37f6c58e1814307974f70fed0557a5ee0fe32fd330918b57",
     "-f families/t3.json --max-shape 1,1,1 --format csv":
         "9e623e13f55bfa15ed28d71e7d0b71afcd2aab319806179fc74b33b9fd5d35ca",
+    "-f families/g3.json --max-shape 0,12":
+        "7a88147888a2489108e7281c1819fc9473a828cb5f79948729001118e1c998ec",
+    "-f families/t3.json --max-shape 3,1,1":
+        "3fd971585f40353898044ded7b6345f79ac72209f1df20de17d7a878a95a1645",
+    # BudgetExceeded, estimated_nodes 3570: every shape is guarded first
+    "-f families/g3.json --max-shape 6,6 --max-enum-nodes 3000":
+        "5f656bf0d9a9c28828e7979f24559812f3948b09adb1845737a08a38ffd4c272",
 }
+COUNT_EXITS = {"-f families/g3.json --max-shape 6,6 --max-enum-nodes 3000": 1}
 ENUMERATE_DIGESTS = {
     "-f families/g1.json --p 1 --n-max 8 --potential pot.json":
         "b520dca572cfa14a278624e930b5194ba828707eb9affccbdb5a474343bec839",
@@ -756,6 +774,10 @@ ENUMERATE_DIGESTS = {
         "9f51965ea5a9c1559ff4c65d44fb3fb3b1e05da6aab57345a16a37ee19580f9b",
     "-f families/g3.json --p 1,1 --n-max 3 --k 2 --potential pot3sq.json":
         "0abcd62e2bbb5e23ec782801c01cd035cc42ca8c480b0205b661c9ebad41fa9c",
+    "-f families/g3.json --p 1,0 --n-max 6":
+        "cc79768f983ccd0556199568288151307fdc588f4409e0c67c0dc3a2ecc6ea0e",
+    "-f families/g1.json --p 2 --k 2 --n-max 5 --potential pot.json":
+        "6c4478a9d1039d87527b58f320e450ba339ac8f8dd4620238ff836663fe8baae",
 }
 G3_SQUARE_POTENTIAL = {"window": [1, 1], "default": -0.5, "entries": [
     {"word": {"shape": [1, 1], "labels": labels}, "value": value}
@@ -764,10 +786,12 @@ G3_SQUARE_POTENTIAL = {"window": [1, 1], "default": -0.5, "entries": [
                           ([3, 2, 1, 0], 2.0))]}
 
 
-@pytest.mark.parametrize("options", sorted(COUNT_DIGESTS))
-def test_count_check_bytes_are_pinned(capsys, monkeypatch, options):
+@pytest.mark.parametrize("options, code", [
+    pytest.param(options, COUNT_EXITS.get(options, 0), id=options)
+    for options in sorted(COUNT_DIGESTS)])
+def test_count_check_bytes_are_pinned(capsys, monkeypatch, options, code):
     monkeypatch.chdir(REPO)
-    assert main(["count-check", *options.split()]) == 0
+    assert main(["count-check", *options.split()]) == code
     text = capsys.readouterr().out
     assert hashlib.sha256(text.encode()).hexdigest() == COUNT_DIGESTS[options]
 

@@ -9,6 +9,8 @@ Core claims:
       pair walk grows, and refuses an oversized sweep before building it
     - the sweep tests each unordered pair of matrices once, into one
       partner bitmask per matrix, and a refused or rank-1 sweep tests none
+    - a rank-1 sweep, exhaustive or random, is RankOne before it builds,
+      validates or samples any family, whatever its size or trials
     - the gap stays finite once a radius leaves float range, and below
       exp's range it is taken from the logs of the float radii
     - every recorded gap over the small alphabets is zero to rounding,
@@ -267,6 +269,25 @@ def test_refused_and_rank_one_sweeps_test_no_pair(monkeypatch):
     with pytest.raises(RankOneError):
         exhaustive_search(2, rank=1)
     assert calls == []
+
+
+def test_rank_one_sweeps_refuse_before_any_candidate(monkeypatch):
+    # a sweep for a gap of one direction is refused before its guard, its
+    # first sample and its first family: no family is built or validated
+    built, validated = [], []
+    real_family, real_validate = gapsearch.MatrixFamily, matrices.validate_family
+    monkeypatch.setattr(gapsearch, "MatrixFamily",
+                        lambda *a: built.append(a) or real_family(*a))
+    monkeypatch.setattr(matrices, "validate_family",
+                        lambda f: validated.append(f) or real_validate(f))
+    for sweep in (lambda: exhaustive_search(4, rank=1),
+                  lambda: exhaustive_search(5, rank=1),
+                  lambda: random_search(2, 0.5, 50, 1, rank=1),
+                  lambda: random_search(2, 0.5, 0, 1, rank=1)):
+        with pytest.raises(RankOneError) as info:
+            sweep()
+        assert info.value.details == {"rank": 1}
+    assert built == validated == []
 
 
 def test_exhaustive_single_letter():

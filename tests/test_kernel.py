@@ -16,6 +16,13 @@ random-search survivors at alphabet size 3:
       above 8 dim^2 unit steps origin_counts takes those row sums
     - a words run and each count-check shape compute M^l e once
     - enumeration yields word_count words, in lexicographic label order
+    - box(l) is a prefix box of box(m) exactly when its points are the
+      first l.volume flat indices of box(m); one backtracking over box(m)
+      tallies the word count of each prefix box, also where a dead corner
+      stops a partial labeling, and cuts its words in lexicographic
+      order; count-check and the enumerate stages run one backtracking
+      per group of prefix boxes, and the enumerate stages still fail in
+      stage order
     - split then compose is the identity on words, and compose then split
       gives back the factors, also on rank-3 and rank-4 families; compose
       fills each point outside both factor boxes exactly once, by one read
@@ -55,7 +62,7 @@ from hypothesis import (
     HealthCheck, assume, example, given, settings, strategies as st)
 from pytest import approx
 
-from rankshift import families, matrices, words
+from rankshift import families, matrices, pressure, words
 from rankshift.budget import Budget
 from rankshift.cli import main
 from rankshift.errors import (
@@ -556,31 +563,137 @@ DEAD_CORNER = MatrixFamily(2, Alphabet(("0", "1", "2")), (
     ((0, 1, 1), (0, 0, 1), (1, 0, 0)),) * 2)
 
 
+def _all_shapes(rank, top):
+    return [Shape(pt) for pt in Shape.cube(top, rank).box()]
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_prefix_box_is_a_leading_run_of_indices(rank):
+    # box(l) is a prefix box of box(m) exactly when its points are the
+    # first l.volume flat indices of box(m)
+    for m in _all_shapes(rank, 3):
+        for pt in m.box():
+            l = Shape(pt)
+            assert words.is_prefix_box(l, m) \
+                == (m.indices(l) == list(range(l.volume))), (l, m)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_prefix_groups_cover_each_shape_once(rank):
+    # each group is prefix boxes of its top, the top being the last shape
+    # no earlier group holds; the groups hold every shape once
+    for m in _all_shapes(rank, 3):
+        shapes = [Shape(pt) for pt in m.box()]
+        groups = words.prefix_groups(shapes)
+        assert sorted((l for g in groups for l in g), key=tuple) == shapes
+        left = shapes
+        for group in groups:
+            assert group == [l for l in left if words.is_prefix_box(l, left[-1])]
+            left = [l for l in left if l not in group]
+
+
+def _prefix_boxes(m):
+    return [Shape(pt) for pt in m.box() if words.is_prefix_box(Shape(pt), m)]
+
+
+def _dfs_families():
+    return st.one_of(
+        st.sampled_from(RANK1 + (DEAD_CORNER,)), valid_families(),
+        rank3_families(), rank4_families().filter(lambda f: f.is_valid))
+
+
 @PROPERTY
 @given(st.data())
 def test_dfs_count_is_the_enumerated_count(data):
-    family = data.draw(st.one_of(
-        st.sampled_from(RANK1), valid_families(), rank3_families(),
-        rank4_families().filter(lambda f: f.is_valid)))
+    # the tally at each prefix box's last point is its word count
+    family = data.draw(_dfs_families())
     top = data.draw(_shapes(family, 2 if family.rank < 3 else 1))
-    for pt in top.box():  # the zero shape, of volume 1, first
-        shape = Shape(pt)
-        assert words._dfs_count(family, shape, dfs_plan(family, shape)) \
+    placed = words._dfs_count(family, top, dfs_plan(family, top))
+    assert len(placed) == top.volume
+    for shape in _prefix_boxes(top):  # the zero shape, of volume 1, first
+        assert placed[shape.volume - 1] \
             == sum(1 for _ in enumerate_words(family, shape))
+    unbounded = Budget(max_enum_bits=math.inf, max_enum_nodes=math.inf)
+    assert words.count_oracle_check(family, top, unbounded).ok
 
 
 def test_dfs_count_at_a_dead_corner():
     assert DEAD_CORNER.is_valid
     succ = DEAD_CORNER.succ[0]
     assert succ[0] == 0b110 and not succ[1] & succ[2]
-    shape = Shape.of(1, 1)
-    assert [w.labels for w in enumerate_words(DEAD_CORNER, shape)] == [
+    square = Shape.of(1, 1)
+    assert [w.labels for w in enumerate_words(DEAD_CORNER, square)] == [
         (0, 1, 1, 2), (0, 2, 2, 0), (1, 2, 2, 0), (2, 0, 0, 1), (2, 0, 0, 2)]
-    assert words._dfs_count(DEAD_CORNER, shape,
-                            dfs_plan(DEAD_CORNER, shape)) == 5
-    for shape in (Shape.of(0, 0), Shape.of(0, 1), Shape.of(2, 1)):
-        assert words._dfs_count(DEAD_CORNER, shape, dfs_plan(
-            DEAD_CORNER, shape)) == word_count(DEAD_CORNER, shape)
+    for top in (Shape.of(2, 1), Shape.of(1, 2), Shape.of(2, 2), Shape.of(3, 0)):
+        placed = words._dfs_count(DEAD_CORNER, top, dfs_plan(DEAD_CORNER, top))
+        for shape in _prefix_boxes(top):
+            assert placed[shape.volume - 1] == word_count(DEAD_CORNER, shape)
+    # in box(2, 1) the backtracking tallies 6 labelings of the first three
+    # points, (0, 0), (0, 1) and (1, 0), of which 4 begin a word, and then
+    # the 5 words of its prefix box (1, 1)
+    top = Shape.of(2, 1)
+    placed = words._dfs_count(DEAD_CORNER, top, dfs_plan(DEAD_CORNER, top))
+    starts = {w.labels[:3] for w in enumerate_words(DEAD_CORNER, top)}
+    assert (placed[2], len(starts), placed[3]) == (6, 4, 5)
+
+
+@PROPERTY
+@given(st.data())
+def test_dfs_prefixes_cut_the_words_of_each_prefix_box(data):
+    family = data.draw(_dfs_families())
+    top = data.draw(_shapes(family, 2 if family.rank < 3 else 1))
+    boxes = _prefix_boxes(top)
+    cuts = [False] * top.volume
+    for shape in boxes:
+        cuts[shape.volume - 1] = True
+    labels, seen = [0] * top.volume, {shape.volume - 1: [] for shape in boxes}
+    for t in words._dfs_prefixes(family, top, dfs_plan(family, top), cuts,
+                                 labels):
+        seen[t].append(tuple(labels[:t + 1]))
+    for shape in boxes:
+        assert seen[shape.volume - 1] \
+            == [w.labels for w in enumerate_words(family, shape)]
+
+
+def _count_backtrackings(monkeypatch):
+    """Record the box of every _dfs_count and _dfs_prefixes call."""
+    tops = []
+
+    def wrap(module, name):
+        real = getattr(module, name)
+
+        def counted(family, m, *rest):
+            tops.append(m.coords)
+            return real(family, m, *rest)
+        monkeypatch.setattr(module, name, counted)
+    wrap(words, "_dfs_count")
+    wrap(pressure, "_dfs_prefixes")
+    return tops
+
+
+@pytest.mark.parametrize("argv, tops", [
+    (["count-check", "-f", "g3", "--max-shape", "4,4"],
+     [(4, 4), (4, 3), (4, 2), (4, 1), (4, 0)]),
+    (["count-check", "-f", "g3", "--max-shape", "0,12"], [(0, 12)]),
+    (["count-check", "-f", "g1", "--max-shape", "12"], [(12,)]),
+    (["count-check", "-f", "t3", "--max-shape", "1,1,1"],
+     [(1, 1, 1), (1, 1, 0), (1, 0, 1), (1, 0, 0)]),
+    (["pressure", "-f", "g1", "--p", "1", "--n-max", "8"], [(9,)]),
+    (["pressure", "-f", "g3", "--p", "1,0", "--n-max", "5"], [(6, 1)]),
+    (["pressure", "-f", "g3", "--p", "1,1", "--n-max", "4"],
+     [(5, 5), (4, 4), (3, 3), (2, 2)]),
+], ids=["g3-4,4", "g3-0,12", "g1-12", "t3-1,1,1", "enum-g1-p1",
+        "enum-g3-p1,0", "enum-g3-p1,1"])
+def test_one_backtracking_per_prefix_group(monkeypatch, capsys, argv, tops):
+    # count-check and the enumerate stages run one backtracking per group
+    # of prefix boxes: 5 for the 25 shapes of box(4, 4)
+    tops_seen = _count_backtrackings(monkeypatch)
+    command, _, name, *options = argv
+    if command == "pressure":
+        options += ["--method", "enumerate"]
+    assert main([command, "-f", str(FAMILIES / f"{name}.json"), *options]) == 0
+    assert tops_seen == tops
+    assert capsys.readouterr().out
 
 
 @PROPERTY
@@ -1047,6 +1160,24 @@ def test_enumerated_birkhoff_overflow_is_coded(g1, tmp_path):
             .sequence for method in ("enumerate", "transfer"))
         assert enum == approx(transfer, abs=1e-12)
     assert enum == (-math.inf,) * 4
+
+
+@pytest.mark.parametrize("n_max", ["3", "40"])
+def test_enumerated_overflow_comes_in_stage_order(capsys, tmp_path, n_max):
+    # the stages of --p 2 --k 2 share one backtracking, whose first
+    # overflowing word, (0, 0, 1, 0, 1, 0, 0), is of stage 2; the error
+    # names stage 1's first, as stage-by-stage enumeration does, and comes
+    # before the budget refusal of a later stage (at --n-max 40)
+    pot = tmp_path / "pot.json"
+    pot.write_text(json.dumps({"window": [0], "default": 0.0, "entries": [
+        {"word": [1], "value": 1e308}]}))
+    assert main(["pressure", "-f", str(FAMILIES / "g1.json"), "--p", "2",
+                 "--k", "2", "--n-max", n_max, "--method", "enumerate",
+                 "--potential", str(pot)]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "NonFiniteResult",
+        "message": "the Birkhoff sum leaves float range",
+        "details": {"labels": [1, 0, 1, 0, 0]}}
 
 
 def test_oracle_weights_underflowing_every_cycle(g1, tmp_path):
