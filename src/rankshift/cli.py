@@ -32,7 +32,7 @@ from math import inf, isfinite, log
 
 from . import dynamics, gapsearch, patterns
 from .budget import Budget, DEFAULT as DEFAULT_BUDGET
-from .errors import DomainError, ParseError, WindowTooWideError
+from .errors import DomainError, OutputError, ParseError, WindowTooWideError
 from .jsonout import dumps, dumps_line
 from .matrices import entropy_exact, family_from_dict, validate_family
 from .pressure import (
@@ -123,7 +123,8 @@ def _config(args):
 def _emit(args, payload, header, rows):
     """Write {"config": ..., **payload} as JSON, or the config line, header
     and rows as CSV, to --out or stdout.  The text is complete before
-    anything is written, so a refused result writes nothing."""
+    anything is written, so a refused result writes nothing; an --out that
+    cannot be written is an OutputError."""
     if args.format == "json":
         text = dumps({"config": _config(args), **payload})
     else:
@@ -139,8 +140,12 @@ def _emit(args, payload, header, rows):
         writer.writerows(rows)
         text = buf.getvalue()
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise OutputError("cannot write output file", path=args.out,
+                              reason=str(exc)) from exc
     else:
         sys.stdout.write(text)
 

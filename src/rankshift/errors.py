@@ -73,6 +73,10 @@ class ParseError(DomainError):
     code = "ParseError"
 
 
+class OutputError(DomainError):
+    code = "OutputError"
+
+
 class RadiusUnderflowError(DomainError):
     """The normalized power in the spectral-radius loop underflowed to a
     nilpotent float matrix although the input is not nilpotent."""

@@ -6,7 +6,8 @@ first line of a CSV output.
 
 The command comes first.  Every other key becomes its long option, with
 underscores as dashes: True is a bare flag, None and False are left out,
-and any other value follows its option.
+and any other value is joined to its option as ``--key=value``, so a value
+that begins with ``-`` (a letter named ``-a``) is read as the value.
 """
 
 import json
@@ -28,9 +29,8 @@ def argv_from_config(config):
     for key, value in config.items():
         if value is None or value is False:
             continue
-        argv.append("--" + key.replace("_", "-"))
-        if value is not True:
-            argv.append(str(value))
+        option = "--" + key.replace("_", "-")
+        argv.append(option if value is True else f"{option}={value}")
     return argv
 
 

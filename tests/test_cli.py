@@ -5,12 +5,15 @@ Core claims:
     - exit codes: 0 success, 1 domain error as JSON, 2 usage
       (a refusal whose details hold a 5230-digit integer prints it);
       a shape of another rank than the family's is ShapeMismatch on
-      every subcommand
+      every subcommand, and an --out that cannot be written is
+      OutputError
     - importing the CLI loads neither dataclasses nor csv, and loads
       every module the benchmark tracer wraps
     - --log-base only rescales the displayed logarithmic quantities
-    - rerunning the embedded config of any result reproduces it byte
-      for byte, JSON and CSV alike
+    - every run pinned in tests/golden.json prints its pinned SHA-256
+      digest and exit code, run from one directory that holds families/
+      and the manifest's input files; each one that exits 0, JSON and
+      CSV alike, reruns byte for byte from its embedded config
     - the JSON and CSV outputs of every subcommand carry the same config
       and the same values
     - input files are read as UTF-8 whatever the locale, and integer
@@ -25,6 +28,7 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from decimal import Decimal
@@ -42,6 +46,8 @@ from rerun_argv import argv_from_config, config_of
 
 REPO = Path(__file__).resolve().parent.parent
 FAMILIES = REPO / "families"
+# every pinned run: its argv, output digest, provenance note and exit code
+GOLDEN = json.loads((REPO / "tests" / "golden.json").read_text(encoding="utf-8"))
 
 
 def _g(n):
@@ -367,6 +373,19 @@ def test_non_finite_csv_result_is_coded_error(g1_path, tmp_path, method,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("out", ["missing/out.json", "."],
+                         ids=["missing-directory", "directory"])
+def test_unwritable_out_is_output_error(capsys, monkeypatch, tmp_path, g1_path,
+                                        out):
+    # FileNotFoundError and IsADirectoryError: coded, not a traceback
+    monkeypatch.chdir(tmp_path)
+    assert main(["validate", "-f", g1_path, "--out", out]) == 1
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert payload["error"] == "OutputError" and captured.err == ""
+    assert payload["details"]["path"] == out and payload["details"]["reason"]
+
+
 def test_exact_entropy_beyond_float_range_stays_finite(g1_path):
     data = run_json("entropy", "-f", g1_path, "--p", "1500", "--mode", "exact")
     assert data["exact"] == approx(1500 * math.log((1 + math.sqrt(5)) / 2),
@@ -568,72 +587,6 @@ def test_lemma_check(g1_path):
     assert data["all_partial_isometries"] is True
 
 
-# Digests of the lemma-check outputs on g3 with --p 1,1, taken before the
-# emitter shared Word dicts and the pattern build skipped empty patterns:
-# neither may change a byte.  The config embeds the family path as given,
-# so the runs name it relative to the repository root.
-LEMMA_DIGESTS = {
-    ("1,0", "json"):
-        "746a7e071129832351af875ba2a18fd1b43c838a7e4f668eae109ac489bf836d",
-    ("1,0", "csv"):
-        "25ea18886fa4348f7b9e921069d6d7d6d178da359e2ecd174260a5bd14bba8b6",
-    ("0,1", "json"):
-        "b6d86a97791461e5e2eee826a312453dddd568ac1d43ae82ec72ec0f06427867",
-    ("0,1", "csv"):
-        "b0e4dca532a506c8ba3e6eca20e49d483092832233e7ddcde603c5741649be7a",
-}
-
-
-@pytest.mark.parametrize("max_shape, fmt", sorted(LEMMA_DIGESTS))
-def test_lemma_check_bytes_are_pinned(capsys, monkeypatch, max_shape, fmt):
-    monkeypatch.chdir(REPO)
-    assert main(["lemma-check", "-f", "families/g3.json", "--p", "1,1",
-                 "--max-shape", max_shape, "--format", fmt]) == 0
-    text = capsys.readouterr().out
-    assert hashlib.sha256(text.encode()).hexdigest() \
-        == LEMMA_DIGESTS[(max_shape, fmt)]
-
-
-# Digests of two more lemma-check CSV runs, taken before compose filled
-# its box in one pass ordered by distance from the shared corner: rank 3
-# on t3 = g3 (x) g1, and g3 with a compression shape beyond p + n.
-LEMMA_CSV_DIGESTS = {
-    "-f families/t3.json --p 1,1,1 --max-shape 1,0,0":
-        "507c287f19d60facd7e1cf4aebccd858ad282dc7c67f98e5dbe311032ab218ea",
-    "-f families/g3.json --p 1,1 --max-shape 1,1 --m 3,3":
-        "4aa29dd8d906072f894f3097f2ab9b6d8f770eab9fc387aad73e932172a36461",
-}
-
-
-@pytest.mark.parametrize("options", sorted(LEMMA_CSV_DIGESTS))
-def test_lemma_csv_bytes_are_pinned(capsys, monkeypatch, options):
-    monkeypatch.chdir(REPO)
-    assert main(["lemma-check", *options.split(), "--format", "csv"]) == 0
-    text = capsys.readouterr().out
-    assert hashlib.sha256(text.encode()).hexdigest() \
-        == LEMMA_CSV_DIGESTS[options]
-
-
-# The JSON twins of the two runs above, taken before the sweep built one
-# plan per generator-shape pair and the emitter kept the text of any
-# container met twice at one depth: neither may change a byte.
-LEMMA_JSON_DIGESTS = {
-    "-f families/t3.json --p 1,1,1 --max-shape 1,0,0":
-        "bd163b355d269ff1c2ac1317ff4f82fbdc9dcfc7014b18f4fde88aee2bad4139",
-    "-f families/g3.json --p 1,1 --max-shape 1,1 --m 3,3":
-        "cdc96cf792b09b08ee5e89ce537e11e14d21e08c8390a664bc802b23c72de30a",
-}
-
-
-@pytest.mark.parametrize("options", sorted(LEMMA_JSON_DIGESTS))
-def test_lemma_json_bytes_are_pinned(capsys, monkeypatch, options):
-    monkeypatch.chdir(REPO)
-    assert main(["lemma-check", *options.split()]) == 0
-    text = capsys.readouterr().out
-    assert hashlib.sha256(text.encode()).hexdigest() \
-        == LEMMA_JSON_DIGESTS[options]
-
-
 def test_lemma_csv_builds_no_json_reports(capsys, monkeypatch):
     from rankshift import patterns
     built = []
@@ -659,156 +612,6 @@ def test_search_gap_csv_builds_no_json_records(capsys, monkeypatch):
                      "--format", fmt]) == 0
         assert capsys.readouterr().out
         assert len(built) == count
-
-
-# Digests of search-gap CSV outputs, taken before the sweeps shared one
-# radius per distinct matrix and validation tested commutation row by row:
-# neither may change a byte.  The random sweep's 300 candidates all fail.
-# The two sweeps with survivors were taken before the random sweep drew
-# row bitmasks and built a family only for a candidate that passes C1/C2.
-# The size-3 and canonicalized sweeps were taken before fingerprints left
-# hashlib and the exhaustive sweep tested each unordered pair once.
-SEARCH_GAP_DIGESTS = {
-    "--exhaustive --size 2":
-        "ec27944ee68f67c812eb059a1d69e79159aaa1b444161a53d017c17d89fae6d8",
-    "--exhaustive --size 3":
-        "2482f4c629e58d42f817228329c6f0fcca43a2473f22f052023644e8cd6fff2e",
-    "--exhaustive --size 2 --rank 3 --canonicalize":
-        "664e4c3507ee097031d30dc22d872a0e2f3de143f779bf1f405a8a093ce6367d",
-    "--exhaustive --size 2 --rank 3":
-        "7dece1b864923f0fa7557c5056b5c3911e62f44ed78c3ef263cbeb506a324bae",
-    "--size 4 --density 0.5 --trials 300 --seed 11":
-        "23ce5c99cfbb584e2cdb955fba2c3b4da217ec2b329fade067d99030cce34efd",
-    "--size 3 --density 0.3 --trials 600 --seed 5":
-        "7ef9cf4ff67764efc8568cc747a1994e02128d88450bdd32f1b7b39fe4a1f7c0",
-    "--size 3 --density 0.3 --trials 3000 --seed 9 --rank 3":
-        "df605e41c6d428cbd9e1fb44e0f419dff7d408772f5c3014a77a6185b3bc2fae",
-}
-
-
-@pytest.mark.parametrize("options", sorted(SEARCH_GAP_DIGESTS))
-def test_search_gap_bytes_are_pinned(capsys, options):
-    assert main(["search-gap", *options.split(), "--format", "csv"]) == 0
-    text = capsys.readouterr().out
-    assert hashlib.sha256(text.encode()).hexdigest() \
-        == SEARCH_GAP_DIGESTS[options]
-
-
-# Digests of the long-series routes and of C3's witnesses, taken before
-# the Bowen series stopped building a Shape per stage, the float products
-# and the chain summed in C, C3 read square-completion tables and the
-# emitter printed a finite float's 12-digit text without a round trip:
-# none may change a byte.  The pressure runs read a vertex potential
-# (letter 1 weighs 0.5) from a file that the config names by its relative
-# path, so they run in a directory holding copies of both inputs.
-SERIES_DIGESTS = {
-    "entropy -f families/t3.json --p 1,1,1 --n-max 60":
-        "1a9611bf754d1b0b9555e091f82e1806c44a3f320b0cc1ace08962d0f7f47e96",
-    "validate -f families/cube_fail.json":
-        "998c0cc5e796d8d5a787048eb154bbb6a1d2772d93665c17729f513f18cadf4d",
-}
-PRESSURE_DIGESTS = {
-    "json": "d9c01849e25734511d34d7b7f906aeb36a98528f282ff090c6e6ecc446336a2b",
-    "csv": "5361bc90d522e87fdba2d7f849bdb120ddbc1e34c412fe4aea8154932885c56f",
-}
-
-
-@pytest.mark.parametrize("argv", sorted(SERIES_DIGESTS))
-def test_series_and_cube_bytes_are_pinned(capsys, monkeypatch, argv):
-    monkeypatch.chdir(REPO)
-    assert main(argv.split()) == 0
-    text = capsys.readouterr().out
-    assert hashlib.sha256(text.encode()).hexdigest() == SERIES_DIGESTS[argv]
-
-
-@pytest.mark.parametrize("fmt", sorted(PRESSURE_DIGESTS))
-def test_pressure_oracle_bytes_are_pinned(capsys, monkeypatch, tmp_path,
-                                          pot_path, fmt):
-    (tmp_path / "families").mkdir()
-    (tmp_path / "families" / "g1.json").write_bytes(
-        (FAMILIES / "g1.json").read_bytes())
-    monkeypatch.chdir(tmp_path)
-    assert main(["pressure", "-f", "families/g1.json", "--p", "1",
-                 "--n-max", "200", "--oracle", "--potential", "pot.json",
-                 "--format", fmt]) == 0
-    text = capsys.readouterr().out
-    assert hashlib.sha256(text.encode()).hexdigest() == PRESSURE_DIGESTS[fmt]
-
-
-# Digests of count-check outputs and of the enumerate pressure route, taken
-# before count-check counted the last box point's candidates instead of
-# building each Word and the Birkhoff sums read one flat site map, and
-# (0,12, 3,1,1, the refusal at 6,6 and the last two pressure runs) before
-# prefix boxes shared one backtracking: none may change a byte.  The g3
-# potential has a 2x2 window whose table tells each word from its transpose.
-COUNT_DIGESTS = {
-    "-f families/g1.json --max-shape 12":
-        "dbba6495064003f421b435dd59e29525e973394d8f6cc1b4267a531f4079cec7",
-    "-f families/g2.json --max-shape 8":
-        "28122a069d18b299c33ee86bc463cc8a5f0e57f9101ce3fb9e52c8216cec0955",
-    "-f families/g3.json --max-shape 4,4":
-        "0f5fa0a768a119444ae412b45cc4efec73723f07d424dabeab73e7316a78c7c6",
-    "-f families/g4.json --max-shape 3,3":
-        "546f0061c4f3c1c3bc62be099e6a789cdbf195ca8d79569da5c2883af2ff5945",
-    "-f families/t3.json --max-shape 1,1,1":
-        "314229457c500cfc37f6c58e1814307974f70fed0557a5ee0fe32fd330918b57",
-    "-f families/t3.json --max-shape 1,1,1 --format csv":
-        "9e623e13f55bfa15ed28d71e7d0b71afcd2aab319806179fc74b33b9fd5d35ca",
-    "-f families/g3.json --max-shape 0,12":
-        "7a88147888a2489108e7281c1819fc9473a828cb5f79948729001118e1c998ec",
-    "-f families/t3.json --max-shape 3,1,1":
-        "3fd971585f40353898044ded7b6345f79ac72209f1df20de17d7a878a95a1645",
-    # BudgetExceeded, estimated_nodes 3570: every shape is guarded first
-    "-f families/g3.json --max-shape 6,6 --max-enum-nodes 3000":
-        "5f656bf0d9a9c28828e7979f24559812f3948b09adb1845737a08a38ffd4c272",
-}
-COUNT_EXITS = {"-f families/g3.json --max-shape 6,6 --max-enum-nodes 3000": 1}
-ENUMERATE_DIGESTS = {
-    "-f families/g1.json --p 1 --n-max 8 --potential pot.json":
-        "b520dca572cfa14a278624e930b5194ba828707eb9affccbdb5a474343bec839",
-    "-f families/g1.json --p 1 --n-max 8 --potential pot.json --format csv":
-        "e59e71f8db92f95eb7d3efa2634203d0d2500b3ef4c4018904506302877612b0",
-    "-f families/g1.json --p 1 --n-max 8":
-        "3262381225664312797ba6d7aa61a1eb8a2136473757fcc37b44ef9615bd16e9",
-    "-f families/g3.json --p 0,1 --n-max 4 --potential pot3sq.json":
-        "9f51965ea5a9c1559ff4c65d44fb3fb3b1e05da6aab57345a16a37ee19580f9b",
-    "-f families/g3.json --p 1,1 --n-max 3 --k 2 --potential pot3sq.json":
-        "0abcd62e2bbb5e23ec782801c01cd035cc42ca8c480b0205b661c9ebad41fa9c",
-    "-f families/g3.json --p 1,0 --n-max 6":
-        "cc79768f983ccd0556199568288151307fdc588f4409e0c67c0dc3a2ecc6ea0e",
-    "-f families/g1.json --p 2 --k 2 --n-max 5 --potential pot.json":
-        "6c4478a9d1039d87527b58f320e450ba339ac8f8dd4620238ff836663fe8baae",
-}
-G3_SQUARE_POTENTIAL = {"window": [1, 1], "default": -0.5, "entries": [
-    {"word": {"shape": [1, 1], "labels": labels}, "value": value}
-    for labels, value in (([0, 0, 0, 0], 0.5), ([0, 1, 0, 1], -0.25),
-                          ([1, 0, 1, 0], 1.5), ([2, 2, 0, 0], 0.75),
-                          ([3, 2, 1, 0], 2.0))]}
-
-
-@pytest.mark.parametrize("options, code", [
-    pytest.param(options, COUNT_EXITS.get(options, 0), id=options)
-    for options in sorted(COUNT_DIGESTS)])
-def test_count_check_bytes_are_pinned(capsys, monkeypatch, options, code):
-    monkeypatch.chdir(REPO)
-    assert main(["count-check", *options.split()]) == code
-    text = capsys.readouterr().out
-    assert hashlib.sha256(text.encode()).hexdigest() == COUNT_DIGESTS[options]
-
-
-@pytest.mark.parametrize("options", sorted(ENUMERATE_DIGESTS))
-def test_enumerate_pressure_bytes_are_pinned(capsys, monkeypatch, tmp_path,
-                                             pot_path, options):
-    (tmp_path / "families").mkdir()
-    for name in ("g1", "g3"):
-        (tmp_path / "families" / f"{name}.json").write_bytes(
-            (FAMILIES / f"{name}.json").read_bytes())
-    (tmp_path / "pot3sq.json").write_text(json.dumps(G3_SQUARE_POTENTIAL))
-    monkeypatch.chdir(tmp_path)
-    assert main(["pressure", *options.split(), "--method", "enumerate"]) == 0
-    text = capsys.readouterr().out
-    assert hashlib.sha256(text.encode()).hexdigest() \
-        == ENUMERATE_DIGESTS[options]
 
 
 # -- What the import loads -----------------------------------------------------------
@@ -865,11 +668,13 @@ def test_usage_error_leaves_lemma_bytes_pinned(capsys, monkeypatch):
     assert main(["lemma-check", "-f", "families/g3.json", "--p", "1_1",
                  "--max-shape", "1,0"]) == 2
     capsys.readouterr()
-    for (max_shape, fmt), digest in sorted(LEMMA_DIGESTS.items()):
-        assert main(["lemma-check", "-f", "families/g3.json", "--p", "1,1",
-                     "--max-shape", max_shape, "--format", fmt]) == 0
-        text = capsys.readouterr().out
-        assert hashlib.sha256(text.encode()).hexdigest() == digest
+    pinned = {run["argv"]: run["sha256"] for run in GOLDEN["runs"]}
+    for max_shape in ("0,1", "1,0"):
+        for fmt in ("csv", "json"):
+            argv = ("lemma-check -f families/g3.json --p 1,1 "
+                    f"--max-shape {max_shape} --format {fmt}")
+            assert main(argv.split()) == 0
+            assert _digest(capsys.readouterr().out) == pinned[argv]
 
 
 def _help(parse, argv):
@@ -893,24 +698,51 @@ def test_help_reads_terminal_width_when_printed(capsys, monkeypatch):
             "lemma-check,search-gap}") in capsys.readouterr().out
 
 
-# -- Embedded-config reproducibility ------------------------------------------------
+# -- Golden runs ----------------------------------------------------------------------
 
-def test_embedded_config_reproduces_json(g1_path):
-    first = run_cli("entropy", "-f", g1_path, "--p", "1", "--n-max", "12")
-    second = run_cli(*argv_from_config(config_of(first.stdout)))
-    assert second.stdout == first.stdout
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
-def test_embedded_config_reproduces_csv(tmp_path):
-    first = run_cli("search-gap", "-f", "/dev/null", "--trials", "25",
-                    "--seed", "11", "--density", "0.5", "--format", "csv")
-    second = run_cli(*argv_from_config(config_of(first.stdout)))
-    assert second.stdout == first.stdout
+@pytest.fixture(scope="module")
+def golden_dir(tmp_path_factory):
+    """A copy of families/ and the manifest's input files: every golden run
+    names its files relative to this one directory, and its config embeds
+    them so."""
+    root = tmp_path_factory.mktemp("golden")
+    shutil.copytree(FAMILIES, root / "families")
+    for name, content in GOLDEN["inputs"].items():
+        (root / name).write_text(json.dumps(content), encoding="utf-8")
+    return root
+
+
+@pytest.mark.parametrize("run", GOLDEN["runs"],
+                         ids=[run.get("argv") for run in GOLDEN["runs"]])
+def test_golden_run(capsys, monkeypatch, golden_dir, run):
+    # the argv splits on whitespace; exit is given only when it is not 0
+    assert set(GOLDEN) == {"inputs", "runs"}
+    assert set(run) - {"exit"} == {"argv", "sha256", "note"}, sorted(run)
+    assert run.get("exit", 1) != 0, "an exit of 0 is left out"
+    argvs = [other.get("argv") for other in GOLDEN["runs"]]
+    assert argvs.count(run["argv"]) == 1, "duplicate argv"
+    monkeypatch.chdir(golden_dir)
+    assert main(run["argv"].split()) == run.get("exit", 0)
+    text = capsys.readouterr().out
+    digest = _digest(text)
+    if digest != run["sha256"]:
+        pytest.fail(f"{run['argv']}: pinned {run['sha256']} produced {digest}",
+                    pytrace=False)
+    if "exit" not in run:
+        assert main(argv_from_config(config_of(text))) == 0
+        if capsys.readouterr().out != text:
+            pytest.fail(f"{run['argv']}: the rerun from its embedded config "
+                        "differs", pytrace=False)
 
 
 def test_rerun_script_prints_the_config_argv(tmp_path):
-    # the script the CI reruns go through: a True flag is bare, a False
-    # flag and a None option are left out
+    # the script the console-script rerun goes through: a True flag is
+    # bare, a False flag and a None option are left out, and any other
+    # value is joined to its option by "=", so a value may begin with "-"
     out = tmp_path / "gap.csv"
     run_cli("search-gap", "--exhaustive", "--size", "2", "--format", "csv",
             "--out", str(out))
@@ -919,7 +751,8 @@ def test_rerun_script_prints_the_config_argv(tmp_path):
          str(out)], capture_output=True, text=True, check=True)
     argv = proc.stdout.split()
     assert argv[0] == "search-gap" and "--exhaustive" in argv
-    assert "--family" not in argv and "--canonicalize" not in argv
+    assert "--size=2" in argv and "--format=csv" in argv
+    assert not any(a.startswith(("--family", "--canonicalize")) for a in argv)
     rerun = run_cli(*argv)
     assert rerun.stdout == out.read_text()
 
