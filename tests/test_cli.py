@@ -13,7 +13,9 @@ Core claims:
     - every run pinned in tests/golden.json prints its pinned SHA-256
       digest and exit code, run from one directory that holds families/
       and the manifest's input files; each one that exits 0, JSON and
-      CSV alike, reruns byte for byte from its embedded config
+      CSV alike, reruns byte for byte from its embedded config; the
+      oracle pressure prints the same bytes from a directory that holds
+      only its two inputs
     - the JSON and CSV outputs of every subcommand carry the same config
       and the same values
     - input files are read as UTF-8 whatever the locale, and integer
@@ -675,6 +677,22 @@ def test_usage_error_leaves_lemma_bytes_pinned(capsys, monkeypatch):
                     f"--max-shape {max_shape} --format {fmt}")
             assert main(argv.split()) == 0
             assert _digest(capsys.readouterr().out) == pinned[argv]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_pressure_oracle_bytes_are_pinned(capsys, monkeypatch, tmp_path,
+                                          pot_path, fmt):
+    # a directory holding only g1 and the potential prints the manifest's
+    # bytes: nothing else in the golden directory enters the output
+    (tmp_path / "families").mkdir()
+    (tmp_path / "families" / "g1.json").write_bytes(
+        (FAMILIES / "g1.json").read_bytes())
+    monkeypatch.chdir(tmp_path)
+    argv = ("pressure -f families/g1.json --p 1 --n-max 200 --oracle "
+            f"--potential pot.json --format {fmt}")
+    assert main(argv.split()) == 0
+    pinned = {run["argv"]: run["sha256"] for run in GOLDEN["runs"]}
+    assert _digest(capsys.readouterr().out) == pinned[argv]
 
 
 def _help(parse, argv):
