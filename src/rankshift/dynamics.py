@@ -24,7 +24,7 @@ from .matrices import (
     word_count,
 )
 from .shapes import Shape
-from .words import check_enum_budget, enumerate_words, restrict_prefix, restrict_tail
+from .words import check_enum_budget, enumerate_words, restrict_tail
 
 
 def metric(u, v):
@@ -42,12 +42,6 @@ def metric(u, v):
         from fractions import Fraction
         return Fraction(0)
     return None
-
-
-def shift_truncation(word, offset, k):
-    """Cube-k prefix of the word shifted by ``offset``."""
-    tail = restrict_tail(word, offset)
-    return restrict_prefix(tail, Shape.cube(k, word.shape.rank))
 
 
 def separation_threshold(k):

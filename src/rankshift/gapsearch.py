@@ -45,6 +45,7 @@ from .matrices import (
     family_to_dict,
     float_radius,
     log_spectral_radius,
+    mask_bits,
     matrix_powers,
     radius_log,
     require_valid,
@@ -173,7 +174,7 @@ def exhaustive_search(alphabet_size, rank=2, canonicalize=False, budget=None):
         check(len(tuples) * count)
         if not step:  # the pair table, once the first growth passes
             partners = _partner_masks([bit_rows(m) for m in matrices])
-        tuples = [t + (j,) for t in tuples for j in _set_bits(
+        tuples = [t + (j,) for t in tuples for j in mask_bits(
             functools.reduce(and_, map(partners.__getitem__, t)))]
     alphabet = Alphabet(range(alphabet_size))
     families = (MatrixFamily(rank, alphabet, [matrices[j] for j in t])
@@ -198,14 +199,6 @@ def _partner_masks(masks):
                 partners[i] |= 1 << j
                 partners[j] |= bit
     return partners
-
-
-def _set_bits(mask):
-    """The indices of the set bits of mask, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def random_search(alphabet_size, density, trials, seed, rank=2, budget=None):

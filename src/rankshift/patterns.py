@@ -29,7 +29,7 @@ from .shapes import Shape
 from .words import (
     Word,
     _compose,
-    _dfs_words,
+    _dfs_leaves,
     _enumerate_words,
     check_enum_budget,
     compose_plan,
@@ -157,8 +157,9 @@ SplitPlan = namedtuple("SplitPlan", "shape preds fixed kappa lam column")
 
 
 def _split_plan(family, dfs, base_shape, shape, m):
-    """The SplitPlan of a triple, after the guards that enumerate_extensions
-    and restrict_tail apply to it; ``dfs`` gives the DFS plan of a shape."""
+    """The SplitPlan of a triple, after the domination guards that
+    enumerate_extensions and restrict_tail apply to it; ``dfs`` gives the
+    DFS plan of a shape."""
     require_extension(base_shape, shape)
     require_tail(shape, m)
     kappa, lam = shape - base_shape, shape - m
@@ -171,12 +172,13 @@ def _split_plan(family, dfs, base_shape, shape, m):
 def _split_extensions(family, base, plan):
     """(kappa, lambda, column) for every extension of base to plan.shape:
     the tail past base, the tail past m and the prefix of shape m, read
-    through the SplitPlan's index maps."""
+    through the SplitPlan's index maps from the walk's labels, with no
+    Word of the extension built."""
     (ks, kidx), (ls, lidx), (ms, cidx) = plan.kappa, plan.lam, plan.column
     split = []
-    for ext in _dfs_words(family, plan.shape, dict(zip(plan.fixed, base.labels)),
-                          plan.preds):
-        get = ext.labels.__getitem__
+    for labels in _dfs_leaves(family, plan.shape, dict(zip(plan.fixed, base.labels)),
+                              plan.preds):
+        get = labels.__getitem__
         split.append((Word(ks, tuple(map(get, kidx))), Word(ls, tuple(map(get, lidx))),
                       Word(ms, tuple(map(get, cidx)))))
     return tuple(split)

@@ -47,10 +47,10 @@ from .matrices import (
 from .shapes import Shape
 from .words import (
     Word,
+    _dfs_leaves,
     _dfs_prefixes,
     check_enum_budget,
     dfs_plan,
-    enumerate_words,
     letter_index,
     make_word,
     prefix_groups,
@@ -259,7 +259,7 @@ def _enumerated_logs(family, potential, k, p, stages, budget):
             i = shapes.index(shape)
             cuts[shape.volume - 1] = i, _window_reader(shape, window, p, stages[i])
         labels = [0] * top.volume
-        for t in _dfs_prefixes(family, top, dfs_plan(family, top), cuts, labels):
+        for t in _dfs_prefixes(family, top, {}, dfs_plan(family, top), cuts, labels):
             i, read = cuts[t]
             try:
                 sums[i].append(_birkhoff_sum(labels, read, volume, table,
@@ -276,16 +276,19 @@ def _enumerated_logs(family, potential, k, p, stages, budget):
 
 def _transfer_parts(family, potential, k, p, budget):
     """In-edges and weight logs of the chain: states are cube words keyed
-    by labels, in enumeration order, weighing their site at 0; a word of
-    shape cube + p is an edge from its cube site at 0 to its site at p."""
+    by labels, in walk order, weighing their site at 0; a word of shape
+    cube + p is an edge from its cube site at 0 to its site at p.  The
+    chain walks both boxes itself, on a family _check_stage validated."""
     cube = Shape.cube(k, family.rank)
-    check_enum_budget(family, cube + p, budget)
-    index = {w.labels: i for i, w in enumerate(enumerate_words(family, cube))}
-    ends = _window_reader(cube + p, cube, p, 1)
+    edge = cube + p
+    check_enum_budget(family, edge, budget)
+    index = {tuple(labels): i for i, labels in enumerate(
+        _dfs_leaves(family, cube, {}, dfs_plan(family, cube)))}
+    ends = _window_reader(edge, cube, p, 1)
     split = cube.volume
     in_edges = [[] for _ in index]
-    for x in enumerate_words(family, cube + p):
-        both = ends(x.labels)
+    for labels in _dfs_leaves(family, edge, {}, dfs_plan(family, edge)):
+        both = ends(labels)
         in_edges[index[both[split:]]].append(index[both[:split]])
     at_origin = _window_reader(cube, potential.window, p, 0)
     weigh, default = _labels_table(potential).get, potential.default

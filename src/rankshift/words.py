@@ -19,12 +19,14 @@ point, compose_plan the placed indices, fill schedule and edge list of a
 shape pair, edge_plan the edges of a box, and Shape.indices the index map
 of a restriction.  The public functions build their plan and apply it
 once; patterns.SweepTables caches the plans for the calls of one sweep.
-The DFS plan has three apply steps, all one backtracking in one order:
-_dfs_words yields each Word; _dfs_count, which count_oracle_check reads,
-tallies the letters placed at every point, adding the popcount of the
-last point's candidates, and builds no Word; _dfs_prefixes, which the
-enumerate pressure route reads, yields t whenever a cut point t receives
-a letter, its caller reading the labels so far.
+The DFS plan has two apply steps, one backtracking in one order.  The
+walk, _dfs_prefixes, takes forced letters and yields t whenever a cut
+point t receives a letter, its caller reading the labels so far.  The
+enumerations, the lemma sweep's split extensions and the transfer chain's
+states and edges cut at the last point only (_dfs_leaves); the enumerate
+pressure route cuts at each stage's last point.  _dfs_count, which
+count_oracle_check reads, tallies the letters placed at every point,
+adding the popcount of the last point's candidates, and builds no Word.
 
 box(l) is a prefix box of box(m) (is_prefix_box) when it is the first
 l.volume points of box(m) in row-major order.  Those points keep their
@@ -89,6 +91,7 @@ def make_word(family, shape, labels):
     """Validated constructor: checks that the family is valid, that labels
     are exact integers in range and every box edge."""
     require_valid(family)
+    require_rank(family, shape)
     labels = tuple(labels)
     if any(type(x) is not int for x in labels):
         raise ValueError("letter labels must be integers")
@@ -233,18 +236,23 @@ def prefix_groups(shapes):
 
 # -- Enumeration --------------------------------------------------------------
 
-def _dfs_words(family, m, fixed, preds):
-    """Backtracking enumeration; ``fixed`` maps box indices to forced
+def _dfs_prefixes(family, m, fixed, preds, cuts, labels):
+    """The walk: backtracking over box(m) that writes each letter into
+    ``labels`` (a list of m.volume entries) and yields t each time a point
+    t with cuts[t] set receives one.  ``fixed`` maps box indices to forced
     letters and ``preds`` is dfs_plan(family, m).
 
     The candidates at a point are the AND of its predecessors' successor
-    masks (and the forced letter's bit), tried low bit first.
+    masks (and the forced letter's bit), tried low bit first.  At a cut
+    t = l.volume - 1 of a prefix box l of m, labels[:t + 1] is then a word
+    of shape l, and the words of l arrive in lexicographic order.  The cut
+    test reads a per-point list, one index per node, not a set or dict of
+    cut points.
     """
     n = m.volume
     allowed = [(1 << len(family.alphabet)) - 1] * n
     for t, letter in fixed.items():
         allowed[t] &= 1 << letter
-    labels = [0] * n
     left = [allowed[0]] + [0] * (n - 1)  # untried candidates per point
     t = 0
     while t >= 0:
@@ -255,14 +263,25 @@ def _dfs_words(family, m, fixed, preds):
         low = mask & -mask
         left[t] = mask ^ low
         labels[t] = low.bit_length() - 1
+        if cuts[t]:
+            yield t
         if t + 1 == n:
-            yield Word(m, tuple(labels))
             continue
         t += 1
         mask = allowed[t]
         for rows, pidx in preds[t]:
             mask &= rows[labels[pidx]]
         left[t] = mask
+
+
+def _dfs_leaves(family, m, fixed, preds):
+    """The walk cut at the last point of box(m) only: yields its label
+    list, rewritten in place, at each word of shape m that takes the
+    letters ``fixed`` forces, in lexicographic order."""
+    n = m.volume
+    labels, cuts = [0] * n, [False] * (n - 1) + [True]
+    for _ in _dfs_prefixes(family, m, fixed, preds, cuts, labels):
+        yield labels
 
 
 def _dfs_count(family, m, preds):
@@ -272,12 +291,15 @@ def _dfs_count(family, m, preds):
     or not: at a prefix box l of m (is_prefix_box), entry l.volume - 1 is
     the number of words of shape l, and the last entry that of m.
 
-    The backtracking of _dfs_words, in the same order, over every point
-    but the last; entering a point adds the popcount of its candidates,
-    the predecessors' AND, to its tally, and the last point is not
-    entered, so no labels tuple and no Word is built.  The two loops are
-    kept apart: a kernel that yielded (prefix, last mask) to both made the
-    lemma sweeps, which read _dfs_words, slower.
+    The backtracking of the walk (_dfs_prefixes), in the same order, over
+    every point but the last; entering a point adds the popcount of its
+    candidates, the predecessors' AND, to its tally, and the last point is
+    not entered, so no labels tuple and no Word is built.  It is kept
+    apart from the walk because counting through the walk (a cut at every
+    member's last point, one tally per yield) made count_oracle_check
+    7-18% slower: the best in-process time of g3 at (4, 4) went from 1.18
+    to 1.33 ms and of t4 at (1, 1, 1, 0) from 0.41 to 0.47 ms (CPython
+    3.11.7).
     """
     n = m.volume
     full = (1 << len(family.alphabet)) - 1
@@ -312,39 +334,6 @@ def _dfs_count(family, m, preds):
     return placed
 
 
-def _dfs_prefixes(family, m, preds, cuts, labels):
-    """Backtracking over box(m) that writes each letter into ``labels``
-    (a list of m.volume entries) and yields t each time a point t with
-    cuts[t] set receives one; ``preds`` is dfs_plan(family, m).
-
-    At a cut t = l.volume - 1 of a prefix box l of m, labels[:t + 1] is
-    then a word of shape l, and the words of l arrive in lexicographic
-    order, as _dfs_words yields them.  The cut test reads a per-point
-    list, one index per node, not a set or dict of cut points.
-    """
-    n = m.volume
-    full = (1 << len(family.alphabet)) - 1
-    left = [full] + [0] * (n - 1)  # untried candidates per point
-    t = 0
-    while t >= 0:
-        mask = left[t]
-        if not mask:
-            t -= 1
-            continue
-        low = mask & -mask
-        left[t] = mask ^ low
-        labels[t] = low.bit_length() - 1
-        if cuts[t]:
-            yield t
-        if t + 1 == n:
-            continue
-        t += 1
-        mask = full
-        for rows, pidx in preds[t]:
-            mask &= rows[labels[pidx]]
-        left[t] = mask
-
-
 def enumerate_words(family, m, origin=None):
     """Yield every word of shape m in lexicographic label order; with
     ``origin`` (letter or index) only words starting there."""
@@ -356,15 +345,18 @@ def _enumerate_words(family, m, origin, plans):
     require_valid(family)
     require_rank(family, m)
     fixed = {} if origin is None else {0: letter_index(family, origin)}
-    return _dfs_words(family, m, fixed, plans(m))
+    return (Word(m, tuple(x)) for x in _dfs_leaves(family, m, fixed, plans(m)))
 
 
 def enumerate_extensions(family, base, m):
     """Yield the words of shape m whose prefix of shape sigma(base) is base."""
     require_valid(family)
+    require_rank(family, base.shape)
+    require_rank(family, m)
     require_extension(base.shape, m)
     fixed = dict(zip(m.indices(base.shape), base.labels))
-    return _dfs_words(family, m, fixed, dfs_plan(family, m))
+    preds = dfs_plan(family, m)
+    return (Word(m, tuple(x)) for x in _dfs_leaves(family, m, fixed, preds))
 
 
 def require_extension(base_shape, m):
@@ -421,8 +413,8 @@ def compose(family, u, v):
 def _compose(family, u, v, plans):
     """compose, reading the plan of the shape pair as plans(sigma(u), sigma(v))."""
     require_valid(family)
-    if u.shape.rank != v.shape.rank:
-        raise ShapeMismatchError("rank mismatch between factors")
+    require_rank(family, u.shape)
+    require_rank(family, v.shape)
     if u.terminal != v.origin:
         raise OriginMismatchError(
             "terminal letter of u differs from origin letter of v",

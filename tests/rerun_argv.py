@@ -2,15 +2,18 @@
 embedded in it: the ``config`` key of a JSON output, or the ``# config:``
 first line of a CSV output.
 
-    rankshift $(python tests/rerun_argv.py out.csv) --out rerun.csv
+    eval "rankshift $(python tests/rerun_argv.py out.csv)" --out rerun.csv
 
 The command comes first.  Every other key becomes its long option, with
 underscores as dashes: True is a bare flag, None and False are left out,
 and any other value is joined to its option as ``--key=value``, so a value
-that begins with ``-`` (a letter named ``-a``) is read as the value.
+that begins with ``-`` (a letter named ``-a``) is read as the value.  The
+arguments are printed quoted for the shell (shlex.join), so a path that
+holds a space stays one argument through ``eval``.
 """
 
 import json
+import shlex
 import sys
 
 CSV_PREFIX = "# config: "
@@ -36,4 +39,4 @@ def argv_from_config(config):
 
 if __name__ == "__main__":
     with open(sys.argv[1], encoding="utf-8") as fh:
-        print(*argv_from_config(config_of(fh.read())))
+        print(shlex.join(argv_from_config(config_of(fh.read()))))

@@ -30,6 +30,7 @@ import hashlib
 import json
 import math
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -757,6 +758,15 @@ def test_golden_run(capsys, monkeypatch, golden_dir, run):
                         "differs", pytrace=False)
 
 
+def _rerun_argv(out):
+    """The arguments tests/rerun_argv.py prints for out, split as the
+    shell splits them."""
+    proc = subprocess.run(
+        [sys.executable, str(Path(__file__).parent / "rerun_argv.py"),
+         str(out)], capture_output=True, text=True, check=True)
+    return shlex.split(proc.stdout)
+
+
 def test_rerun_script_prints_the_config_argv(tmp_path):
     # the script the console-script rerun goes through: a True flag is
     # bare, a False flag and a None option are left out, and any other
@@ -764,15 +774,20 @@ def test_rerun_script_prints_the_config_argv(tmp_path):
     out = tmp_path / "gap.csv"
     run_cli("search-gap", "--exhaustive", "--size", "2", "--format", "csv",
             "--out", str(out))
-    proc = subprocess.run(
-        [sys.executable, str(Path(__file__).parent / "rerun_argv.py"),
-         str(out)], capture_output=True, text=True, check=True)
-    argv = proc.stdout.split()
+    argv = _rerun_argv(out)
     assert argv[0] == "search-gap" and "--exhaustive" in argv
     assert "--size=2" in argv and "--format=csv" in argv
     assert not any(a.startswith(("--family", "--canonicalize")) for a in argv)
     rerun = run_cli(*argv)
     assert rerun.stdout == out.read_text()
+    # a family path that holds a space is quoted as one argument
+    family = tmp_path / "my fam.json"
+    family.write_text((FAMILIES / "g3.json").read_text())
+    out = tmp_path / "validate.json"
+    run_cli("validate", "-f", str(family), "--out", str(out))
+    argv = _rerun_argv(out)
+    assert f"--family={family}" in argv
+    assert run_cli(*argv).stdout == out.read_text()
 
 
 # -- One emit path: JSON and CSV agree ----------------------------------------------

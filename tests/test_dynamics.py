@@ -36,7 +36,6 @@ from rankshift.dynamics import (
     metric,
     separated_count,
     separation_threshold,
-    shift_truncation,
 )
 from rankshift.families import tensor_product
 from rankshift.matrices import log_word_count, log_word_count_series
@@ -77,12 +76,6 @@ def test_metric_rank_mismatch(g1, g3, line_word):
     w = next(iter(enumerate_words(g3, Shape.of(1, 1))))
     with pytest.raises(ShapeMismatchError):
         metric(line_word(g1, 0, 1), w)
-
-
-def test_shift_truncation(g1, line_word):
-    w = line_word(g1, 0, 1, 0, 1)
-    assert shift_truncation(w, Shape.of(1), 2) == line_word(g1, 1, 0, 1)
-    assert shift_truncation(w, Shape.of(0), 0) == line_word(g1, 0)
 
 
 def test_threshold_sits_between_scales():

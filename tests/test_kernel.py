@@ -647,12 +647,29 @@ def test_dfs_prefixes_cut_the_words_of_each_prefix_box(data):
     for shape in boxes:
         cuts[shape.volume - 1] = True
     labels, seen = [0] * top.volume, {shape.volume - 1: [] for shape in boxes}
-    for t in words._dfs_prefixes(family, top, dfs_plan(family, top), cuts,
+    for t in words._dfs_prefixes(family, top, {}, dfs_plan(family, top), cuts,
                                  labels):
         seen[t].append(tuple(labels[:t + 1]))
     for shape in boxes:
         assert seen[shape.volume - 1] \
             == [w.labels for w in enumerate_words(family, shape)]
+
+
+@PROPERTY
+@given(st.data())
+def test_forced_letters_filter_the_free_walk(data):
+    # extensions and an origin force letters in the walk; here each is
+    # checked against a filter over the words the walk gives unforced
+    family = data.draw(_dfs_families())
+    shape = data.draw(_shapes(family, 2 if family.rank < 3 else 1))
+    every = list(enumerate_words(family, shape))
+    for x in range(len(family.alphabet)):
+        assert list(enumerate_words(family, shape, origin=x)) \
+            == [w for w in every if w.labels[0] == x]
+    base_shape = Shape(tuple(data.draw(st.integers(0, c)) for c in shape))
+    for base in islice(enumerate_words(family, base_shape), 8):
+        assert list(enumerate_extensions(family, base, shape)) \
+            == [w for w in every if restrict_prefix(w, base_shape) == base]
 
 
 def _count_backtrackings(monkeypatch):

@@ -261,13 +261,13 @@ def test_shared_tables_change_no_report(g1, g2, g3, case):
 
 def test_no_table_outlives_a_sweep(g3, monkeypatch):
     runs = []
-    original = words._dfs_words
+    original = words._dfs_prefixes
 
     def counting(*args):
         runs.append(args[1])
         return original(*args)
 
-    monkeypatch.setattr(words, "_dfs_words", counting)
+    monkeypatch.setattr(words, "_dfs_prefixes", counting)
     verify_partial_isometries(g3, Shape.of(1, 1), Shape.of(1, 0))
     first = len(runs)
     verify_partial_isometries(g3, Shape.of(1, 1), Shape.of(1, 0))

@@ -29,7 +29,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 from pytest import approx
 
-from rankshift import pressure
+from rankshift import pressure, words
 from rankshift.errors import (
     DomainError,
     ScaleTooFineError,
@@ -325,12 +325,17 @@ def test_transfer_series_bit_identical_to_stages(g1, g3):
 def test_unknown_method_is_refused_before_enumerating(g1, monkeypatch):
     def no_enumeration(*args):
         raise AssertionError("enumerated before the method was checked")
-    monkeypatch.setattr(pressure, "enumerate_words", no_enumeration)
+    # both routes reach the walk, the enumerate route by its name in pressure
+    monkeypatch.setattr(words, "_dfs_prefixes", no_enumeration)
+    monkeypatch.setattr(pressure, "_dfs_prefixes", no_enumeration)
     pot = vertex_potential(g1, G1_VALUES)
     with pytest.raises(ValueError, match="unknown method"):
         pressure_estimate(g1, pot, 1, Shape.of(1), 3, method="magic")
     with pytest.raises(ValueError, match="unknown method"):
         partition_function_log(g1, pot, 1, Shape.of(1), 1, method="magic")
+    for method in ("transfer", "enumerate"):
+        with pytest.raises(AssertionError, match="enumerated"):
+            pressure_estimate(g1, pot, 1, Shape.of(1), 3, method=method)
 
 
 def test_transfer_chain_dead_end_raises(g1):

@@ -21,6 +21,7 @@ from rankshift.errors import (
 from rankshift.matrices import load_family, word_count
 from rankshift.shapes import Shape
 from rankshift.words import (
+    Word,
     check_enum_budget,
     compose,
     count_oracle_check,
@@ -103,6 +104,28 @@ def test_make_word_rejects_garbage(g1):
         make_word(g1, Shape.of(1), (0, 7))  # letter out of range
     with pytest.raises(ValueError):
         make_word(g1, Shape.of(1), (1, 1))  # forbidden edge
+
+
+R3 = Shape.of(1, 0, 0)
+R3_WORD = Word(R3, (0, 0))
+ORIGIN3 = Word(Shape.of(0, 0, 0), (0,))
+
+
+@pytest.mark.parametrize("build", [
+    lambda g3: make_word(g3, R3, (0, 0)),
+    lambda g3: compose(g3, R3_WORD, R3_WORD),
+    lambda g3: compose(g3, Word(Shape.of(1, 0), (0, 0)), R3_WORD),
+    lambda g3: list(enumerate_extensions(g3, ORIGIN3, Shape.of(1, 1, 1))),
+    lambda g3: list(enumerate_extensions(g3, Word(Shape.of(0, 0), (0,)),
+                                         Shape.of(1, 1, 1))),
+    lambda g3: list(enumerate_extensions(g3, ORIGIN3, Shape.of(1, 1))),
+], ids=["make_word", "compose", "compose-mixed", "extensions",
+        "extensions-target", "extensions-base"])
+def test_a_shape_of_another_rank_is_refused(g3, build):
+    # a rank-3 shape on the rank-2 family: ShapeMismatch, not a Word
+    with pytest.raises(ShapeMismatchError) as info:
+        build(g3)
+    assert info.value.details["family_rank"] == 2
 
 
 @pytest.mark.parametrize("label", [True, 1.0, "1"])
