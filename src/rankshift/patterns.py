@@ -30,12 +30,10 @@ from .words import (
     Word,
     _compose,
     _dfs_leaves,
-    _enumerate_words,
     check_enum_budget,
     compose_plan,
     dfs_plan,
-    require_extension,
-    require_tail,
+    enumerate_words,
     restrict_prefix,
     restrict_tail,
     word_to_dict,
@@ -100,9 +98,10 @@ def check_partial_isometry(pattern):
     return _first_collision(pattern) is None
 
 
-# What the builds of all generator pairs of two shapes share, and the
-# stats of the all-empty grid among them, in (kappa, lambda) label order.
-PairPlan = namedtuple("PairPlan", "n m ext gamma index stats")
+# What the builds of all generator pairs of two shapes share: the shapes,
+# the words of m, the stats of the all-empty grid in (kappa, lambda) label
+# order, and ``split``, the split extensions of a base Word (a cache).
+PairPlan = namedtuple("PairPlan", "n m gamma index stats split")
 
 
 class SweepTables:
@@ -111,41 +110,27 @@ class SweepTables:
     What a build enumerates, composes and checks depends on the family,
     shapes, endpoint letters and words, not on the generator pair itself,
     so a sweep over many pairs needs each entry once.  Each table is a
-    functools.cache over the family: words by (shape, origin),
-    compositions by factor pair, the split extensions of a base word by
-    (base, extension shape, compression shape), and the PairPlan, shape
-    and budget checks done, by (sigma(u), sigma(w), p, m, budget), with
-    an omitted m or budget keyed as None.
-
-    The tables read the box geometry from three plan caches, keyed by
-    shapes alone: ``dfs_plan`` by shape (words.dfs_plan), ``compose_plan``
-    by factor shapes (words.compose_plan) and ``split_plan`` by (base
-    shape, extension shape, compression shape) (SplitPlan).  A g3 sweep at
-    max-shape (1, 0) makes 52 enumerations over 5 shapes and 51
-    compositions over 4 shape pairs.  The plans live only as long as the
-    tables: one-shot callers build theirs per call and keep none.  No
-    cache refers to the tables, so they die with the sweep's last
-    reference, without a GC pass.
+    functools.cache over the family: ``words`` by shape, ``compose_plan``
+    by factor shapes (words.compose_plan), ``compose`` by factor pair, and
+    ``plan``, the PairPlan with its shape and budget checks done, by
+    (sigma(u), sigma(w), p, m, budget), an omitted m or budget passed as
+    None.  A PairPlan fixes the shapes of the split geometry, and its own
+    cache holds the split extensions of each base Word.  A g3 sweep at
+    max-shape (1, 0) enumerates 4 shapes, composes over 4 shape pairs and
+    builds 4 PairPlans.  The tables live only as long as the sweep:
+    one-shot callers build their plans per call and keep none.  No cache
+    refers to the tables, so they die with the sweep's last reference,
+    without a GC pass.
     """
 
     def __init__(self, family):
         self.family = family
-        self.dfs_plan = dfs = functools.cache(functools.partial(dfs_plan, family))
+        self.words = functools.cache(
+            lambda shape: tuple(enumerate_words(family, shape)))
         self.compose_plan = composes = functools.cache(compose_plan)
-        self.split_plan = splits = functools.cache(
-            functools.partial(_split_plan, family, dfs))
-        self.words = functools.cache(lambda shape, origin=None: tuple(
-            _enumerate_words(family, shape, origin, dfs)))
         self.compose = functools.cache(
             lambda u, v: _compose(family, u, v, composes))
-        self.split_extensions = functools.cache(
-            lambda base, shape, m: _split_extensions(
-                family, base, splits(base.shape, shape, m)))
-        self._plans = functools.cache(functools.partial(_plan, family, self.words))
-
-    def plan(self, u_shape, w_shape, p, m=None, budget=None):
-        """The PairPlan at step p and shape m (p + n when None) >= p + n."""
-        return self._plans(u_shape, w_shape, p, m, budget)
+        self.plan = functools.cache(functools.partial(_plan, family, self.words))
 
 
 # The index geometry of _split_extensions for a (base shape, extension
@@ -156,20 +141,17 @@ class SweepTables:
 SplitPlan = namedtuple("SplitPlan", "shape preds fixed kappa lam column")
 
 
-def _split_plan(family, dfs, base_shape, shape, m):
-    """The SplitPlan of a triple, after the domination guards that
-    enumerate_extensions and restrict_tail apply to it; ``dfs`` gives the
-    DFS plan of a shape."""
-    require_extension(base_shape, shape)
-    require_tail(shape, m)
+def _split_plan(family, base_shape, shape, m):
+    """The SplitPlan of a triple whose extension shape dominates the base
+    shape and m."""
     kappa, lam = shape - base_shape, shape - m
-    return SplitPlan(shape, dfs(shape), tuple(shape.indices(base_shape)),
+    return SplitPlan(shape, dfs_plan(family, shape), tuple(shape.indices(base_shape)),
                      (kappa, tuple(shape.indices(kappa, base_shape))),
                      (lam, tuple(shape.indices(lam, m))),
                      (m, tuple(shape.indices(m))))
 
 
-def _split_extensions(family, base, plan):
+def _split_extensions(family, plan, base):
     """(kappa, lambda, column) for every extension of base to plan.shape:
     the tail past base, the tail past m and the prefix of shape m, read
     through the SplitPlan's index maps from the walk's labels, with no
@@ -185,6 +167,9 @@ def _split_extensions(family, base, plan):
 
 
 def _plan(family, words, u_shape, w_shape, p, m, budget):
+    """The PairPlan of a shape pair.  A build's base nu.w.gamma has shape
+    m + sigma(w) - sigma(u) and extends to m + n - sigma(u); the extension
+    dominates the base by n - sigma(w) and m by n - sigma(u)."""
     require_rank(family, p)
     n = u_shape.sup(w_shape)
     m = p + n if m is None else m
@@ -195,9 +180,11 @@ def _plan(family, words, u_shape, w_shape, p, m, budget):
             m=list(m), needed=list(p + n))
     ext = m + (n - u_shape)
     check_enum_budget(family, ext, budget)
-    return PairPlan(n, m, ext, m - p - u_shape, words(m), tuple(
+    split = _split_plan(family, m - u_shape + w_shape, ext, m)
+    return PairPlan(n, m, m - p - u_shape, words(m), tuple(
         (kappa, lam, 0, True)
-        for kappa in words(n - w_shape) for lam in words(n - u_shape)))
+        for kappa in words(n - w_shape) for lam in words(n - u_shape)),
+        functools.cache(functools.partial(_split_extensions, family, split)))
 
 
 def _guarded_plan(family, u, w, p, m, budget, tables):
@@ -221,14 +208,14 @@ def build_shift_patterns(family, u, w, p, m, budget=None, tables=None):
                          PatternMatrix(plan.index, frozenset()))
     if u.origin == w.origin and u.terminal == w.terminal:
         live = {}
-        gammas = tables.words(plan.gamma, origin=u.terminal)
+        gammas = [g for g in tables.words(plan.gamma) if g.origin == u.terminal]
         for nu in tables.words(p):
             if nu.terminal != u.origin:
                 continue
             nu_u, nu_w = tables.compose(nu, u), tables.compose(nu, w)
             for gamma in gammas:
                 row, base = tables.compose(nu_u, gamma), tables.compose(nu_w, gamma)
-                for kappa, lam, col in tables.split_extensions(base, plan.ext, plan.m):
+                for kappa, lam, col in plan.split(base):
                     live.setdefault((kappa, lam), set()).add((row, col))
         for key, cells in live.items():
             grid[key] = PatternMatrix(plan.index, frozenset(cells))

@@ -236,41 +236,43 @@ def _enumerated_logs(family, potential, k, p, stages, budget):
     arrive in lexicographic word order, as one enumeration of the stage
     gives them.  A group keeps all of its stages' sums until its
     backtracking ends.  Failures come in stage order, as when each stage
-    was guarded and then enumerated in turn: the first stage's
-    NonFiniteResult (at its first such word) before a later stage's
-    refusal."""
+    was guarded and then enumerated in turn.  A budget refusal or a
+    NonFiniteResult (at the stage's first such word) at stage i is the
+    error unless an earlier stage fails, so it cuts the stages to those
+    before i, and the walk starts again over them."""
     cube = Shape.cube(k, family.rank)
-    shapes, refusal = [], None
+    shapes, error = [], None
     for n in stages:
         shape = cube + p.scaled(n)
         try:
             check_enum_budget(family, shape, budget)
-        except BudgetExceededError as error:
-            refusal = error
+        except BudgetExceededError as refusal:
+            error = refusal
             break
         shapes.append(shape)
     table, default = _labels_table(potential), potential.default
     window, volume = potential.window, potential.window.volume
-    sums, failures = [[] for _ in shapes], [None] * len(shapes)
-    for group in prefix_groups(shapes):
-        top = group[-1]
-        cuts = [None] * top.volume  # at a stage's last point: (stage, reader)
-        for shape in group:
-            i = shapes.index(shape)
-            cuts[shape.volume - 1] = i, _window_reader(shape, window, p, stages[i])
-        labels = [0] * top.volume
-        for t in _dfs_prefixes(family, top, {}, dfs_plan(family, top), cuts, labels):
-            i, read = cuts[t]
-            try:
-                sums[i].append(_birkhoff_sum(labels, read, volume, table,
-                                             default, t + 1))
-            except NonFiniteResultError as error:
-                failures[i] = failures[i] or error
-    for error in failures:
-        if error:
-            raise error
-    if refusal:
-        raise refusal
+    sums = None
+    while sums is None:
+        sums = [[] for _ in shapes]
+        try:
+            for group in prefix_groups(shapes):
+                top = group[-1]
+                cuts = [None] * top.volume  # at a stage's last point: (stage, reader)
+                for shape in group:
+                    i = shapes.index(shape)
+                    cuts[shape.volume - 1] = i, _window_reader(shape, window, p,
+                                                               stages[i])
+                labels = [0] * top.volume
+                for t in _dfs_prefixes(family, top, {}, dfs_plan(family, top), cuts,
+                                       labels):
+                    i, read = cuts[t]
+                    sums[i].append(_birkhoff_sum(labels, read, volume, table,
+                                                 default, t + 1))
+        except NonFiniteResultError as failure:
+            error, shapes, sums = failure, shapes[:i], None  # i: the failing stage
+    if error:
+        raise error
     return list(map(log_sum_exp, sums))
 
 

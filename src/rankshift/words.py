@@ -18,15 +18,18 @@ rows), never on labels.  dfs_plan gives the predecessors of every box
 point, compose_plan the placed indices, fill schedule and edge list of a
 shape pair, edge_plan the edges of a box, and Shape.indices the index map
 of a restriction.  The public functions build their plan and apply it
-once; patterns.SweepTables caches the plans for the calls of one sweep.
-The DFS plan has two apply steps, one backtracking in one order.  The
-walk, _dfs_prefixes, takes forced letters and yields t whenever a cut
-point t receives a letter, its caller reading the labels so far.  The
-enumerations, the lemma sweep's split extensions and the transfer chain's
-states and edges cut at the last point only (_dfs_leaves); the enumerate
-pressure route cuts at each stage's last point.  _dfs_count, which
-count_oracle_check reads, tallies the letters placed at every point,
-adding the popcount of the last point's candidates, and builds no Word.
+once.  patterns.SweepTables caches the words of each shape and the
+compose plan of each shape pair for one sweep, and each of its pair
+plans holds the split geometry of its extensions (dfs_plan and
+Shape.indices).  The DFS plan has two apply steps, one backtracking in
+one order.  The walk, _dfs_prefixes, takes forced letters and yields t
+whenever a cut point t receives a letter, its caller reading the labels
+so far.  The enumerations, the lemma sweep's split extensions and the
+transfer chain's states and edges cut at the last point only
+(_dfs_leaves); the enumerate pressure route cuts at each stage's last
+point.  _dfs_count, which count_oracle_check reads, tallies the letters
+placed at every point, adding the popcount of the last point's
+candidates, and builds no Word.
 
 box(l) is a prefix box of box(m) (is_prefix_box) when it is the first
 l.volume points of box(m) in row-major order.  Those points keep their
@@ -38,7 +41,6 @@ order.  prefix_groups splits a list of shapes into groups that share
 one backtracking each.
 """
 
-import functools
 from math import log2
 from typing import NamedTuple
 
@@ -337,15 +339,11 @@ def _dfs_count(family, m, preds):
 def enumerate_words(family, m, origin=None):
     """Yield every word of shape m in lexicographic label order; with
     ``origin`` (letter or index) only words starting there."""
-    return _enumerate_words(family, m, origin, functools.partial(dfs_plan, family))
-
-
-def _enumerate_words(family, m, origin, plans):
-    """enumerate_words, reading the DFS plan of m as plans(m)."""
     require_valid(family)
     require_rank(family, m)
     fixed = {} if origin is None else {0: letter_index(family, origin)}
-    return (Word(m, tuple(x)) for x in _dfs_leaves(family, m, fixed, plans(m)))
+    preds = dfs_plan(family, m)
+    return (Word(m, tuple(x)) for x in _dfs_leaves(family, m, fixed, preds))
 
 
 def enumerate_extensions(family, base, m):
@@ -353,18 +351,13 @@ def enumerate_extensions(family, base, m):
     require_valid(family)
     require_rank(family, base.shape)
     require_rank(family, m)
-    require_extension(base.shape, m)
+    if not base.shape <= m:
+        raise ShapeNotDominatedError(
+            "extension shape must dominate the base shape",
+            base=list(base.shape), target=list(m))
     fixed = dict(zip(m.indices(base.shape), base.labels))
     preds = dfs_plan(family, m)
     return (Word(m, tuple(x)) for x in _dfs_leaves(family, m, fixed, preds))
-
-
-def require_extension(base_shape, m):
-    """The shape guard of enumerate_extensions."""
-    if not base_shape <= m:
-        raise ShapeNotDominatedError(
-            "extension shape must dominate the base shape",
-            base=list(base_shape), target=list(m))
 
 
 # -- Restriction and composition ---------------------------------------------
@@ -380,18 +373,13 @@ def restrict_prefix(word, k):
 
 def restrict_tail(word, k):
     """Restriction to the box [k, m], rebased to the origin."""
-    require_tail(word.shape, k)
+    if not k <= word.shape:
+        raise ShapeNotDominatedError(
+            "tail offset not dominated by word shape",
+            shape=list(word.shape), offset=list(k))
     rest = word.shape - k
     return Word(rest, tuple(map(word.labels.__getitem__,
                                 word.shape.indices(rest, k))))
-
-
-def require_tail(shape, k):
-    """The offset guard of restrict_tail."""
-    if not k <= shape:
-        raise ShapeNotDominatedError(
-            "tail offset not dominated by word shape",
-            shape=list(shape), offset=list(k))
 
 
 def compose(family, u, v):

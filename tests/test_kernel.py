@@ -74,8 +74,8 @@ from rankshift.errors import (
 from rankshift.gapsearch import exhaustive_search, random_search
 from rankshift.jsonout import round12
 from rankshift.patterns import (
-    PatternMatrix, SweepTables, _first_collision, build_shift_patterns,
-    examine_pair)
+    PatternMatrix, SweepTables, _first_collision, _split_extensions,
+    _split_plan, build_shift_patterns, examine_pair)
 from rankshift.matrices import (
     Alphabet,
     MatrixFamily,
@@ -733,8 +733,9 @@ def test_split_and_compose_are_inverse(data):
 @PROPERTY
 @given(st.data())
 def test_sweep_plans_give_the_one_shot_words(data):
-    # every plan a SweepTables caches gives the Words that the public
-    # functions give from the plans they build per call
+    # every table and plan a sweep caches gives the Words that the public
+    # functions give from the plans they build per call; the split plan of
+    # any shape triple whose extension dominates the base and m
     family = data.draw(st.one_of(
         valid_families().filter(lambda f: f.rank == 2), rank3_families()))
     a, b = data.draw(_shapes(family, 1)), data.draw(_shapes(family, 1))
@@ -743,15 +744,18 @@ def test_sweep_plans_give_the_one_shot_words(data):
         assert tables.words(x) == tuple(enumerate_words(family, x))
         assert tables.compose_plan(x, y) == compose_plan(x, y)
         for u in islice(tables.words(x), 6):
-            for v in islice(tables.words(y, origin=u.terminal), 6):
+            vs = tuple(v for v in tables.words(y) if v.origin == u.terminal)
+            assert vs == tuple(enumerate_words(family, y, origin=u.terminal))
+            for v in vs[:6]:
                 assert tables.compose(u, v) == compose(family, u, v)
     shape = a + b
     m = Shape(tuple(data.draw(st.integers(0, c)) for c in shape))
+    plan = _split_plan(family, a, shape, m)
+    assert plan.preds == dfs_plan(family, shape)
     for base in islice(tables.words(a), 6):
-        assert tables.split_extensions(base, shape, m) == tuple(
+        assert _split_extensions(family, plan, base) == tuple(
             (restrict_tail(ext, a), restrict_tail(ext, m), restrict_prefix(ext, m))
             for ext in enumerate_extensions(family, base, shape))
-    assert tables.dfs_plan(shape) == dfs_plan(family, shape)
 
 
 T3 = families.tensor_product(families.tensor_golden(), families.golden_mean())
@@ -1195,6 +1199,24 @@ def test_enumerated_overflow_comes_in_stage_order(capsys, tmp_path, n_max):
         "error": "NonFiniteResult",
         "message": "the Birkhoff sum leaves float range",
         "details": {"labels": [1, 0, 1, 0, 0]}}
+
+
+def test_enumerated_overflow_stops_the_later_stages(capsys, tmp_path, monkeypatch):
+    # the first overflowing word, of stage 2, leaves only stage 1 to walk:
+    # a few hundred Birkhoff sums, not the whole backtracking of stage 40
+    calls = []
+    birkhoff_sum = pressure._birkhoff_sum
+    monkeypatch.setattr(pressure, "_birkhoff_sum",
+                        lambda *args: calls.append(1) or birkhoff_sum(*args))
+    pot = tmp_path / "pot.json"
+    pot.write_text(json.dumps({"window": [0], "default": 0.0, "entries": [
+        {"word": [1], "value": 1e308}]}))
+    assert main(["pressure", "-f", str(FAMILIES / "g1.json"), "--p", "2",
+                 "--k", "2", "--n-max", "40", "--method", "enumerate",
+                 "--potential", str(pot)]) == 1
+    assert json.loads(capsys.readouterr().out)["details"] == {
+        "labels": [1, 0, 1, 0, 0]}
+    assert 0 < len(calls) < 1000
 
 
 def test_oracle_weights_underflowing_every_cycle(g1, tmp_path):

@@ -289,7 +289,7 @@ def _untouchable_tables(family):
     def used(*args):
         raise AssertionError("the tables were used")
 
-    for name in ("words", "compose", "split_extensions", "plan"):
+    for name in ("words", "compose_plan", "compose", "plan"):
         setattr(tables, name, used)
     return tables
 
@@ -311,7 +311,7 @@ def test_pairs_without_live_patterns_share_their_plan(g3):
     empty = [r for r in reports if not any(stat[2] for stat in r.stats)]
     assert 1 < len(empty) < len(reports)
     assert {id(r.stats) for r in empty} == {
-        id(tables.plan(gens[0].shape, gens[0].shape, p).stats)}
+        id(tables.plan(gens[0].shape, gens[0].shape, p, None, None).stats)}
 
 
 def test_dead_pairs_skip_the_build_not_its_guards(g3, monkeypatch):
@@ -359,25 +359,32 @@ def test_tables_die_with_their_last_reference(g3):
 
 
 def test_plans_die_with_their_sweep(g3):
-    # the plan caches hang off the tables alone: the sweep's last reference
-    # takes them along, without a GC pass, and the one-shot plan builders
-    # keep no cache of their own
+    # the four caches hang off the tables alone and each split cache off its
+    # PairPlan: the sweep's last reference takes them along, without a GC
+    # pass, and the one-shot plan builders keep no cache of their own
     assert not hasattr(words.dfs_plan, "cache_info")
     assert not hasattr(words.compose_plan, "cache_info")
     gc.disable()
     try:
-        # the pairs of verify_partial_isometries at max-shape (1, 0): 52
-        # enumerations over 5 shapes, 51 compositions over 4 shape pairs
+        # the pairs of verify_partial_isometries at max-shape (1, 0): 4
+        # shapes enumerated, 4 shape pairs composed, 4 PairPlans
         tables = SweepTables(g3)
-        gens = tables.words(Shape.of(0, 0)) + tables.words(Shape.of(1, 0))
+        shapes = Shape.of(0, 0), Shape.of(1, 0)
+        gens = tables.words(shapes[0]) + tables.words(shapes[1])
         for u in gens:
             for w in gens:
                 examine_pair(g3, u, w, Shape.of(1, 1), tables=tables)
-        caches = (tables.dfs_plan, tables.compose_plan, tables.split_plan)
-        assert [c.cache_info().currsize for c in caches] == [5, 4, 4]
-        refs = [weakref.ref(x) for x in (tables, *caches)]
-        del tables, caches
+        caches = {name: c for name, c in vars(tables).items()
+                  if hasattr(c, "cache_info")}
+        assert sorted(caches) == ["compose", "compose_plan", "plan", "words"]
+        assert [caches[name].cache_info().currsize
+                for name in ("words", "compose_plan", "plan")] == [4, 4, 4]
+        splits = [tables.plan(a, b, Shape.of(1, 1), None, None).split
+                  for a in shapes for b in shapes]
+        assert tables.plan.cache_info().currsize == 4
+        assert all(split.cache_info().currsize for split in splits)
+        refs = [weakref.ref(x) for x in (tables, *caches.values(), *splits)]
+        del tables, caches, splits
         assert [ref() for ref in refs] == [None] * len(refs)
     finally:
         gc.enable()
-
