@@ -40,36 +40,13 @@ from .words import (
 )
 
 
-class PatternMatrix:
+class PatternMatrix(NamedTuple):
     """Sparse 0-1 matrix over the shape-m words.  ``index`` fixes the
     row/column order, ``cells`` holds the (row-word, col-word) pairs
-    carrying a 1.  Immutable, equal and hashed by both fields; not a
-    tuple, whose ``index`` method the field would shadow."""
-    __slots__ = ("index", "cells")
-
-    def __init__(self, index, cells):
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "cells", cells)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.index, self.cells) == (other.index, other.cells)
-
-    def __hash__(self):
-        return hash((self.index, self.cells))
-
-    def __reduce__(self):  # pickle and copy rebuild through __init__
-        return PatternMatrix, (self.index, self.cells)
-
-    def __repr__(self):
-        return f"PatternMatrix(index={self.index!r}, cells={self.cells!r})"
+    carrying a 1.  The ``index`` field shadows tuple.index on purpose: no
+    code calls that method on a pattern."""
+    index: tuple
+    cells: frozenset
 
     def to_json(self):
         order = {w: i for i, w in enumerate(self.index)}

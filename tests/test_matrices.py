@@ -314,6 +314,12 @@ def test_structural_violations():
     assert validate_family(bad_entry).violations[0].code == "NonBinaryEntry"
     zero = MatrixFamily(1, Alphabet(("0",)), (((0,),),))
     assert validate_family(zero).violations[0].code == "ZeroMatrix"
+    # a rank that is not the number of matrices
+    for rank, matrices in ((2, [((1, 1), (1, 0))]), (0, [])):
+        report = validate_family(MatrixFamily(rank, Alphabet("01"), matrices))
+        assert [v.code for v in report.violations] == ["ShapeMismatch"]
+        assert dict(report.violations[0].witness) == {"rank": rank,
+                                                      "matrices": len(matrices)}
 
 
 def test_require_valid_raises():

@@ -6,7 +6,9 @@ Core claims:
     - every pattern over the sample families is a partial isometry
     - rows decompose as prefix.u.tail, and the padded columns make the
       per-kappa row sets and per-lambda column sets pairwise disjoint
-    - fabricated double cells are caught and reported with a usable witness
+    - fabricated double cells are caught and reported with a usable witness;
+      examine_pair records a failing pattern's stat and witness, and the
+      JSON data carries the witness
     - a sweep's shared word tables change no report, and none outlives
       the sweep: the tables die with their last reference, without a GC
       pass; its JSON data holds one dict per distinct Word and one per
@@ -208,6 +210,29 @@ def test_failure_witness_column_collision_and_tie_break(g2):
     witness = _failure_witness(u, Shape.of(1), w[0], w[0], both)
     assert witness["first"] == [dicts[1], dicts[0]]
     assert witness["second"] == [dicts[1], dicts[1]]
+
+
+def test_examine_pair_reports_a_failing_pattern(g2):
+    # a split that sends every base to one (kappa, lambda, column) stacks
+    # all four rows (2 prefixes nu times 2 tails gamma) in one column
+    tables = SweepTables(g2)
+    real_plan = tables.plan
+
+    def one_column_plan(*key):
+        plan = real_plan(*key)
+        kappa, lam = plan.stats[0][:2]
+        return plan._replace(split=lambda base: ((kappa, lam, plan.index[0]),))
+
+    tables.plan = one_column_plan
+    u, p, m = _letter(g2, "0"), Shape.of(1), Shape.of(2)
+    report = examine_pair(g2, u, u, p, m, tables=tables)
+    kappa, lam = report.stats[0][:2]
+    assert report.stats[0] == (kappa, lam, 4, False)
+    assert not report.all_partial_isometries
+    grid = build_shift_patterns(g2, u, u, p, m, tables=tables)
+    witness = _failure_witness(u, p, kappa, lam, grid[(kappa, lam)])
+    assert report.witnesses == (witness,)
+    assert reports_to_json([report])[0]["witnesses"] == [witness]
 
 
 # -- Aggregate sweep ---------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""The record types: NamedTuples, and two classes that cannot be tuples.
+"""The record types: NamedTuples, and one class that cannot be a tuple.
 
 Core claims:
     - every record equals a twin built from the same fields and hashes
@@ -7,8 +7,9 @@ Core claims:
       reports print it
     - a record survives pickle and deepcopy
     - MatrixFamily normalizes its matrices to tuples and keeps its cached
-      properties in the instance dict; PatternMatrix keeps its ``index``
-      field, which tuple.index would shadow
+      properties in the instance dict, so it is not a tuple
+    - PatternMatrix keeps its ``index`` field, which shadows tuple.index,
+      and equals the plain (index, cells) tuple
 """
 
 import copy
@@ -84,7 +85,7 @@ RECORDS = {
 }
 UNHASHABLE = {"Potential"}
 # the records that are not tuples, and a field of each
-NOT_TUPLES = {"MatrixFamily": "rank", "PatternMatrix": "index"}
+NOT_TUPLES = {"MatrixFamily": "rank"}
 
 
 @pytest.mark.parametrize("name", sorted(RECORDS))
@@ -138,4 +139,4 @@ def test_pattern_matrix_keeps_its_index_field():
     assert pattern.index == (W0, W1)
     assert pattern.to_json() == {"dimension": 2, "cells": [[1, 0]]}
     assert pattern != PatternMatrix((W0, W1), frozenset())
-    assert pattern != ((W0, W1), frozenset({(W1, W0)}))
+    assert pattern == ((W0, W1), frozenset({(W1, W0)}))

@@ -44,6 +44,11 @@ def test_partial_order_and_arithmetic():
     assert a <= b
     assert not b <= a
     assert not Shape.of(2, 0) <= Shape.of(0, 2)  # incomparable
+    assert b >= a and a >= a
+    assert not a >= b
+    assert not Shape.of(2, 0) >= Shape.of(0, 2)  # incomparable
+    with pytest.raises(ValueError):
+        a >= Shape.of(1)  # rank mismatch
     assert a + b == Shape.of(3, 4)
     assert b - a == Shape.of(1, 0)
     with pytest.raises(ValueError):

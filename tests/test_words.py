@@ -86,6 +86,9 @@ def test_extensions_agree_with_prefix_filter(g1):
               if restrict_prefix(w, base.shape) == base]
     assert exts == direct
     assert all(restrict_prefix(w, base.shape) == base for w in exts)
+    with pytest.raises(ShapeNotDominatedError) as info:
+        enumerate_extensions(g1, base, Shape.of(0))
+    assert info.value.details == {"base": [1], "target": [0]}
 
 
 def test_enum_budget_guard(g2):
