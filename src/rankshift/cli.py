@@ -56,13 +56,7 @@ _LOG_FACTORS = {"e": 1.0, "2": log(2.0), "10": log(10.0)}
 
 
 def _scale(obj, factor):
-    if factor == 1.0:
-        return obj
-    if isinstance(obj, float):
-        return obj / factor
-    if isinstance(obj, (list, tuple)):
-        return [_scale(v, factor) for v in obj]
-    return obj
+    return [x / factor for x in obj] if isinstance(obj, list) else obj / factor
 
 
 def _finite_float(text):

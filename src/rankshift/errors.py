@@ -87,14 +87,9 @@ class NonFiniteResultError(DomainError):
     code = "NonFiniteResult"
 
 
-class TransferChainDeadEndError(DomainError, ArithmeticError):
-    """No admissible continuation: the chain's 0-1 structure has no path
-    of the stage's length (where it has one, the weights underflowed:
-    TransferChainUnderflow).  Also an ArithmeticError, as both are."""
-    code = "TransferChainDeadEnd"
-
-
 class TransferChainUnderflowError(DomainError, ArithmeticError):
+    """Every weight of a live transfer chain underflowed.  Also an
+    ArithmeticError, as OverflowError is."""
     code = "TransferChainUnderflow"
 
 

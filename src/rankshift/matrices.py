@@ -483,8 +483,6 @@ def log_word_count(family, l, budget=None):
 
     def renorm(m):
         top = max(max(row) for row in m)
-        if top == 0.0:
-            raise ZeroDivisionError("zero product in log fallback")
         return [[x / top for x in row] for row in m], math.log(top)
 
     for m, e in zip(family.matrices, l):

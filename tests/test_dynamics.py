@@ -246,5 +246,7 @@ def test_action_probe_decays(g3):
 def test_action_probe_guards(g1, g3):
     with pytest.raises(RankOneError):
         action_entropy_estimate(g1, 1, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n must be positive"):
         action_entropy_estimate(g3, 1, 0)
+    with pytest.raises(ValueError, match="k must be nonnegative"):
+        action_entropy_estimate(g3, -1, 2)

@@ -60,6 +60,7 @@ payloads = st.recursive(
 
 @settings(max_examples=150, deadline=None)
 @given(payloads)
+@example(0.1)  # a bare float, which only the scalar route prints
 def test_emitter_matches_json_dumps(payload):
     assert dumps(payload) == json.dumps(round12(payload), indent=2) + "\n"
 
@@ -120,6 +121,9 @@ def test_int_past_the_text_digit_limit_prints_exactly():
 def test_non_string_key_is_refused():
     with pytest.raises(TypeError):
         dumps({1: "one"})
+    # as json.dumps does, a value of no JSON type is refused too
+    with pytest.raises(TypeError, match="object is not JSON serializable"):
+        dumps({"a": object()})
 
 
 def _expected(payload):

@@ -1085,6 +1085,9 @@ def test_transfer_parts_are_the_restriction_chain(data):
     for x in enumerate_words(family, cube + step):
         in_edges[index[restrict_tail(x, step)]].append(
             index[restrict_prefix(x, cube)])
+    # C0 (no zero row) extends every cube word by the step, so every state
+    # is the source of an edge: the chain has paths of every length
+    assert set().union(*in_edges) == set(range(len(states)))
     weights = [potential.value(s) for s in states]
     # the word count bounds the work, not the raw index space
     budget = Budget(max_enum_bits=math.inf)

@@ -149,6 +149,8 @@ def test_powers_take_no_identity_products(monkeypatch, g3):
     assert matrix_power(m, 1) == m and not calls
     assert matrix_power(m, 4) == fourth and len(calls) == 2
     assert matrix_power(m, 0) == matrix_identity(4)
+    with pytest.raises(ValueError, match="negative power"):
+        matrix_power(m, -1)
     for rank in (1, 2, 3, 4):
         # the swap of two letters commutes with itself: a valid family
         family = MatrixFamily(rank, Alphabet(("0", "1")),

@@ -34,7 +34,6 @@ from rankshift.errors import (
     DomainError,
     ScaleTooFineError,
     ShapeMismatchError,
-    TransferChainDeadEndError,
     TransferChainUnderflowError,
     WindowTooWideError,
     ZeroDirectionError,
@@ -44,7 +43,6 @@ from rankshift.matrices import (
     entropy_exact, log_word_count, matrix_power_product)
 from rankshift.pressure import (
     Potential,
-    _chain_log_sums,
     birkhoff_sum_on_cylinder,
     log_sum_exp,
     partition_function_log,
@@ -357,15 +355,6 @@ def test_transfer_chain_underflow_is_coded(g1):
         "error": "TransferChainUnderflow",
         "message": "every weight of a live transfer chain underflowed",
         "details": {"stage": 1}}
-
-
-def test_transfer_chain_without_a_path_is_a_dead_end():
-    # state 1 follows state 0 and nothing follows state 1: a path of one
-    # step and none of two, whatever the weights
-    with pytest.raises(TransferChainDeadEndError) as info:
-        _chain_log_sums([[], [0]], [0.0, 0.0], 2)
-    assert info.value.to_json()["details"] == {"stage": 2}
-    assert len(_chain_log_sums([[], [0]], [0.0, 0.0], 1)) == 2
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

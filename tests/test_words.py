@@ -14,11 +14,12 @@ import pytest
 from rankshift.budget import Budget
 from rankshift.errors import (
     BudgetExceededError,
+    NoFillingError,
     OriginMismatchError,
     ShapeMismatchError,
     ShapeNotDominatedError,
 )
-from rankshift.matrices import load_family, word_count
+from rankshift.matrices import ValidationReport, load_family, word_count
 from rankshift.shapes import Shape
 from rankshift.words import (
     Word,
@@ -195,3 +196,19 @@ def test_compose_corner_mismatch(g1, line_word):
     v = line_word(g1, 0, 0)
     with pytest.raises(OriginMismatchError):
         compose(g1, u, v)
+
+
+def test_compose_catches_a_family_that_wrongly_passed_validation():
+    # cube_fail passes C1/C2 and fails C3; with its cached report forced to
+    # pass, the filled box (1,1,1) breaks an edge constraint, and only the
+    # final edge check of compose sees it
+    family = load_family(FAMILIES / "cube_fail.json")
+    vars(family)["validation"] = ValidationReport(())
+    u = Word(Shape.of(0, 0, 1), (2, 1))
+    v = Word(Shape.of(1, 1, 0), (1, 0, 0, 0))
+    with pytest.raises(NoFillingError) as info:
+        compose(family, u, v)
+    assert info.value.to_json() == {
+        "error": "NoFilling",
+        "message": "filled box violates an edge constraint",
+        "details": {"point": [1, 0, 0], "direction": 1}}
